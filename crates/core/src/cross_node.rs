@@ -42,59 +42,18 @@
 //!
 //! [`Recorder`]: msort_trace::Recorder
 
-use crate::exec::{drive, DriverStep, SortDriver};
-use crate::het::{HetConfig, HetDriver};
-use crate::mwms::{MwmsConfig, MwmsDriver};
-use crate::p2p::{P2pConfig, P2pDriver};
+use crate::exec::{DriverStep, SortDriver};
 use crate::report::{PhaseBreakdown, SortReport};
-use crate::rp::{RpConfig, RpDriver};
-use crate::sample::{SampleSortConfig, SampleSortDriver};
-use msort_cpu::sample::{bucket_counts, select_splitters, Splitter};
-use msort_data::{is_sorted, SortKey};
-use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase, StreamId};
-use msort_sim::{FaultPlan, GpuSortAlgo, SimDuration, SimTime};
+use crate::run::Algorithm;
+use crate::sample::splitter_exchange;
+use crate::stage::{self, Middle, Shape, Source, Staged, Staging};
+use msort_data::SortKey;
+use msort_gpu::{BufId, Fidelity, GpuSystem, Location, OpId};
+use msort_sim::{GpuSortAlgo, SimTime};
 use msort_topology::{ClusterLayout, Fabric, Platform};
 
 /// Which single-node sort runs inside each node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InnerAlgo {
-    /// P2P sort (needs a power-of-two GPU count per node).
-    P2p,
-    /// RP sort.
-    Rp,
-    /// HET sort (in-core pipeline).
-    Het,
-    /// GPU sample sort.
-    SampleSort,
-    /// Multiway mergesort.
-    MultiwayMerge,
-}
-
-impl InnerAlgo {
-    /// Report label of the inner sort.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            InnerAlgo::P2p => "P2P",
-            InnerAlgo::Rp => "RP",
-            InnerAlgo::Het => "HET",
-            InnerAlgo::SampleSort => "sample",
-            InnerAlgo::MultiwayMerge => "mwms",
-        }
-    }
-
-    /// All inner algorithms, for sweeps.
-    #[must_use]
-    pub const fn all() -> [InnerAlgo; 5] {
-        [
-            InnerAlgo::P2p,
-            InnerAlgo::Rp,
-            InnerAlgo::Het,
-            InnerAlgo::SampleSort,
-            InnerAlgo::MultiwayMerge,
-        ]
-    }
-}
+pub use crate::family::Family as InnerAlgo;
 
 /// Configuration for [`cross_node_sort`].
 #[derive(Debug, Clone)]
@@ -107,9 +66,6 @@ pub struct CrossNodeConfig {
     pub algo: GpuSortAlgo,
     /// Simulation fidelity.
     pub fidelity: Fidelity,
-    /// Scheduled link faults to inject (empty: pristine fabric). NIC-link
-    /// faults reroute mid-exchange like NVLink faults.
-    pub faults: FaultPlan,
     /// Samples drawn per node per bucket for the global splitter
     /// selection.
     pub oversample: usize,
@@ -124,7 +80,6 @@ impl CrossNodeConfig {
             gpus_per_node: None,
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
-            faults: FaultPlan::new(),
             oversample: 32,
         }
     }
@@ -144,63 +99,42 @@ impl CrossNodeConfig {
     }
 }
 
-/// Where the driver is in the cross-node phase sequence.
-enum CrossState {
-    /// Nothing enqueued yet.
-    Start,
-    /// Scatter drained; splitter selection + partition + exchange next.
+/// Where the driver is in the cross-node middle.
+enum CrossStep {
+    /// Splitter selection + partition + exchange next.
     Exchange,
     /// Exchange drained; inner sorts run in lockstep until all finish.
     InnerSorts,
-    /// Inner sorts done; gather to the global output next.
-    Gather,
-    /// Gather enqueued; next step reads the output.
-    Finishing,
-    /// Output taken; nothing left to do.
-    Finished,
+    /// Inner sorts done and their outputs staged for the gather.
+    Sorted,
 }
 
 /// Cross-node sort as a resumable [`SortDriver`]. On a single-node
 /// platform (no [`ClusterLayout`]) it degenerates to one inner sort with
 /// an idle node level.
+///
+/// The node level runs on the same staging skeleton as the single-node
+/// families, with one lane per *node*: the scatter ships node chunks, the
+/// middle is the exchange plus the inner sorts, the gather concatenates
+/// the sorted partitions.
 pub struct CrossNodeDriver<K: SortKey> {
+    st: Staging<K>,
     layout: ClusterLayout,
     config: CrossNodeConfig,
-    logical_len: u64,
-    chunk: u64,
-    scale: u64,
-    host_in: BufId,
-    host_out: BufId,
     /// Per node: staging buffer and partition scratch on its home socket.
     stage: Vec<(BufId, BufId)>,
     /// Per node: receive buffer for the bucket exchange.
     recv: Vec<BufId>,
     /// Per node: logical keys received in the exchange.
     recv_len: Vec<u64>,
-    /// Per node: logical pad appended so the inner length divides evenly.
-    pad_len: Vec<u64>,
     /// Per node: the inner sort, once constructed (`None`: empty bucket).
     inner: Vec<Option<Box<dyn SortDriver<K>>>>,
-    inner_done: Vec<bool>,
-    /// Buffers importing the truncated inner outputs for the gather.
-    gather_bufs: Vec<BufId>,
-    scatter_streams: Vec<StreamId>,
-    gather_streams: Vec<StreamId>,
-    host_stream: StreamId,
-    /// Ops that crossed the inter-node fabric, for `inter_node`.
+    /// The truncated inner outputs, imported for the gather.
+    gathered: Vec<Source>,
+    /// Exchange copies that crossed the inter-node fabric.
     nic_ops: Vec<OpId>,
-    state: CrossState,
-    t0: SimTime,
-    t_scattered: SimTime,
+    next: CrossStep,
     t_exchanged: SimTime,
-    t_sorted: SimTime,
-    t_end: SimTime,
-    exchanged_keys: u64,
-    max_partition_keys: u64,
-    reroutes_at_start: u64,
-    output: Option<Vec<K>>,
-    validated: bool,
-    released: bool,
 }
 
 /// The effective node layout of `platform`: its [`ClusterLayout`], or a
@@ -234,137 +168,105 @@ impl<K: SortKey> CrossNodeDriver<K> {
     ) -> Self {
         let layout = effective_layout(sys.platform());
         let nodes = layout.nodes;
-        let scale = config.fidelity.scale();
-        assert_eq!(
-            scale,
-            sys.world().scale(),
-            "driver fidelity must match the system's"
-        );
+        let per_node = config.gpus_per_node.unwrap_or(layout.gpus_per_node);
         assert!(
-            logical_len.is_multiple_of(nodes as u64 * scale),
-            "input length must divide evenly into {nodes} node chunks of whole samples"
+            per_node >= 1 && per_node <= layout.gpus_per_node,
+            "gpus_per_node {per_node} exceeds the node's {} GPUs",
+            layout.gpus_per_node
         );
-        if let Some(g) = config.gpus_per_node {
-            assert!(
-                g >= 1 && g <= layout.gpus_per_node,
-                "gpus_per_node {g} exceeds the node's {} GPUs",
-                layout.gpus_per_node
-            );
-        }
-        let chunk = logical_len / nodes as u64;
-
-        let host_in = sys.world_mut().import_host(0, data, logical_len);
-        let host_out = sys.world_mut().alloc_host(0, logical_len);
-        let stage: Vec<(BufId, BufId)> = (0..nodes)
+        let shape = Shape {
+            label: format!("Cross-node sort ({} inner)", config.inner.tag()),
+            order: (0..nodes)
+                .flat_map(|k| layout.node_gpus(k).take(per_node))
+                .collect(),
+            lanes: nodes,
+            even: true,
+            algo: config.algo,
+            fidelity: config.fidelity,
+            home_socket: 0,
+        };
+        let mut st = Staging::new(sys, shape, data, logical_len);
+        let stage = (0..nodes)
             .map(|k| {
                 let socket = layout.node_socket(k);
                 (
-                    sys.world_mut().alloc_host(socket, chunk),
-                    sys.world_mut().alloc_host(socket, chunk),
+                    st.alloc_host(sys, socket, st.chunk),
+                    st.alloc_host(sys, socket, st.chunk),
                 )
             })
             .collect();
-        let scatter_streams: Vec<_> = (0..nodes).map(|_| sys.stream()).collect();
-        let gather_streams: Vec<_> = (0..nodes).map(|_| sys.stream()).collect();
-        let host_stream = sys.stream();
-
         Self {
+            st,
             layout,
             config: config.clone(),
-            logical_len,
-            chunk,
-            scale,
-            host_in,
-            host_out,
             stage,
             recv: Vec::with_capacity(nodes),
             recv_len: vec![0; nodes],
-            pad_len: vec![0; nodes],
             inner: Vec::new(),
-            inner_done: vec![false; nodes],
-            gather_bufs: Vec::new(),
-            scatter_streams,
-            gather_streams,
-            host_stream,
+            gathered: Vec::new(),
             nic_ops: Vec::new(),
-            state: CrossState::Start,
-            t0: SimTime::ZERO,
-            t_scattered: SimTime::ZERO,
+            next: CrossStep::Exchange,
             t_exchanged: SimTime::ZERO,
-            t_sorted: SimTime::ZERO,
-            t_end: SimTime::ZERO,
-            exchanged_keys: 0,
-            max_partition_keys: 0,
-            reroutes_at_start: sys.rerouted_transfers(),
-            output: None,
-            validated: false,
-            released: false,
         }
     }
 
-    /// GPUs used on each node.
-    fn node_gpus(&self, node: usize) -> Vec<usize> {
-        let g = self
-            .config
-            .gpus_per_node
-            .unwrap_or(self.layout.gpus_per_node);
-        self.layout.node_gpus(node).take(g).collect()
+    /// Hand each node its partition as an inner sort, padded to a multiple
+    /// of `gpus × scale` with copies of its maximum key (truncated from
+    /// the sorted tail before the gather).
+    fn build_inner_sorts(&mut self, sys: &mut GpuSystem<'_, K>) {
+        let scale = self.st.scale;
+        let per_node = self.st.order.len() / self.layout.nodes;
+        for k in 0..self.layout.nodes {
+            let len = self.recv_len[k];
+            if len == 0 {
+                self.inner.push(None);
+                continue;
+            }
+            let set = self.st.order[k * per_node..][..per_node].to_vec();
+            let unit = set.len() as u64 * scale;
+            let padded = len.div_ceil(unit) * unit;
+            let mut part: Vec<K> = sys.world().slice(self.recv[k], 0, len).to_vec();
+            if padded > len {
+                let pad_key = *part
+                    .iter()
+                    .max_by_key(|key| key.to_radix())
+                    .expect("non-empty partition");
+                part.resize((padded / scale) as usize, pad_key);
+            }
+            let socket = self.layout.node_socket(k);
+            let algorithm = Algorithm::placed(self.config.inner, set, self.config.algo, socket);
+            self.inner.push(Some(algorithm.driver(sys, part, padded)));
+        }
+        // The exchange buffers are dead: the partitions now live in the
+        // inner sorts' own staging buffers.
+        for &(a, b) in &self.stage {
+            sys.world_mut().free(a);
+            sys.world_mut().free(b);
+        }
+        for &r in &self.recv {
+            sys.world_mut().free(r);
+        }
     }
 
-    /// Build node `k`'s inner driver over its padded partition.
-    fn build_inner(
-        &self,
-        sys: &mut GpuSystem<'_, K>,
-        node: usize,
-        data: Vec<K>,
-        padded_len: u64,
-    ) -> Box<dyn SortDriver<K>> {
-        let set = self.node_gpus(node);
-        let g = set.len();
-        let socket = self.layout.node_socket(node);
-        let fidelity = self.config.fidelity;
-        let algo = self.config.algo;
-        match self.config.inner {
-            InnerAlgo::P2p => {
-                let mut c = P2pConfig::new(g);
-                c.gpu_order = Some(set);
-                c.algo = algo;
-                c.fidelity = fidelity;
-                c.home_socket = socket;
-                Box::new(P2pDriver::new(sys, &c, data, padded_len))
-            }
-            InnerAlgo::Rp => {
-                let mut c = RpConfig::new(g);
-                c.gpu_set = Some(set);
-                c.algo = algo;
-                c.fidelity = fidelity;
-                c.home_socket = socket;
-                Box::new(RpDriver::new(sys, &c, data, padded_len))
-            }
-            InnerAlgo::Het => {
-                let mut c = HetConfig::new(g);
-                c.gpu_set = Some(set);
-                c.algo = algo;
-                c.fidelity = fidelity;
-                c.home_socket = socket;
-                Box::new(HetDriver::new(sys, &c, data, padded_len))
-            }
-            InnerAlgo::SampleSort => {
-                let mut c = SampleSortConfig::new(g);
-                c.gpu_set = Some(set);
-                c.algo = algo;
-                c.fidelity = fidelity;
-                c.home_socket = socket;
-                Box::new(SampleSortDriver::new(sys, &c, data, padded_len))
-            }
-            InnerAlgo::MultiwayMerge => {
-                let mut c = MwmsConfig::new(g);
-                c.gpu_set = Some(set);
-                c.algo = algo;
-                c.fidelity = fidelity;
-                c.home_socket = socket;
-                Box::new(MwmsDriver::new(sys, &c, data, padded_len))
-            }
+    /// Take the sorted partitions out of the finished inner sorts (pads
+    /// truncated) and import them for the gather.
+    fn stage_gather(&mut self, sys: &mut GpuSystem<'_, K>) {
+        for (k, driver) in self.inner.iter_mut().enumerate() {
+            let Some(driver) = driver else {
+                continue;
+            };
+            let len = self.recv_len[k];
+            let mut sorted = driver.take_output();
+            debug_assert!(driver.validated(), "inner sort {k} failed validation");
+            sorted.truncate((len / self.st.scale) as usize);
+            driver.release(sys);
+            let socket = self.layout.node_socket(k);
+            let buf = sys.world_mut().import_host(socket, sorted, len);
+            self.gathered.push(Source {
+                slot: k,
+                buf: self.st.adopt(buf),
+                len,
+            });
         }
     }
 
@@ -374,13 +276,14 @@ impl<K: SortKey> CrossNodeDriver<K> {
         if !rec.is_enabled() {
             return;
         }
+        let st = &self.st;
         for k in 0..self.layout.nodes {
             let track = rec.track(&format!("node {k}"), "phases");
             for (name, from, to) in [
-                ("scatter", self.t0, self.t_scattered),
-                ("exchange", self.t_scattered, self.t_exchanged),
-                ("inner sort", self.t_exchanged, self.t_sorted),
-                ("gather", self.t_sorted, self.t_end),
+                ("scatter", st.t0, st.t_staged),
+                ("exchange", st.t_staged, self.t_exchanged),
+                ("inner sort", self.t_exchanged, st.t_middle),
+                ("gather", st.t_middle, st.t_end),
             ] {
                 if to > from {
                     rec.span(track, name, "cross-node", from.0, to.0);
@@ -390,287 +293,129 @@ impl<K: SortKey> CrossNodeDriver<K> {
     }
 }
 
-impl<K: SortKey> SortDriver<K> for CrossNodeDriver<K> {
-    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
-        let nodes = self.layout.nodes;
-        match self.state {
-            CrossState::Start => {
-                // ---- Phase 1: scatter one chunk per node. ----
-                self.t0 = sys.now();
-                let mut wait = Vec::with_capacity(nodes);
-                for k in 0..nodes {
-                    let op = sys.memcpy(
-                        self.scatter_streams[k],
-                        self.host_in,
-                        k as u64 * self.chunk,
-                        self.stage[k].0,
-                        0,
-                        self.chunk,
-                        &[],
-                        Phase::HtoD,
-                    );
-                    if k != 0 {
-                        self.nic_ops.push(op);
-                    }
-                    wait.push(op);
-                }
-                self.state = CrossState::Exchange;
-                DriverStep::Wait(wait)
-            }
-            CrossState::Exchange => {
-                self.t_scattered = sys.now();
-                let mut wait = Vec::new();
+impl<K: SortKey> Staged<K> for CrossNodeDriver<K> {
+    fn staging(&self) -> &Staging<K> {
+        &self.st
+    }
 
-                // ---- Phase 2a: global splitter selection over the staged
-                // chunks (deterministic stride sampling — bit-reproducible
-                // from the data alone). ----
-                let views: Vec<&[K]> = (0..nodes)
-                    .map(|k| sys.world().slice(self.stage[k].0, 0, self.chunk))
-                    .collect();
-                let splitters: Vec<Splitter<K>> =
-                    select_splitters(&views, nodes, self.config.oversample);
-                let counts: Vec<Vec<u64>> = views
-                    .iter()
-                    .map(|v| {
-                        let mut c = bucket_counts(v, &splitters);
-                        c.resize(nodes, 0);
-                        c
-                    })
-                    .collect();
-                drop(views);
-                let split_cost = sys.cost_model().pivot_selection(self.chunk);
-                let split_op = sys.delay(
-                    self.host_stream,
-                    SimDuration(split_cost.0 * nodes as u64),
-                    &[],
-                    Phase::Partition,
+    fn staging_mut(&mut self) -> &mut Staging<K> {
+        &mut self.st
+    }
+}
+
+impl<K: SortKey> Middle<K> for CrossNodeDriver<K> {
+    /// Scatter one chunk per node; for nodes `k > 0` these are NIC flows.
+    fn start(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let landing = self.stage.iter().map(|s| (s.0, None));
+        self.st.scatter_chunks(sys, landing)
+    }
+
+    fn middle(&mut self, sys: &mut GpuSystem<'_, K>) -> Option<Vec<OpId>> {
+        match self.next {
+            // Global splitters over the staged chunks, a host-side
+            // partition pass per node, and the bucket all-to-all over the
+            // NICs (same-node buckets are local host copies): sample
+            // sort's exchange, one level up.
+            CrossStep::Exchange => {
+                self.next = CrossStep::InnerSorts;
+                let layout = self.layout;
+                let exchange = splitter_exchange(
+                    &mut self.st,
+                    sys,
+                    &self.stage,
+                    self.config.oversample,
+                    |node| Location::Host {
+                        socket: layout.node_socket(node),
+                    },
+                    GpuSystem::host_partition,
                 );
-                wait.push(split_op);
-
-                let recv_phys: Vec<u64> = (0..nodes)
-                    .map(|i| counts.iter().map(|c| c[i]).sum::<u64>())
-                    .collect();
-                self.max_partition_keys = recv_phys.iter().copied().max().unwrap_or(0) * self.scale;
-                for (i, &phys) in recv_phys.iter().enumerate() {
-                    self.recv_len[i] = phys * self.scale;
-                    let buf = sys
-                        .world_mut()
-                        .alloc_host(self.layout.node_socket(i), self.recv_len[i]);
-                    self.recv.push(buf);
-                }
-
-                // ---- Phase 2b: host-side partition pass on every node. ----
-                let part_ops: Vec<OpId> = (0..nodes)
-                    .map(|k| {
-                        sys.host_partition(
-                            self.scatter_streams[k],
-                            self.stage[k].0,
-                            (0, self.chunk),
-                            self.stage[k].1,
-                            splitters.clone(),
-                            &[split_op],
-                        )
-                    })
-                    .collect();
-
-                // ---- Phase 2c: all-to-all bucket exchange over the NICs.
-                // Same-node buckets (i == j) are local host copies. ----
-                let mut recv_off = vec![0u64; nodes];
-                #[allow(clippy::needless_range_loop)] // j and i index counts together
-                for j in 0..nodes {
-                    let mut send_off = 0u64;
-                    for i in 0..nodes {
-                        let len = counts[j][i] * self.scale;
-                        if len == 0 {
-                            continue;
-                        }
-                        let s = sys.stream();
-                        let op = sys.memcpy(
-                            s,
-                            self.stage[j].0,
-                            send_off,
-                            self.recv[i],
-                            recv_off[i],
-                            len,
-                            &[part_ops[j]],
-                            Phase::Merge,
-                        );
-                        if i != j {
-                            self.exchanged_keys += len;
-                            self.nic_ops.push(op);
-                        }
-                        send_off += len;
-                        recv_off[i] += len;
-                        wait.push(op);
-                    }
-                }
-                wait.extend(part_ops);
-                self.state = CrossState::InnerSorts;
-                DriverStep::Wait(wait)
+                (self.recv, self.recv_len) = (exchange.recv, exchange.recv_len);
+                self.nic_ops = exchange.crossing;
+                Some(exchange.wait)
             }
-            CrossState::InnerSorts => {
-                // First entry: hand each node its partition, padded to a
-                // multiple of `gpus × scale` with copies of its maximum
-                // key (truncated from the sorted tail before the gather).
+            CrossStep::InnerSorts => {
                 if self.inner.is_empty() {
                     self.t_exchanged = sys.now();
-                    for k in 0..nodes {
-                        let len = self.recv_len[k];
-                        if len == 0 {
-                            self.inner.push(None);
-                            self.inner_done[k] = true;
-                            continue;
-                        }
-                        let g = self.node_gpus(k).len() as u64;
-                        let unit = g * self.scale;
-                        let padded = len.div_ceil(unit) * unit;
-                        self.pad_len[k] = padded - len;
-                        let mut part: Vec<K> = sys.world().slice(self.recv[k], 0, len).to_vec();
-                        if self.pad_len[k] > 0 {
-                            let pad_key = *part
-                                .iter()
-                                .max_by_key(|key| key.to_radix())
-                                .expect("non-empty partition");
-                            part.resize((padded / self.scale) as usize, pad_key);
-                        }
-                        let driver = self.build_inner(sys, k, part, padded);
-                        self.inner.push(Some(driver));
-                    }
-                    // The exchange buffers are dead: the partitions now
-                    // live in the inner sorts' own staging buffers.
-                    for &(a, b) in &self.stage {
-                        sys.world_mut().free(a);
-                        sys.world_mut().free(b);
-                    }
-                    for &r in &self.recv {
-                        sys.world_mut().free(r);
-                    }
+                    self.build_inner_sorts(sys);
                 }
-                // ---- Phase 3: advance every unfinished inner sort one
-                // step (lockstep: the returned waits of all nodes drain
-                // before the next step, so the per-node pipelines overlap
-                // in simulated time). ----
+                // Advance every inner sort one step (lockstep: the returned
+                // waits of all nodes drain before the next step, so the
+                // per-node pipelines overlap in simulated time). A finished
+                // inner sort just reports `Done` again.
                 let mut wait = Vec::new();
-                for k in 0..nodes {
-                    if self.inner_done[k] {
-                        continue;
-                    }
-                    let driver = self.inner[k].as_mut().expect("unfinished inner driver");
-                    match driver.step(sys) {
-                        DriverStep::Wait(ops) => wait.extend(ops),
-                        DriverStep::Done => self.inner_done[k] = true,
+                let mut running = false;
+                for driver in self.inner.iter_mut().flatten() {
+                    if let DriverStep::Wait(ops) = driver.step(sys) {
+                        running = true;
+                        wait.extend(ops);
                     }
                 }
-                if wait.is_empty() && self.inner_done.iter().all(|&d| d) {
-                    self.state = CrossState::Gather;
-                    return self.step(sys);
+                if running {
+                    return Some(wait);
                 }
-                DriverStep::Wait(wait)
+                self.stage_gather(sys);
+                self.next = CrossStep::Sorted;
+                None
             }
-            CrossState::Gather => {
-                // ---- Phase 4: concatenate the sorted partitions in node
-                // order. Cross-node copies (k > 0) flow over the NICs. ----
-                self.t_sorted = sys.now();
-                let mut wait = Vec::new();
-                let mut out_off = 0u64;
-                for k in 0..nodes {
-                    let len = self.recv_len[k];
-                    let Some(driver) = self.inner[k].as_mut() else {
-                        continue;
-                    };
-                    let mut sorted = driver.take_output();
-                    debug_assert!(driver.validated(), "inner sort {k} failed validation");
-                    sorted.truncate((len / self.scale) as usize);
-                    driver.release(sys);
-                    let buf = sys
-                        .world_mut()
-                        .import_host(self.layout.node_socket(k), sorted, len);
-                    self.gather_bufs.push(buf);
-                    let op = sys.memcpy(
-                        self.gather_streams[k],
-                        buf,
-                        0,
-                        self.host_out,
-                        out_off,
-                        len,
-                        &[],
-                        Phase::DtoH,
-                    );
-                    if k != 0 {
-                        self.nic_ops.push(op);
-                    }
-                    out_off += len;
-                    wait.push(op);
-                }
-                debug_assert_eq!(out_off, self.logical_len, "buckets partition the input");
-                self.state = CrossState::Finishing;
-                DriverStep::Wait(wait)
-            }
-            CrossState::Finishing => {
-                self.t_end = sys.now();
-                let output = sys.world().buffer(self.host_out).data.clone();
-                self.validated = is_sorted(&output);
-                self.output = Some(output);
-                self.record_node_tracks(sys);
-                self.state = CrossState::Finished;
-                DriverStep::Done
-            }
-            CrossState::Finished => DriverStep::Done,
+            CrossStep::Sorted => None,
         }
+    }
+
+    /// The sorted partitions in node order; cross-node copies (`k > 0`)
+    /// flow over the NICs.
+    fn sources(&self) -> Vec<Source> {
+        self.gathered.clone()
+    }
+
+    fn phases(&self, _sys: &GpuSystem<'_, K>) -> PhaseBreakdown {
+        let st = &self.st;
+        PhaseBreakdown {
+            htod: st.t_staged.since(st.t0),
+            // Splitter selection + host partition + node all-to-all.
+            merge: self.t_exchanged.since(st.t_staged),
+            sort: st.t_middle.since(self.t_exchanged),
+            dtoh: st.t_end.since(st.t_middle),
+        }
+    }
+}
+
+impl<K: SortKey> SortDriver<K> for CrossNodeDriver<K> {
+    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
+        let was_finished = self.st.finished();
+        let step = stage::step(self, sys);
+        if self.st.finished() && !was_finished {
+            self.record_node_tracks(sys);
+        }
+        step
     }
 
     fn take_output(&mut self) -> Vec<K> {
-        self.output
-            .take()
-            .expect("cross-node sort has not finished")
+        self.st.take_output()
     }
 
     fn validated(&self) -> bool {
-        self.validated
+        self.st.validated()
     }
 
     fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
-        if self.released {
-            return;
-        }
-        self.released = true;
-        sys.world_mut().free(self.host_in);
-        sys.world_mut().free(self.host_out);
-        for &(a, b) in &self.stage {
-            sys.world_mut().free(a);
-            sys.world_mut().free(b);
-        }
-        for &r in self.recv.iter().chain(&self.gather_bufs) {
-            sys.world_mut().free(r);
-        }
+        self.st.release(sys);
         for driver in self.inner.iter_mut().flatten() {
             driver.release(sys);
         }
     }
 
     fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport {
-        let gpus: Vec<usize> = (0..self.layout.nodes)
-            .flat_map(|k| self.node_gpus(k))
-            .collect();
+        // Node 0 holds the global input and output, so every other node's
+        // scatter and gather copy crossed the fabric.
+        let gathers = self.gathered.iter().zip(&self.st.dtoh_ops);
+        let off_node_gathers = gathers.filter(|(source, _)| source.slot != 0);
+        let mut nic_ops: Vec<OpId> = self.st.htod_ops[1..].to_vec();
+        nic_ops.extend(&self.nic_ops);
+        nic_ops.extend(off_node_gathers.map(|(_, op)| op));
         SortReport {
-            algorithm: format!("Cross-node sort ({} inner)", self.config.inner.name()),
             platform: sys.platform().name(),
-            gpus,
-            keys: self.logical_len,
-            bytes: self.logical_len * K::DATA_TYPE.key_bytes(),
-            total: self.t_end.since(self.t0),
-            phases: PhaseBreakdown {
-                htod: self.t_scattered.since(self.t0),
-                // Splitter selection + host partition + node all-to-all.
-                merge: self.t_exchanged.since(self.t_scattered),
-                sort: self.t_sorted.since(self.t_exchanged),
-                dtoh: self.t_end.since(self.t_sorted),
-            },
-            validated: self.validated,
-            p2p_swapped_keys: self.exchanged_keys,
-            rerouted_transfers: sys.rerouted_transfers() - self.reroutes_at_start,
-            max_partition_keys: self.max_partition_keys,
-            inter_node: sys.ops_busy(&self.nic_ops),
+            inter_node: sys.ops_busy(&nic_ops),
+            ..self.st.report(sys, self.phases(sys))
         }
     }
 }
@@ -696,28 +441,12 @@ pub fn cross_node_sort<K: SortKey>(
     )
 }
 
-/// Run a prepared cross-node driver to completion on `sys` (the
-/// `run_sort` dispatch body, shared with the bench harness).
-pub(crate) fn drive_cross_node<K: SortKey>(
-    sys: &mut GpuSystem<'_, K>,
-    config: &CrossNodeConfig,
-    data: &mut Vec<K>,
-    logical_len: u64,
-) -> SortReport {
-    let input = std::mem::take(data);
-    let mut driver = CrossNodeDriver::new(sys, config, input, logical_len);
-    drive(sys, &mut driver);
-    let report = driver.report(sys);
-    *data = driver.take_output();
-    driver.release(sys);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use msort_cluster::{dgx_a100_cluster, ibm_ac922_cluster};
     use msort_data::{generate, same_multiset, Distribution};
+    use msort_sim::SimDuration;
     use msort_trace::groups;
 
     #[test]

@@ -1,11 +1,9 @@
 //! Resumable sort drivers: each multi-GPU sort as an explicit state
 //! machine over a *caller-provided* [`GpuSystem`].
 //!
-//! The classic entry points ([`crate::p2p_sort`], [`crate::rp_sort`],
-//! [`crate::het_sort`]) construct their own system, run their phases with
-//! `synchronize()` between them, and return — one sort, one clock. That
-//! shape cannot express a sort *service*: many jobs in flight at once,
-//! contending for the same links on one shared simulated clock.
+//! A single-shot sort — one private system, one job, one clock — cannot
+//! express a sort *service*: many jobs in flight at once, contending for
+//! the same links on one shared simulated clock.
 //!
 //! A [`SortDriver`] splits a sort at exactly its host-synchronization
 //! points. Each [`SortDriver::step`] call enqueues the next phase's
@@ -37,7 +35,8 @@ pub enum DriverStep {
 /// A sort expressed as a resumable state machine over a shared executor.
 pub trait SortDriver<K: SortKey> {
     /// Enqueue the next phase. Called once to start the sort and again
-    /// every time the previously returned wait-set has fully completed.
+    /// every time the previously returned wait-set has fully completed;
+    /// a finished driver keeps returning [`DriverStep::Done`].
     fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep;
 
     /// Take the sorted output (physical payload). Valid once `step`

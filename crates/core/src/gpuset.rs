@@ -43,6 +43,28 @@ pub fn default_gpu_set(platform: &Platform, g: usize) -> Vec<usize> {
     }
 }
 
+/// The gang a driver runs on: the config's explicit set, else the paper's
+/// default. Families without staged pairings (`any_size`) also accept a
+/// non-power-of-two `g`, falling back to the first `g` GPUs.
+///
+/// # Panics
+/// Panics if an explicit set does not list exactly `g` GPUs, or on
+/// [`default_gpu_set`]'s shape constraints.
+pub(crate) fn resolve_gang(
+    platform: &Platform,
+    g: usize,
+    explicit: &Option<Vec<usize>>,
+    any_size: bool,
+) -> Vec<usize> {
+    let order = match explicit {
+        Some(set) => set.clone(),
+        None if any_size && !g.is_power_of_two() => (0..g).collect(),
+        None => default_gpu_set(platform, g),
+    };
+    assert_eq!(order.len(), g, "the GPU set must list exactly `gpus` GPUs");
+    order
+}
+
 /// Simulation-based score (estimated seconds, lower is better) of an
 /// ordered GPU set for P2P sort: the makespan of the parallel HtoD copies
 /// plus the makespan of the merge-pattern P2P swaps (pair-wise stage and

@@ -20,12 +20,13 @@
 //! transfers — both effects are reproduced by modeling CPU merges as
 //! host-memory flows.
 
-use crate::exec::{DriverStep, SortDriver};
-use crate::gpuset::default_gpu_set;
+use crate::family::Family;
+use crate::gpuset::resolve_gang;
 use crate::report::{PhaseBreakdown, SortReport};
-use msort_data::{is_sorted, SortKey};
-use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase, StreamId};
-use msort_sim::{FaultPlan, GpuSortAlgo, SimDuration, SimTime};
+use crate::stage::{split_by_busy, staged_driver, Middle, Piece, Shape, Source, Staging};
+use msort_data::SortKey;
+use msort_gpu::{BufId, Fidelity, GpuSystem, OpId};
+use msort_sim::GpuSortAlgo;
 use msort_topology::Platform;
 
 /// Which large-data pipeline to use.
@@ -62,7 +63,7 @@ impl LargeDataApproach {
 pub struct HetConfig {
     /// Number of GPUs.
     pub gpus: usize,
-    /// Explicit GPU set (overrides the default [`default_gpu_set`]).
+    /// Explicit GPU set (overrides the default [`crate::default_gpu_set`]).
     pub gpu_set: Option<Vec<usize>>,
     /// Single-GPU sorting primitive.
     pub algo: GpuSortAlgo,
@@ -77,8 +78,6 @@ pub struct HetConfig {
     /// memory). The paper's 2n-vs-3n comparison fixes this to 33 GB so
     /// both pipelines get the same budget (Section 6.2).
     pub gpu_mem_budget: Option<u64>,
-    /// Scheduled link faults to inject (empty: pristine fabric).
-    pub faults: FaultPlan,
     /// NUMA socket whose host memory stages the input and output (0 on
     /// single-node platforms; the cross-node driver points each inner sort
     /// at its node's home socket).
@@ -97,7 +96,6 @@ impl HetConfig {
             approach: LargeDataApproach::TwoN,
             eager_merge: false,
             gpu_mem_budget: None,
-            faults: FaultPlan::new(),
             home_socket: 0,
         }
     }
@@ -106,13 +104,6 @@ impl HetConfig {
     #[must_use]
     pub fn sampled(mut self, scale: u64) -> Self {
         self.fidelity = Fidelity::Sampled { scale };
-        self
-    }
-
-    /// Use an explicit GPU set.
-    #[must_use]
-    pub fn with_set(mut self, set: Vec<usize>) -> Self {
-        self.gpu_set = Some(set);
         self
     }
 
@@ -134,21 +125,6 @@ impl HetConfig {
     #[must_use]
     pub fn with_mem_budget(mut self, bytes: u64) -> Self {
         self.gpu_mem_budget = Some(bytes);
-        self
-    }
-
-    /// Inject the given fault schedule.
-    #[deprecated(note = "configure faults on the shared RunConfig \
-                         (msort_core::RunConfig::het(config).with_faults(plan)) instead")]
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-    /// Stage host buffers on `socket` instead of socket 0.
-    #[must_use]
-    pub fn with_home_socket(mut self, socket: usize) -> Self {
-        self.home_socket = socket;
         self
     }
 }
@@ -230,7 +206,7 @@ pub fn het_sort<K: SortKey>(
     logical_len: u64,
 ) -> SortReport {
     // The shared RunConfig path builds the system (fidelity + faults +
-    // recorder) and dispatches back into `het_sort_on`.
+    // recorder) and drives the HetDriver to completion.
     crate::run::run_sort(
         platform,
         &crate::run::RunConfig::het(config.clone()),
@@ -239,355 +215,38 @@ pub fn het_sort<K: SortKey>(
     )
 }
 
-/// The HET sort body over a caller-provided system (built by
-/// [`crate::RunConfig::build_system`], which installed fidelity, faults,
-/// and recorder).
-pub(crate) fn het_sort_on<K: SortKey>(
-    platform: &Platform,
-    config: &HetConfig,
-    sys: &mut GpuSystem<'_, K>,
-    data: &mut Vec<K>,
-    logical_len: u64,
-) -> SortReport {
-    let g = config.gpus;
-    let order = config
-        .gpu_set
-        .clone()
-        .unwrap_or_else(|| default_gpu_set(platform, g));
-    let scale = config.fidelity.scale();
-    let key_bytes = K::DATA_TYPE.key_bytes();
-
-    let gpu_mem = order
-        .iter()
-        .map(|&i| platform.topology.gpu_memory_bytes(i))
-        .min()
-        .expect("at least one GPU");
-    let budget = config.gpu_mem_budget.unwrap_or(gpu_mem).min(gpu_mem);
-    let max_chunk_keys = budget / config.approach.buffers() / key_bytes;
-    let plan = ChunkPlan::compute(logical_len, g, max_chunk_keys, scale);
-
-    let input = std::mem::take(data);
-    let home = config.home_socket;
-    let host_in = sys.world_mut().import_host(home, input, logical_len);
-    // Sorted sublists land here; the final merge writes to `host_out`.
-    let host_runs = sys.world_mut().alloc_host(home, logical_len);
-    let host_out = sys.world_mut().alloc_host(home, logical_len);
-
-    let report = run_pipeline(
-        platform,
-        config,
-        &order,
-        sys,
-        &plan,
-        host_in,
-        host_runs,
-        host_out,
-        logical_len,
-    );
-
-    let output = sys.world().buffer(host_out).data.clone();
-    debug_assert!(is_sorted(&output), "HET sort produced unsorted output");
-    *data = output;
-    report
+/// Device keys per GPU for a `chunk`-key share of an in-core sort: the
+/// default 2n pipeline double-buffers the chunk.
+pub(crate) fn footprint_keys(chunk: u64) -> u64 {
+    LargeDataApproach::TwoN.buffers() * chunk
 }
 
-/// The HET pipeline; a single chunk group degenerates to the in-core case
-/// (scatter, sort, gather, one merge) automatically.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline<K: SortKey>(
-    platform: &Platform,
-    config: &HetConfig,
-    order: &[usize],
-    sys: &mut GpuSystem<'_, K>,
-    plan: &ChunkPlan,
-    host_in: BufId,
-    host_runs: BufId,
-    host_out: BufId,
-    logical_len: u64,
-) -> SortReport {
-    let g = order.len();
-    let groups = plan.groups;
-    let buf_len = plan.max_len();
-
-    let nbuf = config.approach.buffers() as usize;
-    let bufs: Vec<Vec<BufId>> = order
-        .iter()
-        .map(|&gpu| {
-            (0..nbuf)
-                .map(|_| sys.world_mut().alloc_gpu(gpu, buf_len))
-                .collect()
-        })
-        .collect();
-    let copy_in: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-    let copy_out: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-    let compute: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-    let cpu_stream = sys.stream();
-
-    // A single chunk over a single GPU needs no CPU merge at all: the
-    // sorted chunk copies straight into the output (the paper's plain
-    // single-GPU baseline of Figures 12–14).
-    let single_chunk = plan.pieces.len() == 1;
-    let runs_target = if single_chunk { host_out } else { host_runs };
-
-    let mut last_sort: Vec<Option<OpId>> = vec![None; g];
-    let mut last_dtoh: Vec<Option<OpId>> = vec![None; g];
-    let mut group_dtoh: Vec<Vec<OpId>> = vec![Vec::new(); groups as usize];
-    // Eager outputs need their own staging area (the final merge writes
-    // `host_out` while reading them).
-    let eager_buf = if config.eager_merge && groups > 1 {
-        Some(sys.world_mut().alloc_host(config.home_socket, logical_len))
-    } else {
-        None
-    };
-
-    let t0 = sys.now();
-    for group in 0..groups {
-        let j = group as usize;
-        for i in 0..g {
-            let (off, len) = plan.piece(group, i);
-            let data_buf = bufs[i][j % nbuf];
-            let aux_buf = match config.approach {
-                LargeDataApproach::TwoN => bufs[i][(j + 1) % nbuf],
-                LargeDataApproach::ThreeN => bufs[i][(j + 2) % nbuf],
-            };
-
-            // HtoD. 2n: the target buffer was the previous sort's aux, so
-            // wait for that sort (the paper's explicit synchronization
-            // step). 3n: the buffer cycles roles; the in-place
-            // data-transfer swap lets this copy overlap the DtoH that is
-            // still draining the same buffer.
-            let htod_waits: Vec<OpId> = match config.approach {
-                LargeDataApproach::TwoN => last_sort[i].into_iter().collect(),
-                LargeDataApproach::ThreeN => Vec::new(),
-            };
-            let up = sys.memcpy(
-                copy_in[i],
-                host_in,
-                off,
-                data_buf,
-                0,
-                len,
-                &htod_waits,
-                Phase::HtoD,
-            );
-
-            // Sort. 2n additionally waits for the previous DtoH: its aux
-            // buffer is the buffer that chunk was leaving from.
-            let mut sort_waits = vec![up];
-            if config.approach == LargeDataApproach::TwoN {
-                sort_waits.extend(last_dtoh[i]);
-            }
-            let so = sys.gpu_sort(
-                compute[i],
-                config.algo,
-                data_buf,
-                (0, len),
-                aux_buf,
-                &sort_waits,
-            );
-            last_sort[i] = Some(so);
-
-            // DtoH of the sorted chunk into its slot of the runs buffer.
-            let down = sys.memcpy(
-                copy_out[i],
-                data_buf,
-                0,
-                runs_target,
-                off,
-                len,
-                &[so],
-                Phase::DtoH,
-            );
-            last_dtoh[i] = Some(down);
-            group_dtoh[j].push(down);
-        }
-
-        // Eager merge of this group (skipped for the last group — no GPU
-        // work would remain to overlap with, Section 5.3).
-        if let Some(eager_buf) = eager_buf {
-            if group + 1 < groups {
-                let inputs: Vec<(BufId, u64, u64)> = (0..g)
-                    .map(|i| {
-                        let (off, len) = plan.piece(group, i);
-                        (host_runs, off, len)
-                    })
-                    .collect();
-                let out_off = plan.piece(group, 0).0;
-                sys.cpu_multiway_merge(cpu_stream, inputs, eager_buf, out_off, &group_dtoh[j]);
-            }
-        }
-    }
-    sys.synchronize();
-    let t_gpu_done = sys.now();
-
-    // Final multiway merge (skipped entirely when the single sorted chunk
-    // already landed in the output).
-    if single_chunk {
-        let t_end = sys.now();
-        let window = t_gpu_done.since(t0);
-        let (htod, (sort, dtoh)) = split3(
-            window,
-            sys.phase_busy(Phase::HtoD),
-            sys.phase_busy(Phase::Sort),
-            sys.phase_busy(Phase::DtoH),
-        );
-        return SortReport {
-            algorithm: "HET sort".into(),
-            platform: platform.id.name().into(),
-            gpus: order.to_vec(),
-            keys: logical_len,
-            bytes: logical_len * K::DATA_TYPE.key_bytes(),
-            total: t_end.since(SimTime::ZERO),
-            phases: PhaseBreakdown {
-                htod,
-                sort,
-                merge: SimDuration::ZERO,
-                dtoh,
-            },
-            validated: true,
-            p2p_swapped_keys: 0,
-            rerouted_transfers: sys.rerouted_transfers(),
-            max_partition_keys: 0,
-            inter_node: SimDuration::ZERO,
-        };
-    }
-    let inputs: Vec<(BufId, u64, u64)> = if let Some(eager_buf) = eager_buf {
-        // groups-1 eager outputs + the last group's g chunks.
-        let mut v: Vec<(BufId, u64, u64)> = (0..groups - 1)
-            .map(|grp| {
-                let start = plan.piece(grp, 0).0;
-                let end = plan.piece(grp, g - 1);
-                (eager_buf, start, end.0 + end.1 - start)
-            })
-            .collect();
-        v.extend((0..g).map(|i| {
-            let (off, len) = plan.piece(groups - 1, i);
-            (host_runs, off, len)
-        }));
-        v
-    } else {
-        plan.pieces
-            .iter()
-            .map(|&(off, len)| (host_runs, off, len))
-            .collect()
-    };
-    sys.cpu_multiway_merge(cpu_stream, inputs, host_out, 0, &[]);
-    sys.synchronize();
-    let t_end = sys.now();
-
-    let window = t_gpu_done.since(t0);
-    let (htod, (sort, dtoh)) = split3(
-        window,
-        sys.phase_busy(Phase::HtoD),
-        sys.phase_busy(Phase::Sort),
-        sys.phase_busy(Phase::DtoH),
-    );
-    // The final merge window; eager merges (if any) overlapped the GPU
-    // window and are folded into it.
-    let final_merge = t_end.since(t_gpu_done);
-    SortReport {
-        algorithm: if groups > 1 {
-            format!(
-                "HET sort ({}{})",
-                config.approach.label(),
-                if config.eager_merge { " + EM" } else { "" }
-            )
-        } else {
-            "HET sort".into()
-        },
-        platform: platform.id.name().into(),
-        gpus: order.to_vec(),
-        keys: logical_len,
-        bytes: logical_len * K::DATA_TYPE.key_bytes(),
-        total: t_end.since(SimTime::ZERO),
-        phases: PhaseBreakdown {
-            htod,
-            sort,
-            merge: final_merge,
-            dtoh,
-        },
-        validated: true,
-        p2p_swapped_keys: 0,
-        rerouted_transfers: sys.rerouted_transfers(),
-        max_partition_keys: 0,
-        inter_node: SimDuration::ZERO,
-    }
-}
-
-/// Split an overlapped window across three phases proportionally to their
-/// busy times (remainder goes to the last).
-fn split3(
-    total: SimDuration,
-    a: SimDuration,
-    b: SimDuration,
-    c: SimDuration,
-) -> (SimDuration, (SimDuration, SimDuration)) {
-    let denom = a.0 + b.0 + c.0;
-    if denom == 0 {
-        return (total, (SimDuration::ZERO, SimDuration::ZERO));
-    }
-    let part =
-        |x: u64| SimDuration((u128::from(total.0) * u128::from(x) / u128::from(denom)) as u64);
-    let pa = part(a.0);
-    let pb = part(b.0);
-    let pc = SimDuration(total.0 - pa.0 - pb.0);
-    (pa, (pb, pc))
-}
-
-/// Where the in-core HET driver is in its phase sequence.
-enum HetState {
-    /// Nothing enqueued yet.
-    Start,
-    /// GPU phase drained; CPU merge next (or nothing, single-chunk case).
-    GpuDone,
-    /// CPU merge enqueued; next step reads the output.
-    Merging,
-    /// Output taken; nothing left to do.
-    Finished,
-}
-
-/// In-core HET sort as a resumable [`SortDriver`]: one chunk group across
-/// the GPUs (scatter, sort, gather) followed by a single CPU multiway
-/// merge. The out-of-core streaming pipelines remain exclusive to
-/// [`het_sort`] — a scheduler admits jobs small enough to fit device
-/// memory, which is exactly the in-core case.
+/// HET sort as a resumable [`SortDriver`](crate::SortDriver): the chunk
+/// groups stream through the GPUs as one pipelined phase (scatter, sort,
+/// and the DtoH of every sorted chunk, plus any eager merges), then a
+/// single CPU multiway merge produces the output. One chunk group is the
+/// in-core case; a single chunk needs no merge at all.
 pub struct HetDriver<K: SortKey> {
-    order: Vec<usize>,
-    algo: GpuSortAlgo,
+    st: Staging<K>,
     approach: LargeDataApproach,
-    logical_len: u64,
-    scale: u64,
     plan: ChunkPlan,
-    buf_len: u64,
-    host_in: BufId,
+    /// Sorted sublists land here; the final merge writes `host_out`.
     host_runs: BufId,
-    host_out: BufId,
+    /// Staging area for eager-merge outputs (the final merge writes
+    /// `host_out` while reading them).
+    eager_buf: Option<BufId>,
+    /// Per GPU: the pipeline's 2 or 3 device buffers.
     bufs: Vec<Vec<BufId>>,
-    copy_in: Vec<StreamId>,
-    copy_out: Vec<StreamId>,
-    compute: Vec<StreamId>,
-    cpu_stream: StreamId,
-    state: HetState,
-    t0: SimTime,
-    t_gpu_done: SimTime,
-    t_end: SimTime,
-    htod_ops: Vec<OpId>,
-    sort_ops: Vec<OpId>,
-    dtoh_ops: Vec<OpId>,
-    reroutes_at_start: u64,
-    output: Option<Vec<K>>,
-    validated: bool,
-    released: bool,
+    merged: bool,
 }
 
 impl<K: SortKey> HetDriver<K> {
-    /// Prepare an in-core HET sort of `data` on `sys`.
+    /// Prepare a HET sort of `data` on `sys`.
     ///
     /// # Panics
-    /// Panics if the input does not fit device memory in one chunk group
-    /// (use [`het_sort`] for out-of-core streaming), if `logical_len` is
-    /// not a multiple of the sampling factor, or if `config.fidelity`
-    /// disagrees with the system's fidelity.
+    /// Panics if `logical_len` is not a multiple of the sampling factor,
+    /// if even a single-sample chunk exceeds the GPU memory budget, or if
+    /// `config.fidelity` disagrees with the system's fidelity.
     pub fn new(
         sys: &mut GpuSystem<'_, K>,
         config: &HetConfig,
@@ -595,239 +254,198 @@ impl<K: SortKey> HetDriver<K> {
         logical_len: u64,
     ) -> Self {
         let g = config.gpus;
-        let order = config
-            .gpu_set
-            .clone()
-            .unwrap_or_else(|| default_gpu_set(sys.platform(), g));
-        assert_eq!(order.len(), g, "gpu_set must list exactly `gpus` GPUs");
-        let scale = config.fidelity.scale();
-        assert_eq!(
-            scale,
-            sys.world().scale(),
-            "driver fidelity must match the system's"
-        );
-        let key_bytes = K::DATA_TYPE.key_bytes();
-
+        let order = resolve_gang(sys.platform(), g, &config.gpu_set, false);
         let gpu_mem = order
             .iter()
             .map(|&i| sys.platform().topology.gpu_memory_bytes(i))
             .min()
             .expect("at least one GPU");
         let budget = config.gpu_mem_budget.unwrap_or(gpu_mem).min(gpu_mem);
-        let max_chunk_keys = budget / config.approach.buffers() / key_bytes;
-        let plan = ChunkPlan::compute(logical_len, g, max_chunk_keys, scale);
-        assert_eq!(
-            plan.groups, 1,
-            "HetDriver is in-core only: {logical_len} keys need {} chunk groups",
-            plan.groups
-        );
-        let buf_len = plan.max_len();
+        let nbuf = config.approach.buffers();
+        let max_chunk_keys = budget / nbuf / K::DATA_TYPE.key_bytes();
+        let plan = ChunkPlan::compute(logical_len, g, max_chunk_keys, config.fidelity.scale());
+        let eager = config.eager_merge && plan.groups > 1;
 
+        let label = if plan.groups > 1 {
+            let em = if eager { " + EM" } else { "" };
+            format!("HET sort ({}{em})", config.approach.label())
+        } else {
+            Family::Het.name().into()
+        };
+        let shape = Shape {
+            label,
+            lanes: g,
+            order,
+            even: false,
+            algo: config.algo,
+            fidelity: config.fidelity,
+            home_socket: config.home_socket,
+        };
+        let mut st = Staging::new(sys, shape, data, logical_len);
         let home = config.home_socket;
-        let host_in = sys.world_mut().import_host(home, data, logical_len);
-        let host_runs = sys.world_mut().alloc_host(home, logical_len);
-        let host_out = sys.world_mut().alloc_host(home, logical_len);
-
-        let nbuf = config.approach.buffers() as usize;
-        let bufs: Vec<Vec<BufId>> = order
-            .iter()
-            .map(|&gpu| {
+        let host_runs = st.alloc_host(sys, home, logical_len);
+        let bufs = (0..g)
+            .map(|i| {
                 (0..nbuf)
-                    .map(|_| sys.world_mut().alloc_gpu(gpu, buf_len))
+                    .map(|_| st.alloc_gpu(sys, st.order[i], plan.max_len()))
                     .collect()
             })
             .collect();
-        let copy_in: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-        let copy_out: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-        let compute: Vec<StreamId> = (0..g).map(|_| sys.stream()).collect();
-        let cpu_stream = sys.stream();
-
+        let eager_buf = eager.then(|| st.alloc_host(sys, home, logical_len));
         Self {
-            order,
-            algo: config.algo,
+            st,
             approach: config.approach,
-            logical_len,
-            scale,
             plan,
-            buf_len,
-            host_in,
             host_runs,
-            host_out,
+            eager_buf,
             bufs,
-            copy_in,
-            copy_out,
-            compute,
-            cpu_stream,
-            state: HetState::Start,
-            t0: SimTime::ZERO,
-            t_gpu_done: SimTime::ZERO,
-            t_end: SimTime::ZERO,
-            htod_ops: Vec::with_capacity(g),
-            sort_ops: Vec::with_capacity(g),
-            dtoh_ops: Vec::with_capacity(g),
-            reroutes_at_start: sys.rerouted_transfers(),
-            output: None,
-            validated: false,
-            released: false,
+            merged: false,
         }
     }
 
-    /// Total device memory (in physical keys) this sort occupies per GPU.
-    #[must_use]
-    pub fn device_keys_per_gpu(&self) -> u64 {
-        self.approach.buffers() * self.buf_len / self.scale
-    }
-
-    fn read_output(&mut self, sys: &GpuSystem<'_, K>) {
-        let output = sys.world().buffer(self.host_out).data.clone();
-        self.validated = is_sorted(&output);
-        self.output = Some(output);
-        self.state = HetState::Finished;
+    /// The final merge's inputs: every sorted chunk, or — with eager
+    /// merging — the `groups − 1` eager outputs plus the last group's
+    /// chunks.
+    fn merge_inputs(&self) -> Vec<(BufId, u64, u64)> {
+        let plan = &self.plan;
+        let chunk_of = |&(off, len): &(u64, u64)| (self.host_runs, off, len);
+        let Some(eager_buf) = self.eager_buf else {
+            return plan.pieces.iter().map(chunk_of).collect();
+        };
+        let last = (plan.groups as usize - 1) * plan.g;
+        let eager_outputs = plan.pieces[..last].chunks(plan.g).map(|group| {
+            let (start, end) = (group[0].0, group[plan.g - 1]);
+            (eager_buf, start, end.0 + end.1 - start)
+        });
+        eager_outputs
+            .chain(plan.pieces[last..].iter().map(chunk_of))
+            .collect()
     }
 }
 
-impl<K: SortKey> SortDriver<K> for HetDriver<K> {
-    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
-        let g = self.order.len();
-        match self.state {
-            HetState::Start => {
-                // Scatter + sort + gather of the single chunk group. A
-                // single chunk over a single GPU copies straight into the
-                // output (no CPU merge at all).
-                self.t0 = sys.now();
-                let single_chunk = self.plan.pieces.len() == 1;
-                let runs_target = if single_chunk {
-                    self.host_out
-                } else {
-                    self.host_runs
+impl<K: SortKey> Middle<K> for HetDriver<K> {
+    /// The GPU pipeline over every chunk group; a single group degenerates
+    /// to the in-core case (scatter, sort, gather) automatically.
+    fn start(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let g = self.plan.g;
+        let nbuf = self.bufs[0].len();
+        let two_n = self.approach == LargeDataApproach::TwoN;
+        // A single chunk over a single GPU needs no CPU merge at all: the
+        // sorted chunk copies straight into the output (the paper's plain
+        // single-GPU baseline of Figures 12–14).
+        let runs_target = if self.plan.pieces.len() == 1 {
+            self.st.host_out
+        } else {
+            self.host_runs
+        };
+        let mut last_sort: Vec<Option<OpId>> = vec![None; g];
+        let mut last_dtoh: Vec<Option<OpId>> = vec![None; g];
+        let mut wait = Vec::with_capacity(self.plan.pieces.len());
+        for group in 0..self.plan.groups {
+            let j = group as usize;
+            let first_down = wait.len();
+            for i in 0..g {
+                let (off, len) = self.plan.piece(group, i);
+                // The buffers cycle roles: this group's data buffer was the
+                // previous group's sort scratch (2n) or is still draining
+                // its DtoH (3n).
+                let piece = Piece {
+                    slot: i,
+                    off,
+                    len,
+                    dst: self.bufs[i][j % nbuf],
+                    aux: Some(self.bufs[i][(j + nbuf - 1) % nbuf]),
                 };
-                let mut wait = Vec::with_capacity(g);
-                for i in 0..g {
-                    let (off, len) = self.plan.piece(0, i);
-                    let data_buf = self.bufs[i][0];
-                    let aux_buf = match self.approach {
-                        LargeDataApproach::TwoN => self.bufs[i][1],
-                        LargeDataApproach::ThreeN => self.bufs[i][2],
-                    };
-                    let up = sys.memcpy(
-                        self.copy_in[i],
-                        self.host_in,
-                        off,
-                        data_buf,
-                        0,
-                        len,
-                        &[],
-                        Phase::HtoD,
-                    );
-                    let so = sys.gpu_sort(
-                        self.compute[i],
-                        self.algo,
-                        data_buf,
-                        (0, len),
-                        aux_buf,
-                        &[up],
-                    );
-                    let down = sys.memcpy(
-                        self.copy_out[i],
-                        data_buf,
-                        0,
-                        runs_target,
-                        off,
-                        len,
-                        &[so],
-                        Phase::DtoH,
-                    );
-                    self.htod_ops.push(up);
-                    self.sort_ops.push(so);
-                    self.dtoh_ops.push(down);
-                    wait.push(down);
-                }
-                self.state = HetState::GpuDone;
-                DriverStep::Wait(wait)
+                // 2n: the target buffer was the previous sort's aux, so
+                // the copy waits for that sort (the paper's explicit
+                // synchronization step), and the sort waits for the
+                // previous DtoH, which is leaving from its aux buffer.
+                // 3n: the in-place data-transfer swap lets the copy
+                // overlap the DtoH still draining the same buffer.
+                let (copy_waits, sort_waits) = if two_n {
+                    (last_sort[i], last_dtoh[i])
+                } else {
+                    (None, None)
+                };
+                let so = self
+                    .st
+                    .scatter(sys, &piece, copy_waits.as_slice(), sort_waits.as_slice());
+                last_sort[i] = Some(so);
+                // DtoH of the sorted chunk into its slot of the runs buffer.
+                let sorted = Source {
+                    slot: i,
+                    buf: piece.dst,
+                    len,
+                };
+                let down = self.st.gather(sys, sorted, (runs_target, off), &[so]);
+                last_dtoh[i] = Some(down);
+                wait.push(down);
             }
-            HetState::GpuDone => {
-                self.t_gpu_done = sys.now();
-                if self.plan.pieces.len() == 1 {
-                    self.t_end = sys.now();
-                    self.read_output(sys);
-                    return DriverStep::Done;
-                }
-                let inputs: Vec<(BufId, u64, u64)> = self
-                    .plan
-                    .pieces
+            // Eager merge of this group (skipped for the last group — no
+            // GPU work would remain to overlap with, Section 5.3).
+            if let Some(eager_buf) = self.eager_buf.filter(|_| group + 1 < self.plan.groups) {
+                let inputs = self.plan.pieces[j * g..(j + 1) * g]
                     .iter()
                     .map(|&(off, len)| (self.host_runs, off, len))
                     .collect();
-                let mo = sys.cpu_multiway_merge(self.cpu_stream, inputs, self.host_out, 0, &[]);
-                self.state = HetState::Merging;
-                DriverStep::Wait(vec![mo])
-            }
-            HetState::Merging => {
-                self.t_end = sys.now();
-                self.read_output(sys);
-                DriverStep::Done
-            }
-            HetState::Finished => DriverStep::Done,
-        }
-    }
-
-    fn take_output(&mut self) -> Vec<K> {
-        self.output.take().expect("HET sort has not finished")
-    }
-
-    fn validated(&self) -> bool {
-        self.validated
-    }
-
-    fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
-        if self.released {
-            return;
-        }
-        self.released = true;
-        sys.world_mut().free(self.host_in);
-        sys.world_mut().free(self.host_runs);
-        sys.world_mut().free(self.host_out);
-        for gpu_bufs in &self.bufs {
-            for &b in gpu_bufs {
-                sys.world_mut().free(b);
+                let out_off = self.plan.piece(group, 0).0;
+                let group_dtoh = wait[first_down..].to_vec();
+                wait.push(sys.cpu_multiway_merge(
+                    self.st.host_stream,
+                    inputs,
+                    eager_buf,
+                    out_off,
+                    &group_dtoh,
+                ));
             }
         }
+        wait
     }
 
-    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport {
-        let window = self.t_gpu_done.since(self.t0);
-        let (htod, (sort, dtoh)) = split3(
-            window,
-            sys.ops_busy(&self.htod_ops),
-            sys.ops_busy(&self.sort_ops),
-            sys.ops_busy(&self.dtoh_ops),
-        );
-        SortReport {
-            algorithm: "HET sort".into(),
-            platform: sys.platform().id.name().into(),
-            gpus: self.order.clone(),
-            keys: self.logical_len,
-            bytes: self.logical_len * K::DATA_TYPE.key_bytes(),
-            total: self.t_end.since(self.t0),
-            phases: PhaseBreakdown {
-                htod,
-                sort,
-                merge: self.t_end.since(self.t_gpu_done),
-                dtoh,
-            },
-            validated: self.validated,
-            p2p_swapped_keys: 0,
-            rerouted_transfers: sys.rerouted_transfers() - self.reroutes_at_start,
-            max_partition_keys: 0,
-            inter_node: SimDuration::ZERO,
+    /// The final CPU multiway merge (skipped entirely when the single
+    /// sorted chunk already landed in the output).
+    fn middle(&mut self, sys: &mut GpuSystem<'_, K>) -> Option<Vec<OpId>> {
+        if self.plan.pieces.len() == 1 || std::mem::replace(&mut self.merged, true) {
+            return None;
+        }
+        let (stream, out) = (self.st.host_stream, self.st.host_out);
+        Some(vec![sys.cpu_multiway_merge(
+            stream,
+            self.merge_inputs(),
+            out,
+            0,
+            &[],
+        )])
+    }
+
+    fn sources(&self) -> Vec<Source> {
+        Vec::new()
+    }
+
+    /// The GPU window splits by busy time (its copies and sorts overlap
+    /// across GPUs and groups); the final merge window follows it. Eager
+    /// merges (if any) overlapped the GPU window and are folded into it.
+    fn phases(&self, sys: &GpuSystem<'_, K>) -> PhaseBreakdown {
+        let st = &self.st;
+        let busy = [&st.htod_ops, &st.sort_ops, &st.dtoh_ops].map(|ops| sys.ops_busy(ops));
+        let [htod, sort, dtoh] = split_by_busy(st.t_staged.since(st.t0), busy);
+        PhaseBreakdown {
+            htod,
+            sort,
+            merge: st.t_end.since(st.t_staged),
+            dtoh,
         }
     }
 }
+
+staged_driver!(HetDriver);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::SortDriver;
     use msort_data::{generate, same_multiset, Distribution};
+    use msort_sim::SimDuration;
     use msort_topology::PlatformId;
 
     fn run_cfg(
@@ -970,40 +588,25 @@ mod tests {
     }
 
     #[test]
-    fn driver_matches_het_sort_in_core() {
-        // The resumable driver must reproduce het_sort's in-core timing
-        // and output exactly when driven alone on a fresh system.
-        for id in PlatformId::paper_set() {
-            let p = Platform::paper(id);
-            let n = 1u64 << 14;
-            let cfg = HetConfig::new(2);
-            let input: Vec<u32> = generate(Distribution::Uniform, n as usize, 23);
-
-            let mut classic = input.clone();
-            let r_classic = het_sort(&p, &cfg, &mut classic, n);
-
-            let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&p, Fidelity::Full);
-            let mut d = HetDriver::new(&mut sys, &cfg, input, n);
-            crate::exec::drive(&mut sys, &mut d);
-            let r_driver = d.report(&sys);
-            assert!(d.validated(), "{id:?}");
-            assert_eq!(d.take_output(), classic, "{id:?}");
-            assert_eq!(r_driver.total, r_classic.total, "{id:?}");
-            assert_eq!(r_driver.phases.merge, r_classic.phases.merge, "{id:?}");
-        }
-    }
-
-    #[test]
-    fn driver_rejects_out_of_core_inputs() {
+    fn driver_runs_out_of_core() {
+        // The resumable driver streams several chunk groups through a tight
+        // memory budget, labels the run by its pipeline, and gives back
+        // all device memory.
         let p = Platform::test_pcie(2);
         let n = 1u64 << 16;
         let cfg = HetConfig::new(2).with_mem_budget(96 * 1024);
         let input: Vec<u32> = generate(Distribution::Uniform, n as usize, 3);
         let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&p, Fidelity::Full);
-        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            HetDriver::new(&mut sys, &cfg, input, n)
-        }));
-        assert!(got.is_err(), "multi-group input must be rejected");
+        let free_before: Vec<u64> = (0..2).map(|g| sys.world().gpu_free_bytes(g)).collect();
+        let mut d = HetDriver::new(&mut sys, &cfg, input.clone(), n);
+        crate::exec::drive(&mut sys, &mut d);
+        let report = d.report(&sys);
+        assert!(d.validated());
+        assert_eq!(report.algorithm, "HET sort (2n)");
+        assert!(same_multiset(&input, &d.take_output()));
+        d.release(&mut sys);
+        let free_after: Vec<u64> = (0..2).map(|g| sys.world().gpu_free_bytes(g)).collect();
+        assert_eq!(free_before, free_after);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Multi-GPU sorting: the paper's contribution.
 //!
-//! Two complete multi-GPU sorting algorithms over the virtual GPU runtime:
+//! Five multi-GPU sort families and their cross-node composition over the
+//! virtual GPU runtime, all built on one staged-sort skeleton (`stage`:
+//! scatter, a family-specific middle, gather, validate, report):
 //!
 //! * [`p2p`] — **P2P sort** (after Tanasic et al., extended to any
 //!   `g = 2^k` GPUs): chunks sort locally, then a recursive merge phase
@@ -32,6 +34,9 @@
 //!   [`SortDriver`] state machine over a caller-provided `GpuSystem`, so a
 //!   scheduler (the `msort-serve` crate) can interleave many concurrent
 //!   sorts on one shared simulated clock.
+//! * [`family`] — [`Family`]: the one tag naming the five single-node
+//!   families (re-exported as `InnerAlgo` here and `JobAlgo` in
+//!   `msort-serve`), with each family's device-memory footprint.
 //! * [`run`] — the shared [`RunConfig`]: one builder for algorithm,
 //!   fidelity, fault schedule, observability recorder, and seed, consumed
 //!   by every entry point (single-shot sorts, drivers, the serve layer,
@@ -58,6 +63,7 @@
 pub mod baseline;
 pub mod cross_node;
 pub mod exec;
+pub mod family;
 pub mod gpuset;
 pub mod het;
 pub mod mwms;
@@ -67,10 +73,12 @@ pub mod report;
 pub mod rp;
 pub mod run;
 pub mod sample;
+mod stage;
 
 pub use baseline::{cpu_only_sort, single_gpu_sort};
 pub use cross_node::{cross_node_sort, CrossNodeConfig, CrossNodeDriver, InnerAlgo};
 pub use exec::{drive, DriverStep, SortDriver};
+pub use family::Family;
 pub use gpuset::{default_gpu_set, search_gpu_set};
 pub use het::{het_sort, HetConfig, HetDriver, LargeDataApproach};
 pub use mwms::{mwms_sort, MwmsConfig, MwmsDriver};

@@ -32,12 +32,13 @@
 //! Like the other sorts, the phases live in a resumable driver
 //! ([`MwmsDriver`]); [`mwms_sort`] drives it alone.
 
-use crate::exec::{DriverStep, SortDriver};
-use crate::gpuset::default_gpu_set;
-use crate::report::{PhaseBreakdown, SortReport};
-use msort_data::{is_sorted, SortKey};
-use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase, StreamId};
-use msort_sim::{FaultPlan, GpuSortAlgo, SimDuration, SimTime};
+use crate::family::Family;
+use crate::gpuset::resolve_gang;
+use crate::report::SortReport;
+use crate::stage::{staged_driver, Middle, Shape, Source, Staging};
+use msort_data::SortKey;
+use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase};
+use msort_sim::GpuSortAlgo;
 use msort_topology::Platform;
 
 /// Configuration for [`mwms_sort`].
@@ -53,8 +54,6 @@ pub struct MwmsConfig {
     pub algo: GpuSortAlgo,
     /// Simulation fidelity.
     pub fidelity: Fidelity,
-    /// Scheduled link faults to inject (empty: pristine fabric).
-    pub faults: FaultPlan,
     /// NUMA socket whose host memory stages the input and output (0 on
     /// single-node platforms; the cross-node driver points each inner sort
     /// at its node's home socket).
@@ -70,16 +69,8 @@ impl MwmsConfig {
             gpu_set: None,
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
-            faults: FaultPlan::new(),
             home_socket: 0,
         }
-    }
-
-    /// Stage host buffers on `socket` instead of socket 0.
-    #[must_use]
-    pub fn with_home_socket(mut self, socket: usize) -> Self {
-        self.home_socket = socket;
-        self
     }
 
     /// Use sampled fidelity with the given factor.
@@ -88,84 +79,29 @@ impl MwmsConfig {
         self.fidelity = Fidelity::Sampled { scale };
         self
     }
-
-    /// Use an explicit GPU set.
-    #[must_use]
-    pub fn with_set(mut self, set: Vec<usize>) -> Self {
-        self.gpu_set = Some(set);
-        self
-    }
 }
 
-/// A sorted run living on one GPU during the merge tree.
-struct Run {
-    buf: BufId,
-    /// Logical keys in the run.
-    len: u64,
-    /// Position in the driver's GPU order (indexes `compute`/`order`).
-    pos: usize,
+/// Device keys per GPU for a `chunk`-key share on `g` GPUs: the final merge
+/// concatenates all `n` keys next to its `n`-key output on one GPU — a
+/// transient 2n, the steepest footprint of the five families.
+pub(crate) fn footprint_keys(chunk: u64, g: u64) -> u64 {
+    2 * g * chunk
 }
 
-/// A pairwise merge whose inputs have been concatenated into `src`.
-struct PendingMerge {
-    src: BufId,
-    /// Logical split point (end of the winner's run).
-    mid: u64,
-    /// Logical total length.
-    len: u64,
-    pos: usize,
-}
-
-/// Where the driver is in the merge tree.
-enum MwmsState {
-    /// Nothing enqueued yet.
-    Start,
-    /// Concatenate the next level's run pairs (or move to gather when one
-    /// run remains).
-    Copy,
-    /// Concatenations drained; enqueue the level's merges.
-    Merge,
-    /// Merge tree drained; gather next.
-    Gather,
-    /// Gather enqueued; next step reads the output.
-    Gathering,
-    /// Output taken from the host buffer; nothing left to do.
-    Finished,
-}
-
-/// Multiway mergesort as a resumable [`SortDriver`] over a caller-provided
-/// [`GpuSystem`]. Merge-tree buffers are allocated level by level (and the
-/// consumed level freed), so the footprint peaks at `2n` on the final
-/// winner rather than `n log g` fleet-wide.
+/// Multiway mergesort as a resumable [`SortDriver`](crate::SortDriver)
+/// over a caller-provided [`GpuSystem`]. Merge-tree buffers are allocated
+/// level by level (and the consumed level freed), so the footprint peaks
+/// at `2n` on the final winner rather than `n log g` fleet-wide.
 pub struct MwmsDriver<K: SortKey> {
-    order: Vec<usize>,
-    algo: GpuSortAlgo,
-    logical_len: u64,
-    chunk: u64,
-    host_in: BufId,
-    host_out: BufId,
-    copy_in: Vec<StreamId>,
-    compute: Vec<StreamId>,
-    state: MwmsState,
-    level: u32,
-    runs: Vec<Run>,
-    pending: Vec<PendingMerge>,
+    st: Staging<K>,
+    /// The sorted runs still in the merge tree, each on its lane's GPU.
+    runs: Vec<Source>,
+    /// This level's concatenated pairs, awaiting their merges: the index
+    /// into `runs` and the logical split point (end of the winner's run).
+    pending: Vec<(usize, u64)>,
     /// Buffers consumed by the ops the driver is currently waiting on;
     /// freed when the next step runs (i.e. once those ops drained).
     to_free: Vec<BufId>,
-    /// Every buffer this driver ever allocated on a GPU, for release().
-    allocated: Vec<BufId>,
-    t0: SimTime,
-    t_sorted: SimTime,
-    t_merged: SimTime,
-    t_end: SimTime,
-    htod_ops: Vec<OpId>,
-    sort_ops: Vec<OpId>,
-    exchanged_keys: u64,
-    reroutes_at_start: u64,
-    output: Option<Vec<K>>,
-    validated: bool,
-    released: bool,
 }
 
 impl<K: SortKey> MwmsDriver<K> {
@@ -183,282 +119,119 @@ impl<K: SortKey> MwmsDriver<K> {
         data: Vec<K>,
         logical_len: u64,
     ) -> Self {
-        let g = config.gpus;
         // Adjacent GPUs pair first, so the default set's stage-0-adjacency
         // (fast pairwise links first) is exactly the right order here too.
-        let order: Vec<usize> = config.gpu_set.clone().unwrap_or_else(|| {
-            if g.is_power_of_two() {
-                default_gpu_set(sys.platform(), g)
-            } else {
-                (0..g).collect()
-            }
-        });
-        assert_eq!(order.len(), g, "gpu_set must list exactly `gpus` GPUs");
-        let scale = config.fidelity.scale();
-        assert_eq!(
-            scale,
-            sys.world().scale(),
-            "driver fidelity must match the system's"
-        );
-        assert!(
-            logical_len.is_multiple_of(g as u64 * scale),
-            "input length must divide evenly into {g} chunks of whole samples"
-        );
-        let chunk = logical_len / g as u64;
-
-        let home = config.home_socket;
-        let host_in = sys.world_mut().import_host(home, data, logical_len);
-        let host_out = sys.world_mut().alloc_host(home, logical_len);
-
+        let order = resolve_gang(sys.platform(), config.gpus, &config.gpu_set, true);
+        let g = order.len();
+        let shape = Shape {
+            label: Family::MultiwayMerge.name().into(),
+            lanes: g,
+            order,
+            even: true,
+            algo: config.algo,
+            fidelity: config.fidelity,
+            home_socket: config.home_socket,
+        };
+        let mut st = Staging::new(sys, shape, data, logical_len);
         // Phase-1 buffers: primary chunk + sort scratch per GPU. The
         // scratch buffers die after the local sorts; merge-tree buffers
         // are allocated per level.
-        let mut allocated = Vec::new();
         let mut runs = Vec::with_capacity(g);
         let mut scratch = Vec::with_capacity(g);
-        for (pos, &gpu) in order.iter().enumerate() {
-            let primary = sys.world_mut().alloc_gpu(gpu, chunk);
-            let aux = sys.world_mut().alloc_gpu(gpu, chunk);
-            allocated.push(primary);
-            allocated.push(aux);
-            runs.push(Run {
-                buf: primary,
-                len: chunk,
-                pos,
+        for pos in 0..g {
+            runs.push(Source {
+                slot: pos,
+                buf: st.alloc_gpu(sys, st.order[pos], st.chunk),
+                len: st.chunk,
             });
-            scratch.push(aux);
+            scratch.push(st.alloc_gpu(sys, st.order[pos], st.chunk));
         }
-        let copy_in: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let compute: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-
         Self {
-            order,
-            algo: config.algo,
-            logical_len,
-            chunk,
-            host_in,
-            host_out,
-            copy_in,
-            compute,
-            state: MwmsState::Start,
-            level: 0,
+            st,
             runs,
             pending: Vec::new(),
             to_free: scratch,
-            allocated,
-            t0: SimTime::ZERO,
-            t_sorted: SimTime::ZERO,
-            t_merged: SimTime::ZERO,
-            t_end: SimTime::ZERO,
-            htod_ops: Vec::with_capacity(g),
-            sort_ops: Vec::with_capacity(g),
-            exchanged_keys: 0,
-            reroutes_at_start: sys.rerouted_transfers(),
-            output: None,
-            validated: false,
-            released: false,
         }
     }
 
-    fn free_drained(&mut self, sys: &mut GpuSystem<'_, K>) {
+    /// Pair runs and concatenate each pair on the winner's GPU.
+    fn concatenate_pairs(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let mut wait = Vec::new();
+        let mut next_runs = Vec::with_capacity(self.runs.len().div_ceil(2));
+        for pair in std::mem::take(&mut self.runs).chunks(2) {
+            let [w, l] = pair else {
+                // Odd run out: a bye to the next level.
+                next_runs.extend_from_slice(pair);
+                continue;
+            };
+            let total = w.len + l.len;
+            let src = self.st.alloc_gpu(sys, self.st.order[w.slot], total);
+            // Winner's half moves device-locally; the loser's run crosses
+            // the fabric point-to-point.
+            let s1 = sys.stream();
+            wait.push(sys.memcpy(s1, w.buf, 0, src, 0, w.len, &[], Phase::Merge));
+            let s2 = sys.stream();
+            wait.push(sys.memcpy(s2, l.buf, 0, src, w.len, l.len, &[], Phase::Merge));
+            self.st.swapped_keys += l.len;
+            self.to_free.extend([w.buf, l.buf]);
+            self.pending.push((next_runs.len(), w.len));
+            // The concatenation stands in for the run until the merge step
+            // points it at the merge output.
+            next_runs.push(Source {
+                slot: w.slot,
+                buf: src,
+                len: total,
+            });
+        }
+        self.runs = next_runs;
+        wait
+    }
+
+    /// The level's pairwise merges. The consumed input runs were freed on
+    /// entry (their copies drained), so the peak footprint is src + dst =
+    /// 2x the level's run length on each winner.
+    fn merge_pairs(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let mut wait = Vec::new();
+        for (i, mid) in std::mem::take(&mut self.pending) {
+            let run = self.runs[i];
+            let dst = self.st.alloc_gpu(sys, self.st.order[run.slot], run.len);
+            let stream = self.st.compute[run.slot];
+            wait.push(sys.gpu_merge_into(stream, run.buf, mid, run.len, dst, &[]));
+            self.to_free.push(run.buf);
+            self.runs[i].buf = dst;
+        }
+        wait
+    }
+}
+
+impl<K: SortKey> Middle<K> for MwmsDriver<K> {
+    /// Scatter + local sort; the scratch buffers sit in `to_free` and die
+    /// once the sorts drain.
+    fn start(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let landing = self.runs.iter().zip(&self.to_free);
+        self.st
+            .scatter_chunks(sys, landing.map(|(run, &aux)| (run.buf, Some(aux))))
+    }
+
+    /// Alternates the two halves of a merge level — concatenate the run
+    /// pairs, then merge them — until one run remains.
+    fn middle(&mut self, sys: &mut GpuSystem<'_, K>) -> Option<Vec<OpId>> {
         for buf in self.to_free.drain(..) {
             sys.world_mut().free(buf);
         }
+        if !self.pending.is_empty() {
+            return Some(self.merge_pairs(sys));
+        }
+        (self.runs.len() > 1).then(|| self.concatenate_pairs(sys))
+    }
+
+    /// One DtoH transfer of the final run.
+    fn sources(&self) -> Vec<Source> {
+        vec![self.runs[0]]
     }
 }
 
-impl<K: SortKey> SortDriver<K> for MwmsDriver<K> {
-    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
-        let g = self.order.len();
-        match self.state {
-            MwmsState::Start => {
-                // ---- Phase 1: scatter + local sort (aux freed once the
-                // sorts drain). ----
-                self.t0 = sys.now();
-                let mut wait = Vec::with_capacity(g);
-                for i in 0..g {
-                    let up = sys.memcpy(
-                        self.copy_in[i],
-                        self.host_in,
-                        i as u64 * self.chunk,
-                        self.runs[i].buf,
-                        0,
-                        self.chunk,
-                        &[],
-                        Phase::HtoD,
-                    );
-                    let so = sys.gpu_sort(
-                        self.compute[i],
-                        self.algo,
-                        self.runs[i].buf,
-                        (0, self.chunk),
-                        self.to_free[i],
-                        &[up],
-                    );
-                    self.htod_ops.push(up);
-                    self.sort_ops.push(so);
-                    wait.push(so);
-                }
-                self.state = MwmsState::Copy;
-                DriverStep::Wait(wait)
-            }
-            MwmsState::Copy => {
-                // ---- Phase 2a (per level): pair runs and concatenate
-                // each pair on the winner's GPU. ----
-                if self.level == 0 {
-                    self.t_sorted = sys.now();
-                }
-                self.free_drained(sys);
-                if self.runs.len() == 1 {
-                    self.state = MwmsState::Gather;
-                    return self.step(sys);
-                }
-                let mut wait = Vec::new();
-                let mut next_runs = Vec::with_capacity(self.runs.len().div_ceil(2));
-                let runs = std::mem::take(&mut self.runs);
-                for pair in runs.chunks(2) {
-                    if pair.len() == 1 {
-                        // Odd run out: a bye to the next level.
-                        next_runs.push(Run {
-                            buf: pair[0].buf,
-                            len: pair[0].len,
-                            pos: pair[0].pos,
-                        });
-                        continue;
-                    }
-                    let (w, l) = (&pair[0], &pair[1]);
-                    let total = w.len + l.len;
-                    let gpu = self.order[w.pos];
-                    let src = sys.world_mut().alloc_gpu(gpu, total);
-                    self.allocated.push(src);
-                    // Winner's half moves device-locally; the loser's run
-                    // crosses the fabric point-to-point.
-                    let s1 = sys.stream();
-                    let c1 = sys.memcpy(s1, w.buf, 0, src, 0, w.len, &[], Phase::Merge);
-                    let s2 = sys.stream();
-                    let c2 = sys.memcpy(s2, l.buf, 0, src, w.len, l.len, &[], Phase::Merge);
-                    self.exchanged_keys += l.len;
-                    wait.push(c1);
-                    wait.push(c2);
-                    self.to_free.push(w.buf);
-                    self.to_free.push(l.buf);
-                    self.pending.push(PendingMerge {
-                        src,
-                        mid: w.len,
-                        len: total,
-                        pos: w.pos,
-                    });
-                    next_runs.push(Run {
-                        // Placeholder; the Merge arm replaces it with the
-                        // freshly allocated output buffer.
-                        buf: src,
-                        len: total,
-                        pos: w.pos,
-                    });
-                }
-                self.runs = next_runs;
-                self.state = MwmsState::Merge;
-                DriverStep::Wait(wait)
-            }
-            MwmsState::Merge => {
-                // ---- Phase 2b (per level): the pairwise merges. The
-                // consumed input runs are freed here (their copies
-                // drained), so the peak footprint is src + dst = 2x the
-                // level's run length on each winner. ----
-                self.free_drained(sys);
-                let mut wait = Vec::new();
-                for pm in self.pending.drain(..) {
-                    let gpu = self.order[pm.pos];
-                    let dst = sys.world_mut().alloc_gpu(gpu, pm.len);
-                    self.allocated.push(dst);
-                    let mo =
-                        sys.gpu_merge_into(self.compute[pm.pos], pm.src, pm.mid, pm.len, dst, &[]);
-                    wait.push(mo);
-                    self.to_free.push(pm.src);
-                    // Point the run at the merge output.
-                    let run = self
-                        .runs
-                        .iter_mut()
-                        .find(|r| r.buf == pm.src)
-                        .expect("pending merge has a run");
-                    run.buf = dst;
-                }
-                self.level += 1;
-                self.state = MwmsState::Copy;
-                DriverStep::Wait(wait)
-            }
-            MwmsState::Gather => {
-                // ---- Phase 3: one DtoH transfer of the final run. ----
-                self.t_merged = sys.now();
-                let run = &self.runs[0];
-                debug_assert_eq!(run.len, self.logical_len, "merge tree covers the input");
-                let s = sys.stream();
-                let op = sys.memcpy(s, run.buf, 0, self.host_out, 0, run.len, &[], Phase::DtoH);
-                self.state = MwmsState::Gathering;
-                DriverStep::Wait(vec![op])
-            }
-            MwmsState::Gathering => {
-                self.t_end = sys.now();
-                let output = sys.world().buffer(self.host_out).data.clone();
-                self.validated = is_sorted(&output);
-                self.output = Some(output);
-                self.state = MwmsState::Finished;
-                DriverStep::Done
-            }
-            MwmsState::Finished => DriverStep::Done,
-        }
-    }
-
-    fn take_output(&mut self) -> Vec<K> {
-        self.output
-            .take()
-            .expect("multiway mergesort has not finished")
-    }
-
-    fn validated(&self) -> bool {
-        self.validated
-    }
-
-    fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
-        if self.released {
-            return;
-        }
-        self.released = true;
-        sys.world_mut().free(self.host_in);
-        sys.world_mut().free(self.host_out);
-        // `free` is idempotent, so re-freeing the levels already freed
-        // mid-run is safe.
-        for &buf in &self.allocated {
-            sys.world_mut().free(buf);
-        }
-    }
-
-    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport {
-        let htod_busy = sys.ops_busy(&self.htod_ops);
-        let sort_busy = sys.ops_busy(&self.sort_ops);
-        let window = self.t_sorted.since(self.t0);
-        let (htod, sort) = crate::p2p::split_overlapped(window, htod_busy, sort_busy);
-        SortReport {
-            algorithm: "Multiway mergesort".into(),
-            platform: sys.platform().id.name().into(),
-            gpus: self.order.clone(),
-            keys: self.logical_len,
-            bytes: self.logical_len * K::DATA_TYPE.key_bytes(),
-            total: self.t_end.since(self.t0),
-            phases: PhaseBreakdown {
-                htod,
-                sort,
-                merge: self.t_merged.since(self.t_sorted),
-                dtoh: self.t_end.since(self.t_merged),
-            },
-            validated: self.validated,
-            p2p_swapped_keys: self.exchanged_keys,
-            rerouted_transfers: sys.rerouted_transfers() - self.reroutes_at_start,
-            max_partition_keys: 0,
-            inter_node: SimDuration::ZERO,
-        }
-    }
-}
+staged_driver!(MwmsDriver);
 
 /// Sort `data` (physical payload for `logical_len` keys) with multiway
 /// mergesort.

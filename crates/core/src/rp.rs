@@ -29,13 +29,14 @@
 //! ([`RpDriver`]) so a scheduler can interleave RP jobs with other work on
 //! one shared [`GpuSystem`]; [`rp_sort`] drives it alone.
 
-use crate::exec::{DriverStep, SortDriver};
-use crate::gpuset::default_gpu_set;
-use crate::report::{PhaseBreakdown, SortReport};
+use crate::family::Family;
+use crate::gpuset::resolve_gang;
+use crate::report::SortReport;
+use crate::stage::{staged_driver, Middle, Shape, Source, Staging};
 use msort_cpu::multiway::multisequence_select;
-use msort_data::{is_sorted, SortKey};
-use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase, StreamId};
-use msort_sim::{FaultPlan, GpuSortAlgo, SimDuration, SimTime};
+use msort_data::SortKey;
+use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase};
+use msort_sim::{GpuSortAlgo, SimDuration};
 use msort_topology::Platform;
 
 /// Configuration for [`rp_sort`].
@@ -51,8 +52,6 @@ pub struct RpConfig {
     pub algo: GpuSortAlgo,
     /// Simulation fidelity.
     pub fidelity: Fidelity,
-    /// Scheduled link faults to inject (empty: pristine fabric).
-    pub faults: FaultPlan,
     /// NUMA socket whose host memory stages the input and output (0 on
     /// single-node platforms; the cross-node driver points each inner sort
     /// at its node's home socket).
@@ -68,7 +67,6 @@ impl RpConfig {
             gpu_set: None,
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
-            faults: FaultPlan::new(),
             home_socket: 0,
         }
     }
@@ -79,73 +77,33 @@ impl RpConfig {
         self.fidelity = Fidelity::Sampled { scale };
         self
     }
-
-    /// Use an explicit GPU set.
-    #[must_use]
-    pub fn with_set(mut self, set: Vec<usize>) -> Self {
-        self.gpu_set = Some(set);
-        self
-    }
-
-    /// Inject the given fault schedule.
-    #[deprecated(note = "configure faults on the shared RunConfig \
-                         (msort_core::RunConfig::rp(config).with_faults(plan)) instead")]
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-    /// Stage host buffers on `socket` instead of socket 0.
-    #[must_use]
-    pub fn with_home_socket(mut self, socket: usize) -> Self {
-        self.home_socket = socket;
-        self
-    }
 }
 
-/// Where the driver is in the RP sort's phase sequence.
-enum RpState {
-    /// Nothing enqueued yet.
-    Start,
-    /// Phase 1 drained; splitter selection + all-to-all + merges next.
-    Partition,
-    /// Exchange and merges drained; gather next.
-    Gather,
-    /// Gather enqueued; next step reads the output.
-    Gathering,
-    /// Output taken from the host buffer; nothing left to do.
-    Finished,
+/// Device keys per GPU for a `chunk`-key share on `g` GPUs: the chunk plus
+/// a receive and a merge-output buffer — RP sort's 3n footprint is the
+/// price of the single exchange — the latter two with slack that absorbs
+/// partition-boundary rounding.
+pub(crate) fn footprint_keys(chunk: u64, g: u64, scale: u64) -> u64 {
+    chunk + 2 * (chunk + g * scale)
 }
 
-/// RP sort as a resumable [`SortDriver`] over a caller-provided
-/// [`GpuSystem`]. Construction allocates the 3n-footprint buffers; timing
-/// starts at the first [`RpDriver::step`].
+/// Per-GPU buffers: the primary chunk, the aux (sort scratch, then receive
+/// target), and the merge output.
+struct RpBufs {
+    primary: BufId,
+    recv: BufId,
+    merged: BufId,
+}
+
+/// RP sort as a resumable [`SortDriver`](crate::SortDriver) over a
+/// caller-provided [`GpuSystem`]. Construction allocates the 3n-footprint
+/// buffers; timing starts at the first step.
 pub struct RpDriver<K: SortKey> {
-    order: Vec<usize>,
-    algo: GpuSortAlgo,
-    logical_len: u64,
-    chunk: u64,
-    scale: u64,
-    host_in: BufId,
-    host_out: BufId,
-    bufs: Vec<(BufId, BufId, BufId)>,
-    copy_in: Vec<StreamId>,
-    copy_out: Vec<StreamId>,
-    compute: Vec<StreamId>,
-    host_stream: StreamId,
-    state: RpState,
-    t0: SimTime,
-    t_sorted: SimTime,
-    t_merged: SimTime,
-    t_end: SimTime,
-    htod_ops: Vec<OpId>,
-    sort_ops: Vec<OpId>,
-    recv_off: Vec<u64>,
-    exchanged_keys: u64,
-    reroutes_at_start: u64,
-    output: Option<Vec<K>>,
-    validated: bool,
-    released: bool,
+    st: Staging<K>,
+    bufs: Vec<RpBufs>,
+    /// Per GPU: logical keys received in the exchange (0 before it ran).
+    recv_len: Vec<u64>,
+    exchanged: bool,
 }
 
 impl<K: SortKey> RpDriver<K> {
@@ -154,303 +112,149 @@ impl<K: SortKey> RpDriver<K> {
     /// primary / receive / merge-output buffers.
     ///
     /// # Panics
-    /// Panics if `logical_len` is not divisible by `gpus² × scale` (each
-    /// partition boundary must land on a whole sample for the exchange
-    /// offsets to be scale-aligned), if the buffers exceed GPU memory, or
-    /// if `config.fidelity` disagrees with the system's fidelity.
+    /// Panics if `logical_len` is not divisible by `gpus × scale` (chunks
+    /// must hold whole samples), if the buffers exceed GPU memory, or if
+    /// `config.fidelity` disagrees with the system's fidelity.
     pub fn new(
         sys: &mut GpuSystem<'_, K>,
         config: &RpConfig,
         data: Vec<K>,
         logical_len: u64,
     ) -> Self {
-        let g = config.gpus;
-        // RP sort is order-insensitive (no staged pairings), so take the g
-        // GPUs with the best transfer properties but ignore ordering. A
-        // non-power-of-two g falls back to the first g GPUs.
-        let order: Vec<usize> = config.gpu_set.clone().unwrap_or_else(|| {
-            if g.is_power_of_two() {
-                default_gpu_set(sys.platform(), g)
-            } else {
-                (0..g).collect()
-            }
-        });
-        assert_eq!(order.len(), g, "gpu_set must list exactly `gpus` GPUs");
-        let scale = config.fidelity.scale();
-        assert_eq!(
-            scale,
-            sys.world().scale(),
-            "driver fidelity must match the system's"
-        );
-        assert!(
-            logical_len.is_multiple_of(g as u64 * scale),
-            "input length must divide evenly into {g} chunks of whole samples"
-        );
-        let chunk = logical_len / g as u64;
-
-        let home = config.home_socket;
-        let host_in = sys.world_mut().import_host(home, data, logical_len);
-        let host_out = sys.world_mut().alloc_host(home, logical_len);
-
-        // Buffers: primary chunk, aux (sort scratch + receive target), and
-        // a merge output buffer per GPU — RP sort's 3n footprint is the
-        // price of the single exchange. The slack absorbs
-        // partition-boundary rounding.
-        let slack = g as u64 * scale;
-        let bufs: Vec<(BufId, BufId, BufId)> = order
-            .iter()
-            .map(|&gpu| {
-                (
-                    sys.world_mut().alloc_gpu(gpu, chunk),
-                    sys.world_mut().alloc_gpu(gpu, chunk + slack),
-                    sys.world_mut().alloc_gpu(gpu, chunk + slack),
-                )
+        // RP sort is order-insensitive (no staged pairings), so only the
+        // default set's membership matters.
+        let order = resolve_gang(sys.platform(), config.gpus, &config.gpu_set, true);
+        let g = order.len();
+        let shape = Shape {
+            label: Family::Rp.name().into(),
+            lanes: g,
+            order,
+            even: true,
+            algo: config.algo,
+            fidelity: config.fidelity,
+            home_socket: config.home_socket,
+        };
+        let mut st = Staging::new(sys, shape, data, logical_len);
+        let padded = st.chunk + g as u64 * st.scale;
+        let bufs = (0..g)
+            .map(|i| RpBufs {
+                primary: st.alloc_gpu(sys, st.order[i], st.chunk),
+                recv: st.alloc_gpu(sys, st.order[i], padded),
+                merged: st.alloc_gpu(sys, st.order[i], padded),
             })
             .collect();
-        let copy_in: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let copy_out: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let compute: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let host_stream = sys.stream();
-
         Self {
-            order,
-            algo: config.algo,
-            logical_len,
-            chunk,
-            scale,
-            host_in,
-            host_out,
+            st,
             bufs,
-            copy_in,
-            copy_out,
-            compute,
-            host_stream,
-            state: RpState::Start,
-            t0: SimTime::ZERO,
-            t_sorted: SimTime::ZERO,
-            t_merged: SimTime::ZERO,
-            t_end: SimTime::ZERO,
-            htod_ops: Vec::with_capacity(g),
-            sort_ops: Vec::with_capacity(g),
-            recv_off: vec![0; g],
-            exchanged_keys: 0,
-            reroutes_at_start: sys.rerouted_transfers(),
-            output: None,
-            validated: false,
-            released: false,
+            recv_len: vec![0; g],
+            exchanged: false,
         }
-    }
-
-    /// Total device memory (in physical keys) this sort occupies per GPU.
-    #[must_use]
-    pub fn device_keys_per_gpu(&self) -> u64 {
-        let slack = self.order.len() as u64 * self.scale;
-        (self.chunk + 2 * (self.chunk + slack)) / self.scale
     }
 }
 
-impl<K: SortKey> SortDriver<K> for RpDriver<K> {
-    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
-        let g = self.order.len();
-        match self.state {
-            RpState::Start => {
-                // ---- Phase 1: scatter + local sort. ----
-                self.t0 = sys.now();
-                let mut wait = Vec::with_capacity(g);
-                for i in 0..g {
-                    let up = sys.memcpy(
-                        self.copy_in[i],
-                        self.host_in,
-                        i as u64 * self.chunk,
-                        self.bufs[i].0,
-                        0,
-                        self.chunk,
-                        &[],
-                        Phase::HtoD,
-                    );
-                    let so = sys.gpu_sort(
-                        self.compute[i],
-                        self.algo,
-                        self.bufs[i].0,
-                        (0, self.chunk),
-                        self.bufs[i].1,
-                        &[up],
-                    );
-                    self.htod_ops.push(up);
-                    self.sort_ops.push(so);
-                    wait.push(so);
-                }
-                self.state = RpState::Partition;
-                DriverStep::Wait(wait)
-            }
-            RpState::Partition => {
-                self.t_sorted = sys.now();
-                let mut wait = Vec::new();
+impl<K: SortKey> Middle<K> for RpDriver<K> {
+    fn start(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let landing = self.bufs.iter().map(|b| (b.primary, Some(b.recv)));
+        self.st.scatter_chunks(sys, landing)
+    }
 
-                // ---- Phase 2: splitter selection (host side, O(g log n)
-                // reads of this job's own device buffers). ----
-                let views: Vec<&[K]> = (0..g)
-                    .map(|i| sys.world().slice(self.bufs[i].0, 0, self.chunk))
-                    .collect();
-                let total_phys: usize = views.iter().map(|v| v.len()).sum();
-                // splits[r][j]: how many keys of chunk j have global rank
-                // < r*n/g.
-                let splits: Vec<Vec<usize>> = (0..=g)
-                    .map(|r| multisequence_select(&views, r * total_phys / g))
-                    .collect();
-                drop(views);
-                let split_cost = sys.cost_model().pivot_selection(self.chunk);
-                let split_op = sys.delay(
-                    self.host_stream,
-                    msort_sim::SimDuration(split_cost.0 * g as u64),
-                    &[],
+    /// Splitter selection, the all-to-all exchange, and the per-GPU k-way
+    /// merges, as one step.
+    fn middle(&mut self, sys: &mut GpuSystem<'_, K>) -> Option<Vec<OpId>> {
+        if std::mem::replace(&mut self.exchanged, true) {
+            return None;
+        }
+        let g = self.bufs.len();
+        let (chunk, scale) = (self.st.chunk, self.st.scale);
+        let mut wait = Vec::new();
+
+        // Splitter selection (host side, O(g log n) reads of this job's
+        // own device buffers).
+        let views: Vec<&[K]> = self
+            .bufs
+            .iter()
+            .map(|b| sys.world().slice(b.primary, 0, chunk))
+            .collect();
+        let total_phys: usize = views.iter().map(|v| v.len()).sum();
+        // splits[r][j]: how many keys of chunk j have global rank < r*n/g.
+        let splits: Vec<Vec<usize>> = (0..=g)
+            .map(|r| multisequence_select(&views, r * total_phys / g))
+            .collect();
+        drop(views);
+        let split_cost = sys.cost_model().pivot_selection(chunk);
+        let split_op = sys.delay(
+            self.st.host_stream,
+            SimDuration(split_cost.0 * g as u64),
+            &[],
+            Phase::Merge,
+        );
+        wait.push(split_op);
+
+        // The all-to-all exchange: GPU i receives partition (j -> i) from
+        // every j.
+        let mut recv_deps: Vec<Vec<OpId>> = vec![Vec::new(); g];
+        let mut recv_runs: Vec<Vec<(BufId, u64, u64)>> = vec![Vec::new(); g];
+        #[allow(clippy::needless_range_loop)] // i and j index splits and bufs together
+        for j in 0..g {
+            for i in 0..g {
+                let from = splits[i][j] as u64 * scale;
+                let len = splits[i + 1][j] as u64 * scale - from;
+                if len == 0 {
+                    continue;
+                }
+                let s = sys.stream();
+                let op = sys.memcpy(
+                    s,
+                    self.bufs[j].primary,
+                    from,
+                    self.bufs[i].recv,
+                    self.recv_len[i],
+                    len,
+                    &[split_op],
                     Phase::Merge,
                 );
-                wait.push(split_op);
-
-                // ---- Phase 3: the all-to-all exchange. ----
-                // Receive offsets: GPU i receives partition (j -> i) from
-                // every j.
-                let mut recv_deps: Vec<Vec<OpId>> = vec![Vec::new(); g];
-                let mut recv_runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); g];
-                #[allow(clippy::needless_range_loop)] // i and j index splits and bufs together
-                for j in 0..g {
-                    for i in 0..g {
-                        let from = splits[i][j] as u64 * self.scale;
-                        let to = splits[i + 1][j] as u64 * self.scale;
-                        let len = to - from;
-                        if len == 0 {
-                            continue;
-                        }
-                        let s = sys.stream();
-                        let op = sys.memcpy(
-                            s,
-                            self.bufs[j].0,
-                            from,
-                            self.bufs[i].1,
-                            self.recv_off[i],
-                            len,
-                            &[split_op],
-                            Phase::Merge,
-                        );
-                        if i != j {
-                            self.exchanged_keys += len;
-                        }
-                        recv_runs[i].push((self.recv_off[i], len));
-                        self.recv_off[i] += len;
-                        recv_deps[i].push(op);
-                        wait.push(op);
-                    }
+                if i != j {
+                    self.st.swapped_keys += len;
                 }
-
-                // ---- Phase 4: per-GPU k-way merge of the received runs.
-                for i in 0..g {
-                    let inputs: Vec<(BufId, u64, u64)> = recv_runs[i]
-                        .iter()
-                        .map(|&(off, len)| (self.bufs[i].1, off, len))
-                        .collect();
-                    let mo = sys.gpu_multiway_merge(
-                        self.compute[i],
-                        inputs,
-                        self.bufs[i].2,
-                        &recv_deps[i],
-                    );
-                    wait.push(mo);
-                }
-                self.state = RpState::Gather;
-                DriverStep::Wait(wait)
+                recv_runs[i].push((self.bufs[i].recv, self.recv_len[i], len));
+                self.recv_len[i] += len;
+                recv_deps[i].push(op);
+                wait.push(op);
             }
-            RpState::Gather => {
-                // ---- Phase 5: gather (partition sizes are exact n/g by
-                // selection). ----
-                self.t_merged = sys.now();
-                let mut wait = Vec::with_capacity(g);
-                for i in 0..g {
-                    wait.push(sys.memcpy(
-                        self.copy_out[i],
-                        self.bufs[i].2,
-                        0,
-                        self.host_out,
-                        i as u64 * self.chunk,
-                        self.recv_off[i],
-                        &[],
-                        Phase::DtoH,
-                    ));
-                    debug_assert_eq!(
-                        self.recv_off[i], self.chunk,
-                        "exact selection balances partitions"
-                    );
-                }
-                self.state = RpState::Gathering;
-                DriverStep::Wait(wait)
-            }
-            RpState::Gathering => {
-                self.t_end = sys.now();
-                let output = sys.world().buffer(self.host_out).data.clone();
-                self.validated = is_sorted(&output);
-                self.output = Some(output);
-                self.state = RpState::Finished;
-                DriverStep::Done
-            }
-            RpState::Finished => DriverStep::Done,
         }
+
+        // Per-GPU k-way merge of the received runs.
+        for (i, runs) in recv_runs.into_iter().enumerate() {
+            wait.push(sys.gpu_multiway_merge(
+                self.st.compute[i],
+                runs,
+                self.bufs[i].merged,
+                &recv_deps[i],
+            ));
+        }
+        Some(wait)
     }
 
-    fn take_output(&mut self) -> Vec<K> {
-        self.output.take().expect("RP sort has not finished")
-    }
-
-    fn validated(&self) -> bool {
-        self.validated
-    }
-
-    fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
-        if self.released {
-            return;
-        }
-        self.released = true;
-        sys.world_mut().free(self.host_in);
-        sys.world_mut().free(self.host_out);
-        for &(a, b, c) in &self.bufs {
-            sys.world_mut().free(a);
-            sys.world_mut().free(b);
-            sys.world_mut().free(c);
-        }
-    }
-
-    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport {
-        let htod_busy = sys.ops_busy(&self.htod_ops);
-        let sort_busy = sys.ops_busy(&self.sort_ops);
-        let window = self.t_sorted.since(self.t0);
-        let (htod, sort) = crate::p2p::split_overlapped(window, htod_busy, sort_busy);
-        SortReport {
-            algorithm: "RP sort".into(),
-            platform: sys.platform().id.name().into(),
-            gpus: self.order.clone(),
-            keys: self.logical_len,
-            bytes: self.logical_len * K::DATA_TYPE.key_bytes(),
-            total: self.t_end.since(self.t0),
-            phases: PhaseBreakdown {
-                htod,
-                sort,
-                merge: self.t_merged.since(self.t_sorted),
-                dtoh: self.t_end.since(self.t_merged),
-            },
-            validated: self.validated,
-            p2p_swapped_keys: self.exchanged_keys,
-            rerouted_transfers: sys.rerouted_transfers() - self.reroutes_at_start,
-            max_partition_keys: 0,
-            inter_node: SimDuration::ZERO,
-        }
+    fn sources(&self) -> Vec<Source> {
+        let len = self.st.chunk;
+        debug_assert!(
+            self.recv_len.iter().all(|&l| l == len),
+            "exact selection balances partitions"
+        );
+        let merged = self.bufs.iter().map(|b| b.merged).enumerate();
+        merged
+            .map(|(slot, buf)| Source { slot, buf, len })
+            .collect()
     }
 }
+
+staged_driver!(RpDriver);
 
 /// Sort `data` (physical payload for `logical_len` keys) with RP sort.
 ///
 /// # Panics
-/// Panics if `logical_len` is not divisible by `gpus² × scale` (each
-/// partition boundary must land on a whole sample for the exchange
-/// offsets to be scale-aligned) or the buffers exceed GPU memory.
+/// Panics if `logical_len` is not divisible by `gpus × scale` (chunks must
+/// hold whole samples) or the buffers exceed GPU memory.
 pub fn rp_sort<K: SortKey>(
     platform: &Platform,
     config: &RpConfig,

@@ -6,9 +6,9 @@
 //! [`SortDriver`](crate::SortDriver)s, the serve-layer `SortService`, and
 //! the bench harness — consumes the same [`RunConfig`]: which
 //! [`Algorithm`] to run, at what [`Fidelity`], under which
-//! [`FaultPlan`], observed by which [`Recorder`], with which seed. The
-//! per-algorithm `.with_faults(...)` builders are deprecated shims that
-//! route here.
+//! [`FaultPlan`], observed by which [`Recorder`], with which seed.
+//! [`Algorithm::driver`] is the one place a configured algorithm turns
+//! into its resumable driver.
 //!
 //! ```
 //! use msort_core::{run_sort, P2pConfig, RunConfig};
@@ -26,18 +26,18 @@
 //! assert!(!recorder.snapshot().unwrap().events.is_empty());
 //! ```
 
-use crate::cross_node::{drive_cross_node, CrossNodeConfig};
-use crate::exec::drive;
-use crate::het::{het_sort_on, HetConfig};
+use crate::cross_node::{CrossNodeConfig, CrossNodeDriver};
+use crate::exec::{drive, SortDriver};
+use crate::family::Family;
+use crate::het::{HetConfig, HetDriver};
 use crate::mwms::{MwmsConfig, MwmsDriver};
 use crate::p2p::{P2pConfig, P2pDriver};
 use crate::report::SortReport;
 use crate::rp::{RpConfig, RpDriver};
 use crate::sample::{SampleSortConfig, SampleSortDriver};
-use crate::SortDriver;
 use msort_data::SortKey;
 use msort_gpu::{Fidelity, GpuSystem};
-use msort_sim::FaultPlan;
+use msort_sim::{FaultPlan, GpuSortAlgo};
 use msort_topology::Platform;
 use msort_trace::Recorder;
 
@@ -60,16 +60,63 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// The algorithm's report label.
+    /// `family` with its default knobs, placed by the caller: on exactly
+    /// the GPUs of `set` (in the family's pairing order), sorting chunks
+    /// with `algo`, staging host buffers on `home_socket`. This is how a
+    /// scheduler that leases gangs (the serve layer, the cross-node sort)
+    /// names the sort it wants.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub fn placed(family: Family, set: Vec<usize>, algo: GpuSortAlgo, home_socket: usize) -> Self {
+        let g = set.len();
+        macro_rules! place {
+            ($variant:ident, $config:ident, $set:ident) => {
+                Algorithm::$variant($config {
+                    $set: Some(set),
+                    algo,
+                    home_socket,
+                    ..$config::new(g)
+                })
+            };
+        }
+        match family {
+            Family::P2p => place!(P2p, P2pConfig, gpu_order),
+            Family::Rp => place!(Rp, RpConfig, gpu_set),
+            Family::Het => place!(Het, HetConfig, gpu_set),
+            Family::SampleSort => place!(SampleSort, SampleSortConfig, gpu_set),
+            Family::MultiwayMerge => place!(MultiwayMerge, MwmsConfig, gpu_set),
+        }
+    }
+
+    /// Build this algorithm's resumable driver over `sys` for `data` (the
+    /// physical payload of `logical_len` keys) — the one constructor
+    /// behind [`run_sort`], the serve layer, and the cross-node sort's
+    /// inner sorts. The driver runs at the *system's* fidelity, whatever
+    /// the algorithm config's own `fidelity` field says.
+    ///
+    /// # Panics
+    /// Panics on the shape constraints of the algorithm (see its driver's
+    /// `new`).
+    pub fn driver<K: SortKey>(
+        &self,
+        sys: &mut GpuSystem<'_, K>,
+        data: Vec<K>,
+        logical_len: u64,
+    ) -> Box<dyn SortDriver<K>> {
+        let fidelity = sys.world().fidelity();
+        macro_rules! build {
+            ($driver:ident, $config:expr) => {{
+                let mut config = $config.clone();
+                config.fidelity = fidelity;
+                Box::new($driver::new(sys, &config, data, logical_len))
+            }};
+        }
         match self {
-            Algorithm::P2p(_) => "P2P sort",
-            Algorithm::Rp(_) => "RP sort",
-            Algorithm::Het(_) => "HET sort",
-            Algorithm::SampleSort(_) => "Sample sort",
-            Algorithm::MultiwayMerge(_) => "Multiway mergesort",
-            Algorithm::CrossNode(_) => "Cross-node sort",
+            Algorithm::P2p(c) => build!(P2pDriver, c),
+            Algorithm::Rp(c) => build!(RpDriver, c),
+            Algorithm::Het(c) => build!(HetDriver, c),
+            Algorithm::SampleSort(c) => build!(SampleSortDriver, c),
+            Algorithm::MultiwayMerge(c) => build!(MwmsDriver, c),
+            Algorithm::CrossNode(c) => build!(CrossNodeDriver, c),
         }
     }
 }
@@ -77,11 +124,9 @@ impl Algorithm {
 /// The shared run configuration. See the [module docs](self).
 ///
 /// Run-level settings (fidelity, faults, recorder, seed) live here, not on
-/// the algorithm config: [`RunConfig::p2p`]/[`rp`](RunConfig::rp)/
-/// [`het`](RunConfig::het) lift `fidelity` and `faults` out of the
-/// algorithm config they are given, so a config built through the
-/// deprecated per-algorithm `.with_faults(...)` still injects its plan —
-/// from exactly one place.
+/// the algorithm config: the per-algorithm constructors
+/// ([`RunConfig::p2p`] and its siblings) lift `fidelity` out of the
+/// algorithm config they are given, and a fault plan lives nowhere else.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// The sort to run (`None` for configs that only carry run-level
@@ -126,63 +171,48 @@ impl RunConfig {
         }
     }
 
-    fn with_algorithm(algorithm: Algorithm, fidelity: Fidelity, faults: FaultPlan) -> Self {
+    fn with_algorithm(fidelity: Fidelity, algorithm: Algorithm) -> Self {
         Self {
             algorithm: Some(algorithm),
             fidelity,
-            faults,
             ..Self::new()
         }
     }
 
-    /// Run P2P sort. Lifts `fidelity` and `faults` out of `config`.
+    /// Run P2P sort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn p2p(mut config: P2pConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::P2p(config), fidelity, faults)
+    pub fn p2p(config: P2pConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::P2p(config))
     }
 
-    /// Run RP sort. Lifts `fidelity` and `faults` out of `config`.
+    /// Run RP sort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn rp(mut config: RpConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::Rp(config), fidelity, faults)
+    pub fn rp(config: RpConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::Rp(config))
     }
 
-    /// Run HET sort. Lifts `fidelity` and `faults` out of `config`.
+    /// Run HET sort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn het(mut config: HetConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::Het(config), fidelity, faults)
+    pub fn het(config: HetConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::Het(config))
     }
 
-    /// Run GPU sample sort. Lifts `fidelity` and `faults` out of `config`.
+    /// Run GPU sample sort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn sample(mut config: SampleSortConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::SampleSort(config), fidelity, faults)
+    pub fn sample(config: SampleSortConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::SampleSort(config))
     }
 
-    /// Run multiway mergesort. Lifts `fidelity` and `faults` out of
-    /// `config`.
+    /// Run multiway mergesort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn mwms(mut config: MwmsConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::MultiwayMerge(config), fidelity, faults)
+    pub fn mwms(config: MwmsConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::MultiwayMerge(config))
     }
 
-    /// Run the cross-node sort. Lifts `fidelity` and `faults` out of
-    /// `config`.
+    /// Run the cross-node sort. Lifts `fidelity` out of `config`.
     #[must_use]
-    pub fn cross_node(mut config: CrossNodeConfig) -> Self {
-        let faults = std::mem::replace(&mut config.faults, FaultPlan::new());
-        let fidelity = config.fidelity;
-        Self::with_algorithm(Algorithm::CrossNode(config), fidelity, faults)
+    pub fn cross_node(config: CrossNodeConfig) -> Self {
+        Self::with_algorithm(config.fidelity, Algorithm::CrossNode(config))
     }
 
     /// Set the simulation fidelity.
@@ -245,10 +275,8 @@ impl RunConfig {
 /// Sort `data` (physical payload for `logical_len` keys) on `platform`
 /// under `config`. The sorted output replaces `data`.
 ///
-/// This is the single-shot entry point behind [`crate::p2p_sort`],
-/// [`crate::rp_sort`], and [`crate::het_sort`]; unlike those it also
-/// selects the algorithm from the configuration and attaches the
-/// recorder.
+/// This is the single-shot entry point behind the classic wrappers
+/// ([`crate::p2p_sort`] and its siblings), which only name the algorithm.
 ///
 /// # Panics
 /// Panics if `config.algorithm` is `None` (construct it with
@@ -265,62 +293,14 @@ pub fn run_sort<K: SortKey>(
         .as_ref()
         .expect("RunConfig has no algorithm; construct it with RunConfig::p2p/rp/het/sample/mwms");
     let mut sys: GpuSystem<'_, K> = config.build_system(platform);
-    let report = match algorithm {
-        Algorithm::P2p(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            let input = std::mem::take(data);
-            let mut driver = P2pDriver::new(&mut sys, &c, input, logical_len);
-            drive(&mut sys, &mut driver);
-            let report = driver.report(&sys);
-            *data = driver.take_output();
-            report
-        }
-        Algorithm::Rp(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            let input = std::mem::take(data);
-            let mut driver = RpDriver::new(&mut sys, &c, input, logical_len);
-            drive(&mut sys, &mut driver);
-            let report = driver.report(&sys);
-            *data = driver.take_output();
-            report
-        }
-        Algorithm::Het(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            het_sort_on(platform, &c, &mut sys, data, logical_len)
-        }
-        Algorithm::SampleSort(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            let input = std::mem::take(data);
-            let mut driver = SampleSortDriver::new(&mut sys, &c, input, logical_len);
-            drive(&mut sys, &mut driver);
-            let report = driver.report(&sys);
-            *data = driver.take_output();
-            report
-        }
-        Algorithm::MultiwayMerge(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            let input = std::mem::take(data);
-            let mut driver = MwmsDriver::new(&mut sys, &c, input, logical_len);
-            drive(&mut sys, &mut driver);
-            let report = driver.report(&sys);
-            *data = driver.take_output();
-            report
-        }
-        Algorithm::CrossNode(c) => {
-            let mut c = c.clone();
-            c.fidelity = config.fidelity;
-            drive_cross_node(&mut sys, &c, data, logical_len)
-        }
-    };
+    let mut driver = algorithm.driver(&mut sys, std::mem::take(data), logical_len);
+    drive(&mut sys, &mut *driver);
+    let report = driver.report(&sys);
+    *data = driver.take_output();
     debug_assert!(
         report.validated,
         "{} produced unsorted output",
-        algorithm.name()
+        report.algorithm
     );
     report
 }
@@ -354,53 +334,18 @@ mod tests {
             let mut b = input.clone();
             let ra = run_sort(&dgx, &config, &mut a, n);
             let rb = classic(&mut b);
-            assert_eq!(a, b, "{} outputs diverge", config.algorithm.unwrap().name());
+            assert_eq!(a, b, "{} outputs diverge", ra.algorithm);
             assert_eq!(ra.total, rb.total, "clocks diverge");
             assert!(is_sorted(&a) && same_multiset(&a, &input));
         }
     }
 
     #[test]
-    fn config_constructors_lift_fidelity_and_faults() {
-        let plan = FaultPlan::new();
-        #[allow(deprecated)]
-        let config = RunConfig::p2p(P2pConfig::new(2).sampled(8).with_faults(plan));
+    fn config_constructors_lift_fidelity() {
+        let config = RunConfig::p2p(P2pConfig::new(2).sampled(8));
         assert!(matches!(config.fidelity, Fidelity::Sampled { scale: 8 }));
-        match config.algorithm {
-            Some(Algorithm::P2p(c)) => assert!(c.faults.is_empty()),
-            _ => panic!("wrong algorithm"),
-        }
+        assert!(config.faults.is_empty());
         assert!(!config.recorder.is_enabled());
-    }
-
-    /// The deprecated per-config `.with_faults` shim, end to end: a plan
-    /// injected through the shim must produce the bit-identical run —
-    /// same clock, same reroutes, same output bytes — as the same plan on
-    /// the shared RunConfig.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_faults_shim_injects_like_run_config() {
-        let dgx = Platform::dgx_a100();
-        let n: u64 = 1 << 13;
-        let plan = FaultPlan::randomized(&dgx, 0xFA17, msort_sim::SimDuration::from_micros(400));
-        let input: Vec<u32> = generate(Distribution::Uniform, n as usize, 23);
-        let mut a = input.clone();
-        let shim = crate::p2p_sort(
-            &dgx,
-            &P2pConfig::new(4).with_faults(plan.clone()),
-            &mut a,
-            n,
-        );
-        let mut b = input.clone();
-        let canonical = run_sort(
-            &dgx,
-            &RunConfig::p2p(P2pConfig::new(4)).with_faults(plan),
-            &mut b,
-            n,
-        );
-        assert_eq!(a, b, "shim and RunConfig paths must sort identically");
-        assert_eq!(shim.total, canonical.total, "clocks diverge");
-        assert_eq!(shim.rerouted_transfers, canonical.rerouted_transfers);
     }
 
     #[test]

@@ -36,13 +36,14 @@
 //! Like the other sorts, the phases live in a resumable driver
 //! ([`SampleSortDriver`]); [`sample_sort`] drives it alone.
 
-use crate::exec::{DriverStep, SortDriver};
-use crate::gpuset::default_gpu_set;
+use crate::family::Family;
+use crate::gpuset::resolve_gang;
 use crate::report::{PhaseBreakdown, SortReport};
+use crate::stage::{staged_driver, Middle, Shape, Source, Staging};
 use msort_cpu::sample::{bucket_counts, select_splitters, Splitter};
-use msort_data::{is_sorted, SortKey};
-use msort_gpu::{BufId, Fidelity, GpuSystem, OpId, Phase, StreamId};
-use msort_sim::{FaultPlan, GpuSortAlgo, SimDuration, SimTime};
+use msort_data::SortKey;
+use msort_gpu::{BufId, Fidelity, GpuSystem, Location, OpId, Phase, StreamId};
+use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::Platform;
 
 /// Configuration for [`sample_sort`].
@@ -58,8 +59,6 @@ pub struct SampleSortConfig {
     pub algo: GpuSortAlgo,
     /// Simulation fidelity.
     pub fidelity: Fidelity,
-    /// Scheduled link faults to inject (empty: pristine fabric).
-    pub faults: FaultPlan,
     /// NUMA socket whose host memory stages the input and output (0 on
     /// single-node platforms; the cross-node driver points each inner sort
     /// at its node's home socket).
@@ -79,30 +78,15 @@ impl SampleSortConfig {
             gpu_set: None,
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
-            faults: FaultPlan::new(),
             home_socket: 0,
             oversample: 32,
         }
-    }
-
-    /// Stage host buffers on `socket` instead of socket 0.
-    #[must_use]
-    pub fn with_home_socket(mut self, socket: usize) -> Self {
-        self.home_socket = socket;
-        self
     }
 
     /// Use sampled fidelity with the given factor.
     #[must_use]
     pub fn sampled(mut self, scale: u64) -> Self {
         self.fidelity = Fidelity::Sampled { scale };
-        self
-    }
-
-    /// Use an explicit GPU set.
-    #[must_use]
-    pub fn with_set(mut self, set: Vec<usize>) -> Self {
-        self.gpu_set = Some(set);
         self
     }
 
@@ -114,60 +98,40 @@ impl SampleSortConfig {
     }
 }
 
-/// Where the driver is in the sample sort's phase sequence.
-enum SampleState {
-    /// Nothing enqueued yet.
-    Start,
-    /// HtoD drained; splitter selection + partition + exchange next.
+/// Device keys per GPU for a `chunk`-key share. The partition phase holds
+/// chunk + scatter target + the receive partition; the final sort holds 2x
+/// the receive partition. The receive partition is approximately a chunk
+/// but can reach ~2x on skewed data (the splitter oversampling bound), so
+/// this budgets for the worst case.
+pub(crate) fn footprint_keys(chunk: u64) -> u64 {
+    4 * chunk
+}
+
+/// Where the driver is in the sample sort's middle.
+enum SampleStep {
+    /// Splitter selection + partition + exchange next.
     Partition,
     /// Exchange drained; per-GPU final sorts next.
     FinalSort,
-    /// Final sorts drained; gather next.
-    Gather,
-    /// Gather enqueued; next step reads the output.
-    Gathering,
-    /// Output taken from the host buffer; nothing left to do.
-    Finished,
+    /// Final sorts drained.
+    Sorted,
 }
 
-/// Sample sort as a resumable [`SortDriver`] over a caller-provided
-/// [`GpuSystem`]. Construction allocates the partition-phase buffers; the
-/// data-dependent receive buffers are sized from the splitter histogram
-/// mid-run. Timing starts at the first [`SampleSortDriver::step`].
+/// Sample sort as a resumable [`SortDriver`](crate::SortDriver) over a
+/// caller-provided [`GpuSystem`]. Construction allocates the
+/// partition-phase buffers; the data-dependent receive buffers are sized
+/// from the splitter histogram mid-run. Timing starts at the first step.
 pub struct SampleSortDriver<K: SortKey> {
-    order: Vec<usize>,
-    algo: GpuSortAlgo,
+    st: Staging<K>,
     oversample: usize,
-    logical_len: u64,
-    chunk: u64,
-    scale: u64,
-    host_in: BufId,
-    host_out: BufId,
     /// Per GPU: (primary chunk, partition scatter target).
     bufs: Vec<(BufId, BufId)>,
     /// Per GPU: receive buffer, allocated after splitter selection.
     recv: Vec<BufId>,
-    /// Per GPU: final-sort scratch, allocated once the partition buffers
-    /// are freed (keeps the footprint at `max(2 + r, 2r)` chunks).
-    recv_aux: Vec<BufId>,
     /// Per GPU: logical keys received in the exchange.
     recv_len: Vec<u64>,
-    copy_in: Vec<StreamId>,
-    copy_out: Vec<StreamId>,
-    compute: Vec<StreamId>,
-    host_stream: StreamId,
-    state: SampleState,
-    t0: SimTime,
-    t_in: SimTime,
+    next: SampleStep,
     t_exchanged: SimTime,
-    t_sorted: SimTime,
-    t_end: SimTime,
-    exchanged_keys: u64,
-    max_partition_keys: u64,
-    reroutes_at_start: u64,
-    output: Option<Vec<K>>,
-    validated: bool,
-    released: bool,
 }
 
 impl<K: SortKey> SampleSortDriver<K> {
@@ -186,323 +150,254 @@ impl<K: SortKey> SampleSortDriver<K> {
         data: Vec<K>,
         logical_len: u64,
     ) -> Self {
-        let g = config.gpus;
         // The bucket exchange is order-insensitive (one all-to-all, no
         // staged pairings), so membership matters but ordering does not —
         // same policy as RP sort.
-        let order: Vec<usize> = config.gpu_set.clone().unwrap_or_else(|| {
-            if g.is_power_of_two() {
-                default_gpu_set(sys.platform(), g)
-            } else {
-                (0..g).collect()
-            }
-        });
-        assert_eq!(order.len(), g, "gpu_set must list exactly `gpus` GPUs");
-        let scale = config.fidelity.scale();
-        assert_eq!(
-            scale,
-            sys.world().scale(),
-            "driver fidelity must match the system's"
-        );
-        assert!(
-            logical_len.is_multiple_of(g as u64 * scale),
-            "input length must divide evenly into {g} chunks of whole samples"
-        );
-        let chunk = logical_len / g as u64;
-
-        let home = config.home_socket;
-        let host_in = sys.world_mut().import_host(home, data, logical_len);
-        let host_out = sys.world_mut().alloc_host(home, logical_len);
-
-        // Partition-phase buffers: the primary chunk and the scatter
-        // target of the local partition pass. The receive buffers are
-        // sized from the actual histogram when the splitters are known.
-        let bufs: Vec<(BufId, BufId)> = order
-            .iter()
-            .map(|&gpu| {
+        let order = resolve_gang(sys.platform(), config.gpus, &config.gpu_set, true);
+        let g = order.len();
+        let shape = Shape {
+            label: Family::SampleSort.name().into(),
+            lanes: g,
+            order,
+            even: true,
+            algo: config.algo,
+            fidelity: config.fidelity,
+            home_socket: config.home_socket,
+        };
+        let mut st = Staging::new(sys, shape, data, logical_len);
+        let bufs = (0..g)
+            .map(|i| {
                 (
-                    sys.world_mut().alloc_gpu(gpu, chunk),
-                    sys.world_mut().alloc_gpu(gpu, chunk),
+                    st.alloc_gpu(sys, st.order[i], st.chunk),
+                    st.alloc_gpu(sys, st.order[i], st.chunk),
                 )
             })
             .collect();
-        let copy_in: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let copy_out: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let compute: Vec<_> = (0..g).map(|_| sys.stream()).collect();
-        let host_stream = sys.stream();
-
         Self {
-            order,
-            algo: config.algo,
+            st,
             oversample: config.oversample,
-            logical_len,
-            chunk,
-            scale,
-            host_in,
-            host_out,
             bufs,
             recv: Vec::with_capacity(g),
-            recv_aux: Vec::with_capacity(g),
             recv_len: vec![0; g],
-            copy_in,
-            copy_out,
-            compute,
-            host_stream,
-            state: SampleState::Start,
-            t0: SimTime::ZERO,
-            t_in: SimTime::ZERO,
+            next: SampleStep::Partition,
             t_exchanged: SimTime::ZERO,
-            t_sorted: SimTime::ZERO,
-            t_end: SimTime::ZERO,
-            exchanged_keys: 0,
-            max_partition_keys: 0,
-            reroutes_at_start: sys.rerouted_transfers(),
-            output: None,
-            validated: false,
-            released: false,
-        }
-    }
-}
-
-impl<K: SortKey> SortDriver<K> for SampleSortDriver<K> {
-    fn step(&mut self, sys: &mut GpuSystem<'_, K>) -> DriverStep {
-        let g = self.order.len();
-        match self.state {
-            SampleState::Start => {
-                // ---- Phase 1: scatter the raw chunks (no local sort). ----
-                self.t0 = sys.now();
-                let mut wait = Vec::with_capacity(g);
-                for i in 0..g {
-                    wait.push(sys.memcpy(
-                        self.copy_in[i],
-                        self.host_in,
-                        i as u64 * self.chunk,
-                        self.bufs[i].0,
-                        0,
-                        self.chunk,
-                        &[],
-                        Phase::HtoD,
-                    ));
-                }
-                self.state = SampleState::Partition;
-                DriverStep::Wait(wait)
-            }
-            SampleState::Partition => {
-                self.t_in = sys.now();
-                let mut wait = Vec::new();
-
-                // ---- Phase 2: splitter selection (host side, over the
-                // raw device chunks). Deterministic stride sampling: the
-                // splitter set depends only on the data, so runs are
-                // bit-reproducible from the seed. ----
-                let views: Vec<&[K]> = (0..g)
-                    .map(|i| sys.world().slice(self.bufs[i].0, 0, self.chunk))
-                    .collect();
-                let splitters: Vec<Splitter<K>> = select_splitters(&views, g, self.oversample);
-                // Physical per-(chunk, bucket) histogram; `resize` only
-                // matters for the degenerate empty-input case (no samples,
-                // one catch-all bucket).
-                let counts: Vec<Vec<u64>> = views
-                    .iter()
-                    .map(|v| {
-                        let mut c = bucket_counts(v, &splitters);
-                        c.resize(g, 0);
-                        c
-                    })
-                    .collect();
-                drop(views);
-                // Selection cost: each GPU contributes an O(oversample·g)
-                // sample; model it like the pivot selections of the other
-                // sorts, once per contributing chunk.
-                let split_cost = sys.cost_model().pivot_selection(self.chunk);
-                let split_op = sys.delay(
-                    self.host_stream,
-                    SimDuration(split_cost.0 * g as u64),
-                    &[],
-                    Phase::Partition,
-                );
-                wait.push(split_op);
-
-                // Receive partition sizes (physical), and the realized
-                // imbalance for the report.
-                let recv_phys: Vec<u64> = (0..g)
-                    .map(|i| counts.iter().map(|c| c[i]).sum::<u64>())
-                    .collect();
-                self.max_partition_keys = recv_phys.iter().copied().max().unwrap_or(0) * self.scale;
-                for (i, &phys) in recv_phys.iter().enumerate() {
-                    self.recv_len[i] = phys * self.scale;
-                    let gpu = self.order[i];
-                    let buf = sys.world_mut().alloc_gpu(gpu, self.recv_len[i]);
-                    self.recv.push(buf);
-                }
-
-                // ---- Phase 3: local partition pass on every GPU. ----
-                let part_ops: Vec<OpId> = (0..g)
-                    .map(|j| {
-                        sys.gpu_partition(
-                            self.compute[j],
-                            self.bufs[j].0,
-                            (0, self.chunk),
-                            self.bufs[j].1,
-                            splitters.clone(),
-                            &[split_op],
-                        )
-                    })
-                    .collect();
-
-                // ---- Phase 4: the all-to-all bucket exchange. Copies
-                // stage their source when they *start* (after the
-                // partition op completes), so they ship the scattered
-                // buckets. ----
-                let mut recv_off = vec![0u64; g];
-                #[allow(clippy::needless_range_loop)] // i and j index counts and bufs together
-                for j in 0..g {
-                    let mut send_off = 0u64;
-                    for i in 0..g {
-                        let len = counts[j][i] * self.scale;
-                        if len == 0 {
-                            continue;
-                        }
-                        let s = sys.stream();
-                        let op = sys.memcpy(
-                            s,
-                            self.bufs[j].0,
-                            send_off,
-                            self.recv[i],
-                            recv_off[i],
-                            len,
-                            &[part_ops[j]],
-                            Phase::Merge,
-                        );
-                        if i != j {
-                            self.exchanged_keys += len;
-                        }
-                        send_off += len;
-                        recv_off[i] += len;
-                        wait.push(op);
-                    }
-                }
-                wait.extend(part_ops);
-                self.state = SampleState::FinalSort;
-                DriverStep::Wait(wait)
-            }
-            SampleState::FinalSort => {
-                // ---- Phase 5: per-GPU sort of the received partition.
-                // The partition-phase buffers are dead now; freeing them
-                // caps the per-GPU footprint at max(2 + r, 2r) chunks for
-                // realized imbalance r. ----
-                self.t_exchanged = sys.now();
-                for &(a, b) in &self.bufs {
-                    sys.world_mut().free(a);
-                    sys.world_mut().free(b);
-                }
-                for i in 0..g {
-                    let aux = sys.world_mut().alloc_gpu(self.order[i], self.recv_len[i]);
-                    self.recv_aux.push(aux);
-                }
-                let wait: Vec<OpId> = (0..g)
-                    .map(|i| {
-                        sys.gpu_sort(
-                            self.compute[i],
-                            self.algo,
-                            self.recv[i],
-                            (0, self.recv_len[i]),
-                            self.recv_aux[i],
-                            &[],
-                        )
-                    })
-                    .collect();
-                self.state = SampleState::Gather;
-                DriverStep::Wait(wait)
-            }
-            SampleState::Gather => {
-                // ---- Phase 6: gather in GPU order (bucket i's keys all
-                // precede bucket i+1's in splitter order). ----
-                self.t_sorted = sys.now();
-                let mut wait = Vec::with_capacity(g);
-                let mut out_off = 0u64;
-                for i in 0..g {
-                    if self.recv_len[i] == 0 {
-                        continue;
-                    }
-                    wait.push(sys.memcpy(
-                        self.copy_out[i],
-                        self.recv[i],
-                        0,
-                        self.host_out,
-                        out_off,
-                        self.recv_len[i],
-                        &[],
-                        Phase::DtoH,
-                    ));
-                    out_off += self.recv_len[i];
-                }
-                debug_assert_eq!(out_off, self.logical_len, "buckets partition the input");
-                self.state = SampleState::Gathering;
-                DriverStep::Wait(wait)
-            }
-            SampleState::Gathering => {
-                self.t_end = sys.now();
-                let output = sys.world().buffer(self.host_out).data.clone();
-                self.validated = is_sorted(&output);
-                self.output = Some(output);
-                self.state = SampleState::Finished;
-                DriverStep::Done
-            }
-            SampleState::Finished => DriverStep::Done,
         }
     }
 
-    fn take_output(&mut self) -> Vec<K> {
-        self.output.take().expect("sample sort has not finished")
-    }
-
-    fn validated(&self) -> bool {
-        self.validated
-    }
-
-    fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
-        if self.released {
-            return;
-        }
-        self.released = true;
-        sys.world_mut().free(self.host_in);
-        sys.world_mut().free(self.host_out);
-        // `free` is idempotent, so the partition buffers (already freed
-        // mid-run on the happy path) are safe to free again after an
-        // abandoned run.
+    /// Per-GPU sort of the received partition. The partition-phase buffers
+    /// are dead now; freeing them caps the per-GPU footprint at
+    /// max(2 + r, 2r) chunks for realized imbalance r.
+    fn final_sorts(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
         for &(a, b) in &self.bufs {
             sys.world_mut().free(a);
             sys.world_mut().free(b);
         }
-        for &b in self.recv.iter().chain(&self.recv_aux) {
-            sys.world_mut().free(b);
+        (0..self.recv.len())
+            .map(|i| {
+                let len = self.recv_len[i];
+                let aux = self.st.alloc_gpu(sys, self.st.order[i], len);
+                sys.gpu_sort(
+                    self.st.compute[i],
+                    self.st.algo,
+                    self.recv[i],
+                    (0, len),
+                    aux,
+                    &[],
+                )
+            })
+            .collect()
+    }
+}
+
+impl<K: SortKey> Middle<K> for SampleSortDriver<K> {
+    /// Scatter the raw chunks (no local sort: the partition pass works on
+    /// raw keys).
+    fn start(&mut self, sys: &mut GpuSystem<'_, K>) -> Vec<OpId> {
+        let landing = self.bufs.iter().map(|b| (b.0, None));
+        self.st.scatter_chunks(sys, landing)
+    }
+
+    fn middle(&mut self, sys: &mut GpuSystem<'_, K>) -> Option<Vec<OpId>> {
+        match self.next {
+            SampleStep::Partition => {
+                self.next = SampleStep::FinalSort;
+                let gpus = self.st.order.clone();
+                let exchange = splitter_exchange(
+                    &mut self.st,
+                    sys,
+                    &self.bufs,
+                    self.oversample,
+                    |lane| Location::Gpu { index: gpus[lane] },
+                    GpuSystem::gpu_partition,
+                );
+                (self.recv, self.recv_len) = (exchange.recv, exchange.recv_len);
+                Some(exchange.wait)
+            }
+            SampleStep::FinalSort => {
+                self.t_exchanged = sys.now();
+                self.next = SampleStep::Sorted;
+                Some(self.final_sorts(sys))
+            }
+            SampleStep::Sorted => None,
         }
     }
 
-    fn report(&self, sys: &GpuSystem<'_, K>) -> SortReport {
-        SortReport {
-            algorithm: "Sample sort".into(),
-            platform: sys.platform().id.name().into(),
-            gpus: self.order.clone(),
-            keys: self.logical_len,
-            bytes: self.logical_len * K::DATA_TYPE.key_bytes(),
-            total: self.t_end.since(self.t0),
-            phases: PhaseBreakdown {
-                htod: self.t_in.since(self.t0),
-                // Splitter selection + partition pass + all-to-all: the
-                // inter-GPU phase, reported as the merge slot of the
-                // paper's four-phase breakdown.
-                merge: self.t_exchanged.since(self.t_in),
-                sort: self.t_sorted.since(self.t_exchanged),
-                dtoh: self.t_end.since(self.t_sorted),
-            },
-            validated: self.validated,
-            p2p_swapped_keys: self.exchanged_keys,
-            rerouted_transfers: sys.rerouted_transfers() - self.reroutes_at_start,
-            max_partition_keys: self.max_partition_keys,
-            inter_node: SimDuration::ZERO,
+    /// Gather in GPU order (bucket i's keys all precede bucket i+1's in
+    /// splitter order), skipping empty buckets.
+    fn sources(&self) -> Vec<Source> {
+        (0..self.recv.len())
+            .filter(|&slot| self.recv_len[slot] > 0)
+            .map(|slot| Source {
+                slot,
+                buf: self.recv[slot],
+                len: self.recv_len[slot],
+            })
+            .collect()
+    }
+
+    fn phases(&self, _sys: &GpuSystem<'_, K>) -> PhaseBreakdown {
+        let st = &self.st;
+        PhaseBreakdown {
+            htod: st.t_staged.since(st.t0),
+            // Splitter selection + partition pass + all-to-all: the
+            // inter-GPU phase, reported as the merge slot of the paper's
+            // four-phase breakdown.
+            merge: self.t_exchanged.since(st.t_staged),
+            sort: st.t_middle.since(self.t_exchanged),
+            dtoh: st.t_end.since(st.t_middle),
         }
+    }
+}
+
+staged_driver!(SampleSortDriver);
+
+/// A per-lane partition pass ([`GpuSystem::gpu_partition`] on the GPUs,
+/// [`GpuSystem::host_partition`] on the cross-node sort's nodes).
+pub(crate) type PartitionOp<'p, K> = fn(
+    &mut GpuSystem<'p, K>,
+    StreamId,
+    BufId,
+    (u64, u64),
+    BufId,
+    Vec<Splitter<K>>,
+    &[OpId],
+) -> OpId;
+
+/// What [`splitter_exchange`] enqueued.
+pub(crate) struct Exchange {
+    /// Per lane: the receive buffer, sized from the exact histogram.
+    pub recv: Vec<BufId>,
+    /// Per lane: logical keys it receives.
+    pub recv_len: Vec<u64>,
+    /// Every op enqueued.
+    pub wait: Vec<OpId>,
+    /// The bucket copies that left their lane.
+    pub crossing: Vec<OpId>,
+}
+
+/// The sample-sort exchange over the skeleton's lanes (GPUs here, nodes in
+/// the cross-node sort): pick `lanes − 1` splitters over the raw `chunks`
+/// (`.0` of each pair), partition every chunk into buckets via its scratch
+/// (`.1`), and ship bucket `i` of every chunk to a fresh receive buffer at
+/// `recv_at(i)`. Records the exchanged volume and the realized imbalance
+/// on `st`.
+pub(crate) fn splitter_exchange<'p, K: SortKey>(
+    st: &mut Staging<K>,
+    sys: &mut GpuSystem<'p, K>,
+    chunks: &[(BufId, BufId)],
+    oversample: usize,
+    recv_at: impl Fn(usize) -> Location,
+    partition: PartitionOp<'p, K>,
+) -> Exchange {
+    let lanes = chunks.len();
+    let (chunk, scale) = (st.chunk, st.scale);
+
+    // Splitter selection (host side, over the raw chunks). Deterministic
+    // stride sampling: the splitter set depends only on the data, so runs
+    // are bit-reproducible from the seed.
+    let views: Vec<&[K]> = chunks
+        .iter()
+        .map(|c| sys.world().slice(c.0, 0, chunk))
+        .collect();
+    let splitters: Vec<Splitter<K>> = select_splitters(&views, lanes, oversample);
+    // Physical per-(chunk, bucket) histogram; `resize` only matters for
+    // the degenerate empty-input case (no samples, one catch-all bucket).
+    let counts: Vec<Vec<u64>> = views
+        .iter()
+        .map(|v| {
+            let mut c = bucket_counts(v, &splitters);
+            c.resize(lanes, 0);
+            c
+        })
+        .collect();
+    drop(views);
+    // Selection cost: each lane contributes an O(oversample·lanes) sample;
+    // model it like the pivot selections of the other sorts, once per
+    // contributing chunk.
+    let split_cost = sys.cost_model().pivot_selection(chunk);
+    let split_op = sys.delay(
+        st.host_stream,
+        SimDuration(split_cost.0 * lanes as u64),
+        &[],
+        Phase::Partition,
+    );
+
+    let recv_len: Vec<u64> = (0..lanes)
+        .map(|i| counts.iter().map(|c| c[i]).sum::<u64>() * scale)
+        .collect();
+    st.max_partition_keys = recv_len.iter().copied().max().unwrap_or(0);
+    let recv: Vec<BufId> = (0..lanes)
+        .map(|i| st.alloc(sys, recv_at(i), recv_len[i]))
+        .collect();
+
+    let part_ops: Vec<OpId> = (0..lanes)
+        .map(|j| {
+            let (data, scratch) = chunks[j];
+            let range = (0, chunk);
+            let waits = &[split_op];
+            partition(
+                sys,
+                st.compute[j],
+                data,
+                range,
+                scratch,
+                splitters.clone(),
+                waits,
+            )
+        })
+        .collect();
+
+    // The all-to-all. Copies stage their source when they *start* (after
+    // the partition op completes), so they ship the scattered buckets.
+    let mut wait = vec![split_op];
+    let mut crossing = Vec::new();
+    let mut recv_off = vec![0u64; lanes];
+    for j in 0..lanes {
+        let mut send_off = 0u64;
+        for i in 0..lanes {
+            let len = counts[j][i] * scale;
+            if len == 0 {
+                continue;
+            }
+            let s = sys.stream();
+            let (src, dst) = (chunks[j].0, (recv[i], recv_off[i]));
+            let waits = &[part_ops[j]];
+            let op = sys.memcpy(s, src, send_off, dst.0, dst.1, len, waits, Phase::Merge);
+            if i != j {
+                st.swapped_keys += len;
+                crossing.push(op);
+            }
+            send_off += len;
+            recv_off[i] += len;
+            wait.push(op);
+        }
+    }
+    wait.extend(part_ops);
+    Exchange {
+        recv,
+        recv_len,
+        wait,
+        crossing,
     }
 }
 

@@ -18,22 +18,12 @@
 //!   `t-1`, publish the inclusive prefix for tile `t+1`), and scatters
 //!   straight from cache.
 //!
-//! Keys therefore stream from memory `1 + d` times instead of `2d`. Two
-//! further single-thread wins over [`crate::lsb_radix`]:
-//!
-//! * **Wider digits.** 11-bit digits (2048 buckets) need 3 passes for
-//!   32-bit keys and 6 for 64-bit keys, vs 4 and 8 at the classic 8-bit
-//!   width — 25% fewer key reads *and* writes end to end. The histogram
-//!   working set (6 × 16 KiB) still sits in L2.
-//! * **Software write combining** (opt-in, `MSORT_WC_SCATTER=1`). A
-//!   2048-bucket scatter touches 2048 distinct output cache lines (and, at
-//!   large sizes, 2048 distinct TLB pages) in round-robin. Buffering
-//!   [`WC_KEYS`] keys per bucket in a cache-resident staging block and
-//!   flushing whole batches turns the random single-key stores into short
-//!   streaming bursts, amortizing the cache-line and TLB misses across the
-//!   batch. On virtualized hosts the staging copy costs more than it saves
-//!   (measured numbers at [`wc_enabled`]), so the default is the plain
-//!   scatter.
+//! Keys therefore stream from memory `1 + d` times instead of `2d`. One
+//! further single-thread win over [`crate::lsb_radix`]: **wider digits**.
+//! 11-bit digits (2048 buckets) need 3 passes for 32-bit keys and 6 for
+//! 64-bit keys, vs 4 and 8 at the classic 8-bit width — 25% fewer key
+//! reads *and* writes end to end. The histogram working set (6 × 16 KiB)
+//! still sits in L2.
 //!
 //! Determinism: tiles have a **fixed** size (never derived from the thread
 //! count), the scatter is stable (within a bucket, keys keep tile order and
@@ -51,36 +41,10 @@ pub const RADIX_BITS: u32 = 11;
 /// Number of buckets per digit pass.
 pub const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
 
-/// Keys buffered per bucket before a write-combining flush. 16 keys is one
-/// full cache line of `u32` (two of `u64`): large enough to amortize the
-/// line/TLB miss of the flush target, small enough that the whole staging
-/// block (2048 × 16 keys) stays cache resident.
-const WC_KEYS: usize = 16;
-
-/// Whether the scatter should stage stores through the software
-/// write-combining block ([`scatter_wc`]) instead of storing keys directly
-/// ([`scatter_plain`]).
-///
-/// Measured on the reference 1-core CI container (release, 32M uniform
-/// `u32`): plain scatter 635 ms vs write-combined 856 ms — the staging
-/// copy roughly doubles store traffic, and under virtualized (EPT) paging
-/// the TLB-miss cost it amortizes on bare metal never materializes, so WC
-/// *loses* 35% there and at every size down to 8M (273 ms vs 190 ms at
-/// 8-bit digits). Default is therefore off; set `MSORT_WC_SCATTER=1` on
-/// bare-metal hosts with real TLB pressure (2048 scatter streams × 4 KiB
-/// pages exceed any L2 DTLB once the output no longer fits). The choice
-/// never affects output bytes — both scatters are stable — only wall
-/// clock, so flipping it cannot break serial-vs-pool bit-identity.
-fn wc_enabled() -> bool {
-    use std::sync::OnceLock;
-    static WC: OnceLock<bool> = OnceLock::new();
-    *WC.get_or_init(|| std::env::var_os("MSORT_WC_SCATTER").is_some_and(|v| v == "1"))
-}
-
 /// Tile size (in keys) of the chained-lookback scatter. Constant — never a
 /// function of the thread count — so the output-position assignment is
-/// identical for every pool width. 32 Ki keys keep a tile (plus its
-/// write-combining block and two 16 KiB count tables) L2 resident between
+/// identical for every pool width. 32 Ki keys keep a tile (plus its two
+/// 16 KiB count tables) L2 resident between
 /// the count and the scatter, and put two tiles — the minimum that can
 /// overlap — exactly at the device dispatch floor
 /// (`msort_gpu::primitives::PARALLEL_MIN_KEYS`, 64 Ki).
@@ -114,12 +78,6 @@ pub fn onesweep_sort<K: SortKey>(data: &mut [K]) {
 /// # Panics
 /// Panics if `aux.len() < data.len()`.
 pub fn onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
-    onesweep_sort_with_aux_impl(data, aux, wc_enabled());
-}
-
-/// [`onesweep_sort_with_aux`] with the write-combining decision explicit,
-/// so tests can pin both scatter paths regardless of the environment.
-fn onesweep_sort_with_aux_impl<K: SortKey>(data: &mut [K], aux: &mut [K], use_wc: bool) {
     let n = data.len();
     assert!(
         aux.len() >= n,
@@ -135,7 +93,6 @@ fn onesweep_sort_with_aux_impl<K: SortKey>(data: &mut [K], aux: &mut [K], use_wc
     let mut hists = vec![vec![0usize; RADIX_BUCKETS]; passes];
     scan_all_digits(data, &mut hists);
 
-    let mut wc = use_wc.then(|| WcBlock::new(data[0]));
     let mut offsets = vec![0usize; RADIX_BUCKETS];
     let mut in_data = true;
     for (p, hist) in hists.iter().enumerate() {
@@ -153,10 +110,7 @@ fn onesweep_sort_with_aux_impl<K: SortKey>(data: &mut [K], aux: &mut [K], use_wc
         // SAFETY: `offsets` is the exclusive scan of the full bucket totals
         // for this pass, so every key scatters to a unique in-bounds slot of
         // the opposite ping-pong buffer.
-        match &mut wc {
-            Some(wc) => unsafe { scatter_wc(src, dst, shift, &mut offsets, wc) },
-            None => unsafe { scatter_plain(src, dst, shift, &mut offsets) },
-        }
+        unsafe { scatter(src, dst, shift, &mut offsets) };
         in_data = !in_data;
     }
     if !in_data {
@@ -184,18 +138,6 @@ pub fn parallel_onesweep_sort<K: SortKey>(data: &mut [K], threads: usize) {
 /// # Panics
 /// Panics if `aux.len() < data.len()`.
 pub fn parallel_onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K], threads: usize) {
-    parallel_onesweep_sort_with_aux_impl(data, aux, threads, wc_enabled());
-}
-
-/// [`parallel_onesweep_sort_with_aux`] with the write-combining decision
-/// explicit, so tests can pin both scatter paths regardless of the
-/// environment.
-fn parallel_onesweep_sort_with_aux_impl<K: SortKey>(
-    data: &mut [K],
-    aux: &mut [K],
-    threads: usize,
-    use_wc: bool,
-) {
     let n = data.len();
     assert!(
         aux.len() >= n,
@@ -207,7 +149,7 @@ fn parallel_onesweep_sort_with_aux_impl<K: SortKey>(
     }
     let aux = &mut aux[..n];
     if threads == 1 || n < PARALLEL_FLOOR {
-        onesweep_sort_with_aux_impl(data, aux, use_wc);
+        onesweep_sort_with_aux(data, aux);
         return;
     }
 
@@ -282,7 +224,6 @@ fn parallel_onesweep_sort_with_aux_impl<K: SortKey>(
                 scope.spawn(move || {
                     let mut local = vec![0u32; RADIX_BUCKETS];
                     let mut offsets = vec![0usize; RADIX_BUCKETS];
-                    let mut wc = use_wc.then(|| WcBlock::new(src[0]));
                     loop {
                         let t = ticket.fetch_add(1, Ordering::Relaxed);
                         if t >= tiles {
@@ -324,14 +265,7 @@ fn parallel_onesweep_sort_with_aux_impl<K: SortKey>(
                         // ranges are pairwise disjoint across (tile, bucket)
                         // pairs by the prefix construction and in bounds of
                         // the length-n destination.
-                        match &mut wc {
-                            Some(wc) => unsafe {
-                                scatter_wc(tile, dst, shift, &mut offsets, wc);
-                            },
-                            None => unsafe {
-                                scatter_plain(tile, dst, shift, &mut offsets);
-                            },
-                        }
+                        unsafe { scatter(tile, dst, shift, &mut offsets) };
                     }
                 });
             }
@@ -362,81 +296,14 @@ fn exclusive_scan(hist: &[usize], out: &mut [usize]) {
     }
 }
 
-/// Software write-combining staging block: [`WC_KEYS`] key slots per bucket
-/// plus a fill counter per bucket.
-struct WcBlock<K> {
-    slots: Vec<K>,
-    fill: Vec<u32>,
-}
-
-impl<K: Copy> WcBlock<K> {
-    fn new(init: K) -> Self {
-        Self {
-            slots: vec![init; RADIX_BUCKETS * WC_KEYS],
-            fill: vec![0u32; RADIX_BUCKETS],
-        }
-    }
-}
-
-/// Scatter `src` into `dst` through the write-combining block. `offsets[d]`
-/// must be the absolute destination index of the next key with digit `d`;
-/// on return all buffered keys are drained and `offsets` is advanced.
+/// Stable one-key-at-a-time scatter of `src` into `dst`. `offsets[d]` must
+/// be the absolute destination index of the next key with digit `d`; on
+/// return `offsets` is advanced past every scattered key.
 ///
 /// # Safety
 /// For every key, the destination slot `offsets[digit]` (as advanced by the
 /// scatter) must be in bounds of `dst` and not written by anyone else.
-unsafe fn scatter_wc<K: SortKey>(
-    src: &[K],
-    dst: SendPtr<K>,
-    shift: u32,
-    offsets: &mut [usize],
-    wc: &mut WcBlock<K>,
-) {
-    for &key in src {
-        let d = key.to_radix().digit(shift, RADIX_BITS);
-        // SAFETY: d < RADIX_BUCKETS by the digit mask; fill[d] < WC_KEYS is
-        // restored below whenever a batch completes.
-        unsafe {
-            let f = *wc.fill.get_unchecked(d);
-            *wc.slots.get_unchecked_mut(d * WC_KEYS + f as usize) = key;
-            *wc.fill.get_unchecked_mut(d) = f + 1;
-            if f as usize + 1 == WC_KEYS {
-                let base = *offsets.get_unchecked(d);
-                std::ptr::copy_nonoverlapping(
-                    wc.slots.as_ptr().add(d * WC_KEYS),
-                    dst.0.add(base),
-                    WC_KEYS,
-                );
-                *offsets.get_unchecked_mut(d) = base + WC_KEYS;
-                *wc.fill.get_unchecked_mut(d) = 0;
-            }
-        }
-    }
-    // Drain partial batches in bucket order (keys stay in arrival order per
-    // bucket, so stability is preserved).
-    for (d, fill) in wc.fill.iter_mut().enumerate() {
-        let f = *fill as usize;
-        if f > 0 {
-            // SAFETY: same disjoint-region argument as the batch flush.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    wc.slots.as_ptr().add(d * WC_KEYS),
-                    dst.0.add(offsets[d]),
-                    f,
-                );
-            }
-            offsets[d] += f;
-            *fill = 0;
-        }
-    }
-}
-
-/// Plain one-key-at-a-time scatter for inputs too small to benefit from
-/// write combining.
-///
-/// # Safety
-/// Same contract as [`scatter_wc`].
-unsafe fn scatter_plain<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &mut [usize]) {
+unsafe fn scatter<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &mut [usize]) {
     for &key in src {
         let d = key.to_radix().digit(shift, RADIX_BITS);
         // SAFETY: per the function contract the slot is in bounds and
@@ -570,30 +437,5 @@ mod tests {
     #[test]
     fn more_threads_than_tiles() {
         check::<u32>(Distribution::Uniform, PARALLEL_FLOOR + 17, 14);
-    }
-
-    #[test]
-    fn write_combining_path_bit_identical() {
-        // Both scatter paths are stable, so the WC decision must never
-        // change a single output byte — sequential and parallel, at a size
-        // that spans multiple tiles and drains partial WC batches.
-        for n in [5_000usize, TILE + 999] {
-            let input: Vec<u64> = generate(
-                Distribution::ZipfDuplicates {
-                    skew_permille: 1200,
-                },
-                n,
-                15,
-            );
-            let mut plain = input.clone();
-            let mut wc = input.clone();
-            let mut aux = vec![0u64; n];
-            onesweep_sort_with_aux_impl(&mut plain, &mut aux, false);
-            onesweep_sort_with_aux_impl(&mut wc, &mut aux, true);
-            assert_eq!(plain, wc, "sequential WC path differs at n={n}");
-            let mut par_wc = input.clone();
-            parallel_onesweep_sort_with_aux_impl(&mut par_wc, &mut aux, 4, true);
-            assert_eq!(plain, par_wc, "parallel WC path differs at n={n}");
-        }
     }
 }

@@ -384,7 +384,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// simulation drains them, so a long-running service holds only the
     /// live window of operations. Reclaimed ops lose their spans:
     /// [`GpuSystem::op_span`] returns `None` and they vanish from
-    /// [`GpuSystem::phase_busy`]/timeline queries — enable this only when
+    /// [`GpuSystem::ops_busy`]/timeline queries — enable this only when
     /// the driver does not read per-op history (the serve loop doesn't).
     pub fn set_op_reclaim(&mut self, on: bool) {
         self.reclaim_ops = on;
@@ -450,25 +450,12 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         self.op(op.0).stream
     }
 
-    /// Total wall-clock (simulated) time during which at least one
-    /// completed operation of `phase` was running — the union of the op
-    /// intervals, which is how the paper's sort-duration breakdowns
-    /// attribute time to overlapping phases.
-    #[must_use]
-    pub fn phase_busy(&self, phase: Phase) -> SimDuration {
-        interval_union(
-            self.ops
-                .iter()
-                .filter(|o| o.phase == phase)
-                .filter_map(|o| Some((o.started?, o.finished?)))
-                .collect(),
-        )
-    }
-
-    /// Busy-time union of an explicit set of completed ops — the same
-    /// attribution as [`GpuSystem::phase_busy`], but restricted to the ops
-    /// one job enqueued, so per-job phase breakdowns stay correct when
-    /// several jobs share this system.
+    /// Total (simulated) time during which at least one of the given
+    /// completed ops was running — the union of their intervals, which is
+    /// how the paper's sort-duration breakdowns attribute time to
+    /// overlapping phases. Restricted to the ops one job enqueued, so
+    /// per-job phase breakdowns stay correct when several jobs share this
+    /// system.
     #[must_use]
     pub fn ops_busy(&self, ops: &[OpId]) -> SimDuration {
         interval_union(
@@ -1715,7 +1702,7 @@ impl<K: SortKey> Drop for GpuSystem<'_, K> {
 }
 
 /// Total time covered by at least one of `intervals` (the busy-time union
-/// behind [`GpuSystem::phase_busy`] and [`GpuSystem::ops_busy`]).
+/// behind [`GpuSystem::ops_busy`]).
 fn interval_union(mut intervals: Vec<(SimTime, SimTime)>) -> SimDuration {
     intervals.sort_unstable();
     let mut total = SimDuration::ZERO;

@@ -1,15 +1,13 @@
-//! Execution timeline export.
+//! The execution timeline as data.
 //!
 //! Every simulated run leaves a complete record of which operation ran
-//! when, on which stream. [`GpuSystem::timeline`] exposes it as data and
-//! [`chrome_trace`] renders it in the Chrome trace-event format, so a run
-//! can be inspected interactively in `chrome://tracing` / Perfetto — the
-//! closest thing the simulator has to `nsys` profiles of the real system.
+//! when, on which stream; [`GpuSystem::timeline`] exposes it. To *view* a
+//! run, attach a [`msort_trace::Recorder`] and export the unified
+//! Chrome/Perfetto trace with [`msort_trace::chrome_trace`].
 
 use crate::system::{GpuSystem, Phase};
 use msort_data::SortKey;
 use msort_sim::SimTime;
-use std::fmt::Write as _;
 
 /// One completed operation in the timeline.
 #[derive(Debug, Clone)]
@@ -56,37 +54,6 @@ impl Phase {
     }
 }
 
-/// Render a timeline in the Chrome trace-event JSON format
-/// (`chrome://tracing`, Perfetto). One "thread" per stream; durations in
-/// microseconds of simulated time.
-///
-/// All strings pass through [`msort_trace::json_escape`], so the output
-/// is valid JSON for any name (the original writer interpolated names
-/// verbatim and leaned on them being well-behaved `&'static str`s).
-#[deprecated(
-    note = "attach a msort_trace::Recorder (RunConfig::with_recorder) and export \
-            the unified trace with msort_trace::chrome_trace instead"
-)]
-#[must_use]
-pub fn chrome_trace(entries: &[TimelineEntry]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        let ts = e.start.0 as f64 / 1e3; // ns -> us
-        let dur = (e.end.0 - e.start.0) as f64 / 1e3;
-        let label = msort_trace::json_escape(e.phase.label());
-        let _ = write!(
-            out,
-            "  {{\"name\": \"{} ({label})\", \"cat\": \"{label}\", \"ph\": \"X\", \
-             \"ts\": {ts:.3}, \"dur\": {dur:.3}, \"pid\": 0, \"tid\": {}}}",
-            msort_trace::json_escape(e.name),
-            e.stream,
-        );
-        out.push_str(if i + 1 == entries.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
 impl<K: SortKey> GpuSystem<'_, K> {
     /// The completed-operation timeline, ordered by start time.
     #[must_use]
@@ -94,20 +61,6 @@ impl<K: SortKey> GpuSystem<'_, K> {
         let mut entries = self.timeline_entries();
         entries.sort_by_key(|e| (e.start, e.stream));
         entries
-    }
-
-    /// Convenience: the full run as a Chrome trace JSON string.
-    ///
-    /// Covers this system's op timeline only. The unified exporter
-    /// ([`msort_trace::chrome_trace`] over a [`msort_trace::Recorder`]
-    /// snapshot) additionally shows links, flows, faults, and serve-layer
-    /// jobs in the same file.
-    #[deprecated(note = "attach a msort_trace::Recorder (GpuSystem::set_recorder or \
-                RunConfig::with_recorder) and export with msort_trace::chrome_trace instead")]
-    #[must_use]
-    pub fn chrome_trace(&self) -> String {
-        #[allow(deprecated)]
-        chrome_trace(&self.timeline())
     }
 }
 
@@ -142,32 +95,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn chrome_trace_is_valid_json_shape() {
-        let p = Platform::test_pcie(1);
-        let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&p, Fidelity::Full);
-        let h = sys.world_mut().import_host(0, vec![1u32; 16], 16);
-        let d = sys.world_mut().alloc_gpu(0, 16);
-        let s = sys.stream();
-        sys.memcpy(s, h, 0, d, 0, 16, &[], Phase::HtoD);
-        sys.synchronize();
-        let json = sys.chrome_trace();
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("HtoD"));
-        // Exactly one event, so no trailing comma.
-        assert_eq!(json.matches("{\"name\"").count(), 1);
-        assert!(!json.contains("},\n]"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn empty_timeline_renders() {
-        assert_eq!(chrome_trace(&[]), "[\n]\n");
-    }
-
     // The build is offline (no serde_json), so trace output is certified
     // by the in-tree RFC 8259 recognizer, shared from `msort-trace` since
     // the unified exporter's tests need it too.
@@ -192,19 +119,6 @@ mod tests {
         sys.memcpy(s0, d0, 0, h, 0, n, &[so], Phase::DtoH);
         sys.synchronize();
         sys
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn chrome_trace_parses_as_json() {
-        let p = Platform::test_pcie(2);
-        let sys = traced_system(&p);
-        let json = sys.chrome_trace();
-        assert!(
-            json_valid(&json),
-            "chrome_trace emitted invalid JSON:\n{json}"
-        );
-        assert!(json_valid(&chrome_trace(&[])));
     }
 
     #[test]

@@ -146,32 +146,12 @@ pub fn estimate_queue_wait_ns(gang_ns: u128, active_gpus: usize) -> SimDuration 
 }
 
 /// Device memory footprint of `job`, in **logical keys per GPU** (the unit
-/// the buffer [`msort_gpu::World`] accounts in). Mirrors each driver's
-/// actual pre-allocation so admission control matches what construction
-/// will request.
+/// the buffer [`msort_gpu::World`] accounts in): the per-family formula
+/// [`JobAlgo::device_footprint_keys`] keeps beside the drivers'
+/// allocations, so admission control matches what construction requests.
 #[must_use]
 pub fn device_footprint_keys(job: &SortJob, scale: u64) -> u64 {
-    let g = job.gpus.max(1) as u64;
-    let chunk = job.keys.div_ceil(g);
-    match job.algo {
-        // Chunk + auxiliary buffer.
-        JobAlgo::P2p => 2 * chunk,
-        // Chunk + receive + merge-output, each of the latter two with the
-        // partition-boundary slack.
-        JobAlgo::Rp => 3 * chunk + 2 * g * scale,
-        // The in-core 2n pipeline double-buffers the chunk.
-        JobAlgo::Het => 2 * chunk,
-        // Partition phase holds chunk + scatter target + the receive
-        // partition; the final sort holds 2x the receive partition. The
-        // receive partition is approximately a chunk but can reach ~2x on
-        // skewed data (the splitter oversampling bound), so admission
-        // budgets for the worst case.
-        JobAlgo::SampleSort => 4 * chunk,
-        // The final merge concatenates all n keys next to its n-key
-        // output on one GPU: a transient 2n, the steepest footprint of
-        // the five families.
-        JobAlgo::MultiwayMerge => 2 * g * chunk,
-    }
+    job.algo.device_footprint_keys(job.keys, job.gpus, scale)
 }
 
 #[cfg(test)]

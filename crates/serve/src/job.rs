@@ -25,51 +25,9 @@ pub enum DeadlineClass {
     Batch,
 }
 
-/// Which multi-GPU sort algorithm executes the job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobAlgo {
-    /// P2P merge-tree sort ([`msort_core::p2p`]); gang size must be a
-    /// power of two.
-    P2p,
-    /// Radix-partitioned sort ([`msort_core::rp`]); any gang size.
-    Rp,
-    /// Heterogeneous sort with the CPU multiway merge
-    /// ([`msort_core::het`]), in-core.
-    Het,
-    /// GPU sample sort ([`msort_core::sample`]): splitter partition plus
-    /// one all-to-all bucket exchange; any gang size.
-    SampleSort,
-    /// Multiway mergesort ([`msort_core::mwms`]): pairwise merge tree;
-    /// any gang size (odd runs get byes). The final merge transiently
-    /// needs `2n` keys on one GPU — the steepest footprint.
-    MultiwayMerge,
-}
-
-impl JobAlgo {
-    /// Human-readable algorithm label (matches the per-sort reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            JobAlgo::P2p => "P2P sort",
-            JobAlgo::Rp => "RP sort",
-            JobAlgo::Het => "HET sort",
-            JobAlgo::SampleSort => "Sample sort",
-            JobAlgo::MultiwayMerge => "Multiway mergesort",
-        }
-    }
-
-    /// All five algorithm families, in report order.
-    #[must_use]
-    pub fn all() -> [JobAlgo; 5] {
-        [
-            JobAlgo::P2p,
-            JobAlgo::Rp,
-            JobAlgo::Het,
-            JobAlgo::SampleSort,
-            JobAlgo::MultiwayMerge,
-        ]
-    }
-}
+/// Which multi-GPU sort algorithm executes the job: the core crate's
+/// family tag. HET jobs run in-core; P2P gangs must be a power of two.
+pub use msort_core::Family as JobAlgo;
 
 /// One sort request: `keys` logical keys of `dist` data, sorted by `algo`
 /// on a gang of `gpus` devices. The service generates the input from

@@ -27,13 +27,10 @@ use crate::queue::{QueuePolicy, QueueView};
 use crate::report::{push_step, JobOutcome, RejectReason, RejectedJob, ServiceReport};
 use crate::service::{AdmissionPolicy, FleetPolicy, ServeConfig};
 use crate::workload::Workload;
-use msort_core::{
-    DriverStep, HetConfig, HetDriver, MwmsConfig, MwmsDriver, P2pConfig, P2pDriver, RpConfig,
-    RpDriver, SampleSortConfig, SampleSortDriver, SortDriver,
-};
+use msort_core::{Algorithm, DriverStep, SortDriver};
 use msort_data::{generate, is_sorted, same_multiset, SortKey};
 use msort_gpu::{Fidelity, GpuSystem, OpId};
-use msort_sim::{SimDuration, SimTime};
+use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::Platform;
 use msort_trace::{groups, ArgValue, Recorder, TrackId};
 
@@ -552,38 +549,11 @@ impl<'p, K: SortKey> ReferenceService<'p, K> {
         let data: Vec<K> = generate(job.dist, phys, job.seed);
         let input = data.clone();
         self.set_leased(&gang, true);
-        let driver: Box<dyn SortDriver<K>> = match job.algo {
-            JobAlgo::P2p => {
-                let mut c = P2pConfig::new(job.gpus);
-                c.gpu_order = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(P2pDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::Rp => {
-                let mut c = RpConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(RpDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::Het => {
-                let mut c = HetConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(HetDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::SampleSort => {
-                let mut c = SampleSortConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(SampleSortDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::MultiwayMerge => {
-                let mut c = MwmsConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(MwmsDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-        };
+        let driver = Algorithm::placed(job.algo, gang.clone(), GpuSortAlgo::ThrustLike, 0).driver(
+            &mut self.sys,
+            data,
+            job.keys,
+        );
         let started = self.sys.now();
         let track = if self.recorder.is_enabled() {
             let track = self.recorder.track(

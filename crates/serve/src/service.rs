@@ -23,9 +23,6 @@
 //! 5. advance the shared clock to the next job-op completion, arrival, or
 //!    elastic lease-release instant.
 //!
-//! The pre-redesign closed-list entry point survives as a deprecated shim:
-//! `run(arrivals)` is exactly `serve(TraceWorkload::new(arrivals))`.
-//!
 //! Internally the loop is built for million-job runs: the pending queue is
 //! an [`IndexedQueue`] (per-policy heaps / an ordered tenant-credit index)
 //! answering "who runs next" in O(log n), SLO admission reads an
@@ -42,14 +39,11 @@ use crate::job::{DeadlineClass, JobAlgo, SortJob, TenantId};
 use crate::placement::PlacementPolicy;
 use crate::queue::{IndexedQueue, QueuePolicy, QueueView};
 use crate::report::{push_step, JobOutcome, RejectReason, RejectedJob, ServiceReport};
-use crate::workload::{TraceWorkload, Workload};
-use msort_core::{
-    DriverStep, HetConfig, HetDriver, MwmsConfig, MwmsDriver, P2pConfig, P2pDriver, RpConfig,
-    RpDriver, RunConfig, SampleSortConfig, SampleSortDriver, SortDriver,
-};
+use crate::workload::Workload;
+use msort_core::{Algorithm, DriverStep, RunConfig, SortDriver};
 use msort_data::{generate_into, is_sorted, same_multiset, SortKey};
 use msort_gpu::{Fidelity, GpuSystem, OpId};
-use msort_sim::{FaultPlan, SimDuration, SimTime};
+use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::Platform;
 use msort_trace::{groups, ArgValue, Recorder, TrackId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -215,15 +209,6 @@ impl ServeConfig {
     pub fn with_slo(mut self, tenant: TenantId, slo: SimDuration) -> Self {
         assert!(slo > SimDuration::ZERO, "tenant SLO must be positive");
         self.tenant_slos.push((tenant, slo));
-        self
-    }
-
-    /// Inject the given fault schedule.
-    #[deprecated(note = "configure faults on the shared RunConfig \
-                         (`.with_run(RunConfig::new().with_faults(plan))`) instead")]
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.run.faults = faults;
         self
     }
 }
@@ -508,14 +493,6 @@ impl<'p, K: SortKey> SortService<'p, K> {
                 }
             }
         }
-    }
-
-    /// Execute an explicit arrival list to completion and report.
-    #[deprecated(note = "wrap the list in `TraceWorkload` and call `serve` — \
-                         the open-loop Workload API")]
-    #[must_use]
-    pub fn run(self, arrivals: Vec<(SimTime, SortJob)>) -> ServiceReport {
-        self.serve(TraceWorkload::new(arrivals))
     }
 
     fn tenant_index(&mut self, id: TenantId) -> usize {
@@ -851,38 +828,11 @@ impl<'p, K: SortKey> SortService<'p, K> {
         input.clear();
         input.extend_from_slice(&data);
         self.set_leased(&gang, true);
-        let driver: Box<dyn SortDriver<K>> = match job.algo {
-            JobAlgo::P2p => {
-                let mut c = P2pConfig::new(job.gpus);
-                c.gpu_order = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(P2pDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::Rp => {
-                let mut c = RpConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(RpDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::Het => {
-                let mut c = HetConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(HetDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::SampleSort => {
-                let mut c = SampleSortConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(SampleSortDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-            JobAlgo::MultiwayMerge => {
-                let mut c = MwmsConfig::new(job.gpus);
-                c.gpu_set = Some(gang.clone());
-                c.fidelity = self.fidelity;
-                Box::new(MwmsDriver::new(&mut self.sys, &c, data, job.keys))
-            }
-        };
+        let driver = Algorithm::placed(job.algo, gang.clone(), GpuSortAlgo::ThrustLike, 0).driver(
+            &mut self.sys,
+            data,
+            job.keys,
+        );
         let started = self.sys.now();
         let track = if self.recorder.is_enabled() {
             let track = self.recorder.track(
@@ -1059,6 +1009,7 @@ impl<'p, K: SortKey> SortService<'p, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::TraceWorkload;
     use msort_data::Distribution;
 
     fn job(tenant: u32, keys: u64) -> SortJob {
@@ -1188,23 +1139,6 @@ mod tests {
                 .started
         };
         assert!(started(2) < started(1), "interactive dispatches first");
-    }
-
-    /// The deprecated shim's own coverage: `run(arrivals)` must stay
-    /// bit-identical to `serve(TraceWorkload::new(arrivals))`.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_matches_serve_bit_for_bit() {
-        let p = Platform::ibm_ac922();
-        let arrivals = vec![
-            (SimTime(5_000), job(0, 1 << 12)),
-            (SimTime::ZERO, job(1, 1 << 12).with_seed(3)),
-            (SimTime(5_000), job(2, 1 << 12).with_seed(9)),
-        ];
-        let old = SortService::<u32>::new(&p, ServeConfig::new()).run(arrivals.clone());
-        let new =
-            SortService::<u32>::new(&p, ServeConfig::new()).serve(TraceWorkload::new(arrivals));
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -50,12 +50,9 @@ pub trait Workload {
     }
 }
 
-/// Replay an explicit job list — the closed-loop adapter.
-///
-/// This is exactly the old `SortService::run(Vec<(SimTime, SortJob)>)`
-/// path: the list is stably sorted by timestamp (ties keep submission
-/// order) and replayed verbatim, so a service run over a `TraceWorkload`
-/// is bit-identical to what the deprecated `run` produced.
+/// Replay an explicit job list — the closed-loop adapter. The list is
+/// stably sorted by timestamp (ties keep submission order) and replayed
+/// verbatim.
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     arrivals: Vec<(SimTime, SortJob)>,

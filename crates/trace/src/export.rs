@@ -8,9 +8,7 @@
 //! simulated time with nanosecond precision (three decimals).
 //!
 //! All strings pass through [`crate::json_escape`]; the output is always
-//! valid RFC 8259 JSON (certified by [`crate::json_valid`] in the tests),
-//! which the legacy per-`GpuSystem` `msort_gpu::chrome_trace` writer did
-//! not guarantee.
+//! valid RFC 8259 JSON (certified by [`crate::json_valid`] in the tests).
 
 use crate::json::json_escape;
 use crate::recorder::{ArgValue, EventKind, TraceData};

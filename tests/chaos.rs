@@ -87,8 +87,7 @@ fn delta_nvlink_death_mid_merge_reroutes_and_completes() {
 
 /// An empty fault plan is *exactly* the fault-free simulation — same
 /// simulated clock, same output bytes, through the shared RunConfig
-/// fault path. (The deprecated per-config `.with_faults` shim keeps its
-/// own equivalence coverage next to the shim, in `msort_core::run`.)
+/// fault path.
 #[test]
 fn empty_fault_plan_is_bitwise_noop() {
     let p = Platform::dgx_a100();

@@ -9,6 +9,7 @@
 //! including empty inputs and adversarial bit patterns).
 
 use multi_gpu_sort::core::pivot::{select_pivot_slices, swap_plan};
+use multi_gpu_sort::core::{DriverStep, Family};
 use multi_gpu_sort::cpu::multiway::{multisequence_select, multiway_merge};
 use multi_gpu_sort::cpu::{lsb_radix_sort, merge_path_sort, msb_radix_sort, paradis_sort};
 use multi_gpu_sort::data::Rng;
@@ -509,4 +510,94 @@ fn cross_node_agrees_with_single_node_sorts() {
     ] {
         assert_eq!(cross, out, "cross-node vs single-node {name} diverge");
     }
+}
+
+// ---- Device memory: footprint formula vs. real allocations. ----
+
+/// Step `driver` to completion; return the peak device bytes any GPU held
+/// (sampled after every step, where all allocation happens).
+fn drive_watching_memory(
+    sys: &mut GpuSystem<'_, u32>,
+    driver: &mut dyn SortDriver<u32>,
+    initial: &[u64],
+) -> u64 {
+    let mut peak = 0;
+    loop {
+        let step = driver.step(sys);
+        for (gpu, &free) in initial.iter().enumerate() {
+            peak = peak.max(free - sys.world().gpu_free_bytes(gpu));
+        }
+        let DriverStep::Wait(mut ops) = step else {
+            return peak;
+        };
+        while !ops.is_empty() {
+            sys.run_until(&ops, None);
+            ops.retain(|&op| !sys.op_done(op));
+        }
+    }
+}
+
+#[test]
+fn device_footprint_bounds_real_allocations_and_release_returns_them() {
+    // The footprint admission control budgets with is a formula; the
+    // drivers' allocations are code. Pin one against the other: the peak
+    // stays within the footprint (exactly at it for the families whose
+    // buffers are data-independent), and release gives everything back.
+    let dgx = Platform::dgx_a100();
+    let free_bytes = |sys: &GpuSystem<'_, u32>| -> Vec<u64> {
+        let gpus = 0..sys.platform().gpu_count();
+        gpus.map(|g| sys.world().gpu_free_bytes(g)).collect()
+    };
+    let dists = [
+        Distribution::Uniform,
+        Distribution::ZipfDuplicates {
+            skew_permille: 1500,
+        },
+        Distribution::Sorted,
+    ];
+    let mut cases = 0;
+    for family in Family::all() {
+        for g in [1usize, 2, 3, 4, 8] {
+            if !g.is_power_of_two() && matches!(family, Family::P2p | Family::Het) {
+                continue;
+            }
+            for dist in dists {
+                let case = format!("{family:?} g={g} {dist:?}");
+                let n = g as u64 * (1 << 11);
+                let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&dgx, Fidelity::Full);
+                let initial = free_bytes(&sys);
+                let input = generate(dist, n as usize, 30_000 + cases);
+                let algorithm =
+                    Algorithm::placed(family, (0..g).collect(), GpuSortAlgo::ThrustLike, 0);
+                let mut driver = algorithm.driver(&mut sys, input, n);
+                let peak = drive_watching_memory(&mut sys, &mut *driver, &initial);
+                assert!(driver.validated(), "{case}");
+
+                let footprint = family.device_footprint_keys(n, g, 1) * 4;
+                if family == Family::SampleSort {
+                    assert!(peak <= footprint, "{case}: peak {peak} > {footprint}");
+                } else {
+                    assert_eq!(peak, footprint, "{case}");
+                }
+                driver.release(&mut sys);
+                assert_eq!(free_bytes(&sys), initial, "{case}: release leaked");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 69);
+
+    // Cross-node jobs are never admitted by the serve layer, so they have
+    // no footprint formula — but they must give everything back too.
+    let cluster = dgx_a100_cluster(2, Fabric::IbHdr);
+    let n: u64 = 1 << 13;
+    let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&cluster, Fidelity::Full);
+    let initial = free_bytes(&sys);
+    let input = generate(Distribution::Uniform, n as usize, 31_000);
+    let config = CrossNodeConfig::new(InnerAlgo::P2p);
+    let mut driver = CrossNodeDriver::new(&mut sys, &config, input, n);
+    let peak = drive_watching_memory(&mut sys, &mut driver, &initial);
+    assert!(driver.validated() && peak > 0);
+    driver.release(&mut sys);
+    assert_eq!(free_bytes(&sys), initial, "cross-node release leaked");
 }
