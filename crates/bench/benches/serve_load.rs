@@ -1,7 +1,7 @@
 //! Open-loop service-load benchmark: throughput and latency under load
 //! for the redesigned `Workload`-driven serve API, on two paper platforms.
 //!
-//! Three result families land in `BENCH_serve_load.json`:
+//! Four result families land in `BENCH_serve_load.json`:
 //!
 //! * `serve_load_wall_*` — real wall-clock of the scheduler end to end
 //!   (admission, elastic fleet, gang placement, simulated execution) over
@@ -12,12 +12,11 @@
 //!   closure spins for exactly that long, so `median_ns` ≈ simulated
 //!   p99 ns and the JSON is self-describing);
 //! * `serve_load_capacity_*` — jobs/s at a fixed p99 budget: the highest
-//!   swept rate whose p99 stays under 150 µs, per platform.
-//!
-//! The elastic-fleet acceptance claim is asserted here, not just
-//! printed: on a bursty MMPP workload an elastic fleet must beat a fixed
-//! fleet of the same mean size on p99 latency while spending no more
-//! GPU-time.
+//!   swept rate whose p99 stays under 150 µs, per platform;
+//! * `serve_load_bursty_*` — an elastic fleet against a fixed fleet of
+//!   its mean size on a bursty MMPP workload. That elastic wins on p99 at
+//!   no extra GPU-time is asserted by `tests/serve_load.rs` in tier-1;
+//!   this bench prints and records the two numbers.
 //!
 //! `MSORT_BENCH_QUICK=1` trims the sweep for CI smoke runs.
 
@@ -152,9 +151,9 @@ fn bench_offered_load_sweep(h: &mut Harness) {
     }
 }
 
-/// The acceptance claim: under a bursty MMPP arrival process, leasing
-/// GPUs elastically beats a fixed fleet of the same mean size — lower
-/// p99 at no extra GPU-time.
+/// Under a bursty MMPP arrival process: an elastic fleet against a fixed
+/// fleet of the same mean size (the comparison `tests/serve_load.rs`
+/// asserts).
 fn bench_elastic_vs_fixed(h: &mut Harness) {
     let dgx = Platform::dgx_a100();
     let bursty = || {
@@ -182,19 +181,6 @@ fn bench_elastic_vs_fixed(h: &mut Harness) {
         .with_fleet((0..gpus).collect());
     let fixed = serve(&dgx, fixed_config, bursty());
 
-    assert!(
-        elastic.mean_fleet_size() <= gpus as f64 + 0.05,
-        "elastic must not spend more GPU-time than the fixed-{gpus} fleet \
-         (mean {:.2})",
-        elastic.mean_fleet_size(),
-    );
-    assert!(
-        elastic.p99_latency() < fixed.p99_latency(),
-        "elastic p99 {} ns must beat a fixed fleet of its mean size ({gpus} \
-         GPUs) at {} ns",
-        elastic.p99_latency().0,
-        fixed.p99_latency().0,
-    );
     println!(
         "bursty MMPP, DGX: elastic (mean {:.2} GPUs) p99 {} ns vs fixed-{gpus} p99 {} ns",
         elastic.mean_fleet_size(),

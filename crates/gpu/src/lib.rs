@@ -50,8 +50,6 @@ pub mod buffer;
 mod exec;
 pub mod primitives;
 pub mod system;
-pub mod trace;
 
 pub use buffer::{BufId, Fidelity, Location, World};
 pub use system::{GpuSystem, OpId, Phase, StreamId};
-pub use trace::TimelineEntry;

@@ -64,6 +64,21 @@ pub enum Phase {
     Other,
 }
 
+impl Phase {
+    /// Short display label.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::HtoD => "HtoD",
+            Phase::DtoH => "DtoH",
+            Phase::Sort => "sort",
+            Phase::Merge => "merge",
+            Phase::Partition => "partition",
+            Phase::Other => "other",
+        }
+    }
+}
+
 /// What an operation does. Durations: `Transfer`/`HostFlow` emerge from the
 /// fluid model; `Fixed` durations are computed when the op starts.
 enum OpKind<K> {
@@ -384,7 +399,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// simulation drains them, so a long-running service holds only the
     /// live window of operations. Reclaimed ops lose their spans:
     /// [`GpuSystem::op_span`] returns `None` and they vanish from
-    /// [`GpuSystem::ops_busy`]/timeline queries — enable this only when
+    /// [`GpuSystem::ops_busy`] — enable this only when
     /// the driver does not read per-op history (the serve loop doesn't).
     pub fn set_op_reclaim(&mut self, on: bool) {
         self.reclaim_ops = on;
@@ -484,22 +499,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     #[must_use]
     pub fn route_usable(&self, route: &Route) -> bool {
         self.flows.route_usable(route)
-    }
-
-    /// Raw timeline entries for completed operations (unsorted).
-    pub(crate) fn timeline_entries(&self) -> Vec<crate::trace::TimelineEntry> {
-        self.ops
-            .iter()
-            .filter_map(|o| {
-                Some(crate::trace::TimelineEntry {
-                    name: o.name,
-                    phase: o.phase,
-                    stream: o.stream.0,
-                    start: o.started?,
-                    end: o.finished?,
-                })
-            })
-            .collect()
     }
 
     // ---- enqueue API ------------------------------------------------
@@ -1075,8 +1074,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 }
             }
             // With reclamation on, drop the completed prefix of the op ring
-            // (spans and timelines for those ops are gone — see
-            // `set_op_reclaim`).
+            // (spans for those ops are gone — see `set_op_reclaim`).
             if self.reclaim_ops {
                 while matches!(self.ops.front(), Some(o) if matches!(o.state, OpState::Done)) {
                     self.ops.pop_front();
@@ -2034,5 +2032,104 @@ mod tests {
             end_times.push(sys.synchronize());
         }
         assert_eq!(end_times[0], end_times[1]);
+    }
+
+    /// A two-stream workload with cross-stream dependencies. Returns each
+    /// op with the display name and phase it was enqueued under, in
+    /// enqueue order.
+    fn two_stream_workload(sys: &mut GpuSystem<'_, u32>) -> Vec<(OpId, &'static str, Phase)> {
+        let n: u64 = 1 << 12;
+        let h = sys
+            .world_mut()
+            .import_host(0, (0..n as u32).rev().collect(), n);
+        let d0 = sys.world_mut().alloc_gpu(0, n);
+        let a0 = sys.world_mut().alloc_gpu(0, n);
+        let d1 = sys.world_mut().alloc_gpu(1, n);
+        let s0 = sys.stream();
+        let s1 = sys.stream();
+        let up0 = sys.memcpy(s0, h, 0, d0, 0, n, &[], Phase::HtoD);
+        let so = sys.gpu_sort(s0, GpuSortAlgo::ThrustLike, d0, (0, n), a0, &[up0]);
+        let up1 = sys.memcpy(s1, h, 0, d1, 0, n, &[], Phase::HtoD);
+        let p2p = sys.memcpy(s1, d0, 0, d1, 0, n, &[so], Phase::Merge);
+        let down = sys.memcpy(s0, d0, 0, h, 0, n, &[so], Phase::DtoH);
+        sys.synchronize();
+        vec![
+            (up0, "copy", Phase::HtoD),
+            (so, "gpu sort", Phase::Sort),
+            (up1, "copy", Phase::HtoD),
+            (p2p, "copy", Phase::Merge),
+            (down, "copy", Phase::DtoH),
+        ]
+    }
+
+    #[test]
+    fn every_op_leaves_a_span() {
+        let p = Platform::test_pcie(2);
+        let mut sys = system(&p);
+        let ops = two_stream_workload(&mut sys);
+        let spans: Vec<(SimTime, SimTime)> = ops
+            .iter()
+            .map(|&(op, ..)| sys.op_span(op).expect("completed op has a span"))
+            .collect();
+        assert!(spans.iter().all(|&(start, end)| end >= start));
+        // The dependency chain HtoD -> sort -> DtoH runs in that order.
+        let (up, sort, down) = (spans[0], spans[1], spans[4]);
+        assert!(up.1 <= sort.0 && sort.1 <= down.0);
+    }
+
+    #[test]
+    fn recorder_spans_match_op_spans_and_phases() {
+        use msort_trace::EventKind;
+        let p = Platform::test_pcie(2);
+        let rec = Recorder::new();
+        let mut sys = system(&p);
+        sys.set_recorder(rec.clone());
+        assert!(sys.recorder().is_enabled());
+        let ops = two_stream_workload(&mut sys);
+        let data = rec.snapshot().unwrap();
+        let spans: Vec<_> = data
+            .events_in_group(groups::GPU)
+            .filter(|e| matches!(e.kind, EventKind::Span { .. }))
+            .collect();
+        assert_eq!(spans.len(), ops.len());
+        // Every op has a matching span on its stream's track.
+        for &(op, name, phase) in &ops {
+            let (start, end) = sys.op_span(op).unwrap();
+            assert!(
+                spans.iter().any(|s| {
+                    s.name == name
+                        && s.cat == phase.label()
+                        && s.kind
+                            == EventKind::Span {
+                                start_ns: start.0,
+                                end_ns: end.0,
+                            }
+                        && data.track(s.track).name == format!("stream {}", sys.op_stream(op).0)
+                }),
+                "{name} op {op:?} ({phase:?}) missing from the recording"
+            );
+        }
+        // The unified exporter renders it as valid JSON.
+        assert!(msort_trace::json_valid(&msort_trace::chrome_trace(&data)));
+    }
+
+    #[test]
+    fn per_stream_ops_are_serial_and_non_overlapping() {
+        let p = Platform::test_pcie(2);
+        let mut sys = system(&p);
+        let ops = two_stream_workload(&mut sys);
+        // Within one stream ops run in enqueue order, one at a time.
+        let mut last_end: HashMap<StreamId, SimTime> = HashMap::new();
+        for &(op, name, _) in &ops {
+            let stream = sys.op_stream(op);
+            let (start, end) = sys.op_span(op).unwrap();
+            if let Some(prev) = last_end.insert(stream, end) {
+                assert!(
+                    prev <= start,
+                    "{stream:?}: '{name}' [{start}, {end}] starts before its predecessor ends at {prev}"
+                );
+            }
+        }
+        assert_eq!(last_end.len(), 2, "the workload uses both streams");
     }
 }

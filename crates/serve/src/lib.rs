@@ -31,9 +31,9 @@
 //! * [`report`] — [`ServiceReport`]: per-job outcomes, per-tenant
 //!   throughput and fair-share error, queue-depth and fleet-size
 //!   timelines, goodput and SLO attainment, and p50/p95/p99 latency;
-//! * [`reference`] — [`ReferenceService`]: the pre-indexing linear-scan
-//!   serve loop kept verbatim as a golden differential baseline for the
-//!   indexed [`SortService`] core.
+//! * [`mod@reference`] — [`ReferenceService`]: the same serve loop over
+//!   linear-scan bookkeeping (lists rescanned on every question), the
+//!   differential oracle for [`SortService`]'s indexed bookkeeping.
 //!
 //! Everything is bit-reproducible: same workload seed, same
 //! configuration (including a [`msort_sim::FaultPlan`]) → the identical

@@ -193,10 +193,6 @@ impl<T> IndexedQueue<T> {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn key(&self, v: &QueueView) -> PolicyKey {
         match self.policy {
             QueuePolicy::Fifo => (v.class_rank(), v.seq, 0),

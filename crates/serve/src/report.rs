@@ -123,7 +123,7 @@ pub(crate) fn push_step(log: &mut Vec<(SimTime, usize)>, at: SimTime, value: usi
     log.push((at, value));
 }
 
-/// Everything one [`crate::SortService::run`] produced.
+/// Everything one [`crate::SortService::serve`] produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Platform name.

@@ -23,16 +23,19 @@
 //! 5. advance the shared clock to the next job-op completion, arrival, or
 //!    elastic lease-release instant.
 //!
-//! Internally the loop is built for million-job runs: the pending queue is
-//! an [`IndexedQueue`] (per-policy heaps / an ordered tenant-credit index)
-//! answering "who runs next" in O(log n), SLO admission reads an
-//! incrementally maintained backlog gang-nanosecond counter instead of
-//! re-collecting the backlog, the free-GPU set is a maintained count, job
-//! wakeups ride the [`GpuSystem`] op-completion log instead of rescanning
-//! every running job's wait list, and job inputs are generated into a
-//! reused scratch pool. The pre-index linear-scan loop survives verbatim
-//! as [`crate::reference::ReferenceService`], and a differential test
-//! proves both produce bit-identical [`ServiceReport`]s.
+//! That loop exists once, as [`Service`], generic over its bookkeeping:
+//! how the pending queue, the admission backlog, the fleet tallies and the
+//! running set are *stored and queried*. [`SortService`] runs it over
+//! [`Indexed`], built for million-job runs: an `IndexedQueue` (per-policy
+//! heaps / an ordered tenant-credit index) answers "who runs next" in
+//! O(log n), SLO admission reads an incrementally maintained backlog
+//! gang-nanosecond counter, the fleet tallies are maintained counts, and
+//! job wakeups ride the [`GpuSystem`] op-completion log.
+//! [`crate::ReferenceService`] runs the same loop over
+//! [`crate::reference::Linear`], which answers every one of those
+//! questions by rescanning, and a differential test proves both produce
+//! bit-identical [`ServiceReport`]s. The bookkeeping trait is private to
+//! the crate, so these two are the only implementations there can be.
 
 use crate::cost::{device_footprint_keys, estimate_job_cost, estimate_queue_wait_ns};
 use crate::job::{DeadlineClass, JobAlgo, SortJob, TenantId};
@@ -219,32 +222,28 @@ impl Default for ServeConfig {
     }
 }
 
-/// A queued job's payload (policy-visible fields live in its
-/// [`QueueView`] inside the [`IndexedQueue`]).
-struct Pending {
+/// A queued job's payload. Its policy-visible fields travel beside it as
+/// a [`QueueView`].
+pub(crate) struct Pending {
     at: SimTime,
-    job: SortJob,
+    pub(crate) job: SortJob,
 }
 
 /// A job holding a gang lease.
-struct Running<K: SortKey> {
+pub(crate) struct Running<K: SortKey> {
     seq: u64,
     tenant: TenantId,
     keys: u64,
     algorithm: &'static str,
-    gang: Vec<usize>,
+    pub(crate) gang: Vec<usize>,
     submitted: SimTime,
     started: SimTime,
     deadline: Option<SimTime>,
-    cost: SimDuration,
+    pub(crate) cost: SimDuration,
     input: Vec<K>,
-    driver: Box<dyn SortDriver<K>>,
-    /// Ops of the current phase still outstanding at registration time
-    /// (kept for frontier collection; completed entries are skipped there).
-    wait: Vec<OpId>,
-    /// How many of `wait` have not yet completed. Maintained by
-    /// op-completion wakeups; the job is steppable at zero.
-    outstanding: usize,
+    pub(crate) driver: Box<dyn SortDriver<K>>,
+    /// Ops of the current phase the job is waiting on.
+    pub(crate) wait: Vec<OpId>,
     /// Per-job trace track (dummy when the recorder is disabled).
     track: TrackId,
 }
@@ -262,9 +261,96 @@ struct TenantEntry {
     credit: f64,
 }
 
-/// A multi-tenant sort service over one platform and one simulated clock.
-pub struct SortService<'p, K: SortKey> {
-    sys: GpuSystem<'p, K>,
+/// Per-slot lease state of the fleet, one entry per fleet GPU in
+/// ascending GPU order.
+pub(crate) struct Fleet {
+    pub(crate) gpus: Vec<usize>,
+    pub(crate) leased: Vec<bool>,
+    /// Which slots the service currently holds (always all-true under
+    /// [`FleetPolicy::Fixed`]).
+    pub(crate) active: Vec<bool>,
+    /// When each slot last became idle (lease released or slot activated).
+    idle_since: Vec<SimTime>,
+}
+
+impl Fleet {
+    /// Collect the free (active, unleased) GPUs into `out`.
+    pub(crate) fn collect_free(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.gpus
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| self.active[i] && !self.leased[i])
+                .map(|(_, &gpu)| gpu),
+        );
+    }
+}
+
+/// The counts the elastic fleet policy steers by.
+pub(crate) struct Tallies {
+    /// #active slots.
+    pub(crate) active: usize,
+    /// #leased slots (leased slots are always active).
+    pub(crate) leased: usize,
+    /// Σ gang size over pending jobs.
+    pub(crate) queued_gpus: usize,
+}
+
+/// What [`Service`] asks of its bookkeeping: the pending queue, the
+/// admission backlog, the fleet tallies and the running set. Every
+/// decision stays in the loop; an implementation only chooses how the
+/// answers are stored. The trait is crate-private, which seals it: the
+/// two implementations in this crate are the only ones there can be.
+pub(crate) trait Bookkeeping<K: SortKey>: Sized {
+    /// Names one queued job between [`Self::head`] and
+    /// [`Self::dequeue`]; stale after any other queue mutation.
+    type Ticket: Copy;
+
+    /// Empty bookkeeping for a fleet with `active` slots held.
+    fn new(policy: QueuePolicy, sys: &mut GpuSystem<'_, K>, active: usize) -> Self;
+
+    /// Number of pending jobs.
+    fn queue_len(&self) -> usize;
+    fn enqueue(&mut self, view: QueueView, pending: Pending);
+    /// The job the queue policy dispatches next. `credit(t)` is tenant
+    /// `t`'s charged work ÷ weight.
+    fn head(&mut self, credit: &dyn Fn(TenantId) -> f64) -> Option<(Self::Ticket, &Pending)>;
+    fn dequeue(&mut self, ticket: Self::Ticket) -> (QueueView, Pending);
+    /// `tenant` was charged for a dispatch; its credit is now `credit`.
+    fn charged(&mut self, _tenant: TenantId, _credit: f64) {}
+
+    /// [`crate::estimate_queue_wait`] over every pending and running
+    /// job.
+    fn queue_wait(&self, fleet_gpus: usize) -> SimDuration;
+
+    fn tallies(&self, fleet: &Fleet) -> Tallies;
+    /// Collect the free GPUs into `out`; `false` if there are fewer
+    /// than `need` (`out` is then unspecified).
+    fn free_gpus(&self, fleet: &Fleet, need: usize, out: &mut Vec<usize>) -> bool;
+    /// The active set was resized to `active` slots.
+    fn set_active(&mut self, _active: usize) {}
+    /// `gpus` slots were just leased (or released).
+    fn leases_changed(&mut self, _gpus: usize, _leased: bool) {}
+
+    /// Running jobs in dispatch order.
+    fn running(&self) -> impl Iterator<Item = &Running<K>>;
+    /// Add a freshly dispatched job and step it once.
+    fn start(svc: &mut Service<'_, K, Self>, job: Running<K>);
+    /// Step every running job whose wait set has drained, in dispatch
+    /// order, handing finished ones to [`Service::finish`] as they
+    /// finish. Returns `true` if any job advanced.
+    fn step_ready(svc: &mut Service<'_, K, Self>) -> bool;
+    /// The clock advanced: take note of the ops that completed.
+    fn absorb_completions(&mut self, _sys: &mut GpuSystem<'_, K>) {}
+}
+
+/// The serve loop: a multi-tenant sort service over one platform and one
+/// simulated clock, generic over its bookkeeping `B`. Use it through
+/// [`SortService`] (or [`crate::ReferenceService`], the test oracle).
+pub struct Service<'p, K: SortKey, B> {
+    pub(crate) sys: GpuSystem<'p, K>,
+    pub(crate) book: B,
     recorder: Recorder,
     policy: QueuePolicy,
     placement: PlacementPolicy,
@@ -272,43 +358,12 @@ pub struct SortService<'p, K: SortKey> {
     fleet_policy: FleetPolicy,
     fidelity: Fidelity,
     max_queue_depth: usize,
-    fleet: Vec<usize>,
-    leased: Vec<bool>,
-    /// Which fleet slots the service currently holds (always all-true
-    /// under [`FleetPolicy::Fixed`]).
-    active: Vec<bool>,
-    /// When each slot last became idle (lease released or slot activated).
-    idle_since: Vec<SimTime>,
-    /// #(active ∧ ¬leased) — maintained so queued-heavy dispatch attempts
-    /// bail in O(1) instead of re-collecting the free set.
-    free_count: usize,
-    /// #active, maintained alongside `active`.
-    active_count: usize,
-    /// #leased, maintained alongside `leased`.
-    leased_count: usize,
+    fleet: Fleet,
     /// Reused buffer for the free-GPU list handed to placement.
     free_scratch: Vec<usize>,
     rr_cursor: usize,
     tenants: Vec<TenantEntry>,
     tenant_slos: Vec<(TenantId, SimDuration)>,
-    /// The indexed pending queue: O(log n) pick under every policy.
-    queue: IndexedQueue<Pending>,
-    /// Σ gang size over pending jobs (the elastic fleet-target demand).
-    queued_gpus: usize,
-    /// Σ estimated cost × gang size over pending **and** running jobs, in
-    /// gang-nanoseconds — the O(1) backlog feed for SLO admission.
-    backlog_gang_ns: u128,
-    /// Running jobs keyed by dispatch order, so iteration (frontier
-    /// collection, ready stepping) follows the same order the linear
-    /// running-list scan visited them in.
-    running: BTreeMap<u64, Running<K>>,
-    next_run_key: u64,
-    /// In-flight wait op → the dispatch key of the job waiting on it.
-    op_waiters: HashMap<OpId, u64>,
-    /// Jobs whose wait set has fully drained, in dispatch order.
-    ready: BTreeSet<u64>,
-    /// Drain scratch for the op-completion log.
-    completions: Vec<OpId>,
     /// Pooled input-generation buffers (see [`SCRATCH_POOL_CAP`]).
     scratch: Vec<Vec<K>>,
     next_seq: u64,
@@ -320,7 +375,13 @@ pub struct SortService<'p, K: SortKey> {
     fleet_track: TrackId,
 }
 
-impl<'p, K: SortKey> SortService<'p, K> {
+/// The service: [`Service`] over the [`Indexed`] bookkeeping.
+pub type SortService<'p, K> = Service<'p, K, Indexed<K>>;
+
+// The private bound is the point: it seals `B` to this crate's two
+// bookkeepings while `new` and `serve` stay callable from outside.
+#[allow(private_bounds)]
+impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
     /// Create a service over `platform`.
     ///
     /// # Panics
@@ -331,18 +392,16 @@ impl<'p, K: SortKey> SortService<'p, K> {
         let mut sys = config.run.build_system(platform);
         // The serve loop never reads per-op history, so completed ops are
         // reclaimed as the clock drains them (memory stays at the live
-        // window over a million-job run), and op completions are logged so
-        // job wakeups are O(completions) instead of a wait-list rescan.
+        // window over a million-job run).
         sys.set_op_reclaim(true);
-        sys.set_completion_log(true);
-        let mut fleet = config
+        let mut gpus = config
             .fleet
             .unwrap_or_else(|| (0..platform.topology.gpu_count()).collect());
-        fleet.sort_unstable();
-        let before = fleet.len();
-        fleet.dedup();
-        assert_eq!(before, fleet.len(), "fleet must not repeat GPUs");
-        for &g in &fleet {
+        gpus.sort_unstable();
+        let before = gpus.len();
+        gpus.dedup();
+        assert_eq!(before, gpus.len(), "fleet must not repeat GPUs");
+        for &g in &gpus {
             assert!(
                 g < platform.topology.gpu_count(),
                 "fleet GPU {g} does not exist on {}",
@@ -362,17 +421,16 @@ impl<'p, K: SortKey> SortService<'p, K> {
         let mut tenant_slos = config.tenant_slos;
         tenant_slos.sort_by_key(|&(t, _)| t);
         let active = match config.fleet_policy {
-            FleetPolicy::Fixed => vec![true; fleet.len()],
+            FleetPolicy::Fixed => vec![true; gpus.len()],
             FleetPolicy::Elastic { min_gpus, .. } => {
                 assert!(
-                    min_gpus <= fleet.len(),
+                    min_gpus <= gpus.len(),
                     "elastic min_gpus {min_gpus} exceeds the {}-GPU fleet",
-                    fleet.len()
+                    gpus.len()
                 );
-                (0..fleet.len()).map(|i| i < min_gpus).collect()
+                (0..gpus.len()).map(|i| i < min_gpus).collect()
             }
         };
-        let leased = vec![false; fleet.len()];
         let recorder = config.run.recorder;
         let (admission_track, fleet_track) = if recorder.is_enabled() {
             (
@@ -384,6 +442,7 @@ impl<'p, K: SortKey> SortService<'p, K> {
         };
         let initial = active.iter().filter(|&&a| a).count();
         Self {
+            book: B::new(config.policy, &mut sys, initial),
             sys,
             recorder,
             policy: config.policy,
@@ -392,25 +451,16 @@ impl<'p, K: SortKey> SortService<'p, K> {
             fleet_policy: config.fleet_policy,
             fidelity: config.run.fidelity,
             max_queue_depth: config.max_queue_depth,
-            idle_since: vec![SimTime::ZERO; fleet.len()],
-            fleet,
-            leased,
-            active,
-            free_count: initial,
-            active_count: initial,
-            leased_count: 0,
+            fleet: Fleet {
+                idle_since: vec![SimTime::ZERO; gpus.len()],
+                leased: vec![false; gpus.len()],
+                active,
+                gpus,
+            },
             free_scratch: Vec::new(),
             rr_cursor: 0,
             tenants,
             tenant_slos,
-            queue: IndexedQueue::new(config.policy),
-            queued_gpus: 0,
-            backlog_gang_ns: 0,
-            running: BTreeMap::new(),
-            next_run_key: 0,
-            op_waiters: HashMap::new(),
-            ready: BTreeSet::new(),
-            completions: Vec::new(),
             scratch: Vec::new(),
             next_seq: 0,
             outcomes: Vec::new(),
@@ -447,12 +497,16 @@ impl<'p, K: SortKey> SortService<'p, K> {
             loop {
                 let resized = self.elastic_adjust();
                 let dispatched = self.try_dispatch();
-                let stepped = self.step_ready();
+                let stepped = B::step_ready(&mut self);
                 if !resized && !dispatched && !stepped {
                     break;
                 }
             }
-            if self.running.is_empty() && self.queue.is_empty() && next.is_none() {
+            if cfg!(debug_assertions) {
+                self.check_conservation();
+            }
+            if self.book.running().next().is_none() && self.book.queue_len() == 0 && next.is_none()
+            {
                 break;
             }
             // The running set is bounded by the fleet (gang leases are
@@ -460,8 +514,8 @@ impl<'p, K: SortKey> SortService<'p, K> {
             // not O(offered jobs). Completed waits must be filtered here:
             // `run_until` returns immediately on an already-done op.
             let frontier: Vec<OpId> = self
-                .running
-                .values()
+                .book
+                .running()
                 .flat_map(|r| r.wait.iter().copied())
                 .filter(|&o| !self.sys.op_done(o))
                 .collect();
@@ -472,27 +526,46 @@ impl<'p, K: SortKey> SortService<'p, K> {
             assert!(
                 !frontier.is_empty() || deadline.is_some(),
                 "sort service stalled: {} queued jobs but nothing runnable",
-                self.queue.len()
+                self.book.queue_len()
             );
             self.sys.run_until(&frontier, deadline);
-            self.absorb_completions();
+            self.book.absorb_completions(&mut self.sys);
         }
+        debug_assert!(
+            {
+                let t = self.book.tallies(&self.fleet);
+                t.queued_gpus == 0 && t.leased == 0 && !self.fleet.leased.contains(&true)
+            },
+            "gangs still queued or slots still leased"
+        );
+        debug_assert_eq!(
+            self.book.queue_wait(1),
+            SimDuration::ZERO,
+            "backlog gang-ns left behind"
+        );
         self.into_report()
     }
 
-    /// Route every op completion recorded since the last clock advance to
-    /// the job waiting on it; jobs whose wait set drained become ready.
-    fn absorb_completions(&mut self) {
-        self.sys.drain_completions(&mut self.completions);
-        for op in self.completions.drain(..) {
-            if let Some(key) = self.op_waiters.remove(&op) {
-                let r = self.running.get_mut(&key).expect("waiter is running");
-                r.outstanding -= 1;
-                if r.outstanding == 0 {
-                    self.ready.insert(key);
-                }
-            }
-        }
+    /// Job and GPU conservation, checked at every fixpoint of the loop in
+    /// debug builds: every offered job is in exactly one place, and the
+    /// tallies agree with the lease flags and the running set.
+    fn check_conservation(&self) {
+        let running = self.book.running().count();
+        assert_eq!(
+            self.next_seq as usize,
+            self.outcomes.len() + self.rejected.len() + self.book.queue_len() + running,
+            "offered = completed + rejected + queued + running"
+        );
+        let t = self.book.tallies(&self.fleet);
+        assert!(
+            t.leased <= t.active && t.active <= self.fleet.gpus.len(),
+            "leased {} <= active {} <= fleet {}",
+            t.leased,
+            t.active,
+            self.fleet.gpus.len()
+        );
+        let gangs: usize = self.book.running().map(|r| r.gang.len()).sum();
+        assert_eq!(t.leased, gangs, "leased slots = running gangs");
     }
 
     fn tenant_index(&mut self, id: TenantId) -> usize {
@@ -532,10 +605,10 @@ impl<'p, K: SortKey> SortService<'p, K> {
         if g == 0 {
             return Some("zero GPUs".into());
         }
-        if g > self.fleet.len() {
+        if g > self.fleet.gpus.len() {
             return Some(format!(
                 "gang of {g} exceeds the {}-GPU fleet",
-                self.fleet.len()
+                self.fleet.gpus.len()
             ));
         }
         if job.algo == JobAlgo::P2p && !g.is_power_of_two() {
@@ -550,6 +623,7 @@ impl<'p, K: SortKey> SortService<'p, K> {
         let need = device_footprint_keys(job, scale) * K::DATA_TYPE.key_bytes();
         let min_mem = self
             .fleet
+            .gpus
             .iter()
             .map(|&i| self.sys.platform().topology.gpu_memory_bytes(i))
             .min()
@@ -597,7 +671,7 @@ impl<'p, K: SortKey> SortService<'p, K> {
             self.reject(seq, job.tenant, at, RejectReason::Infeasible(why));
             return;
         }
-        if self.queue.len() >= self.max_queue_depth {
+        if self.book.queue_len() >= self.max_queue_depth {
             self.reject(seq, job.tenant, at, RejectReason::QueueFull);
             return;
         }
@@ -622,10 +696,8 @@ impl<'p, K: SortKey> SortService<'p, K> {
                 // over the *maximum* fleet (an elastic fleet scales up
                 // before the backlog drains, so admission assumes it
                 // will). Optimism sheds conservatively: a shed job truly
-                // had no chance. The backlog total is the incrementally
-                // maintained gang-ns counter — O(1), bit-identical to a
-                // fresh sum (exact integer arithmetic).
-                let wait = estimate_queue_wait_ns(self.backlog_gang_ns, self.fleet.len());
+                // had no chance.
+                let wait = self.book.queue_wait(self.fleet.gpus.len());
                 if self.sys.now() + wait + cost > deadline {
                     self.reject(
                         seq,
@@ -639,8 +711,6 @@ impl<'p, K: SortKey> SortService<'p, K> {
                 }
             }
         }
-        self.backlog_gang_ns += u128::from(cost.0) * job.gpus as u128;
-        self.queued_gpus += job.gpus;
         let view = QueueView {
             seq,
             tenant: job.tenant,
@@ -648,15 +718,15 @@ impl<'p, K: SortKey> SortService<'p, K> {
             interactive: job.deadline == DeadlineClass::Interactive,
             deadline,
         };
-        self.queue.push(view, Pending { at, job });
-        push_step(&mut self.queue_depth, self.sys.now(), self.queue.len());
+        self.book.enqueue(view, Pending { at, job });
+        push_step(&mut self.queue_depth, self.sys.now(), self.book.queue_len());
     }
 
     /// Demand-driven active-set target for an elastic fleet: enough GPUs
     /// for every leased gang plus every queued gang, clamped to
-    /// `[min_gpus, fleet]`. Both terms are maintained counters.
-    fn fleet_target(&self, min_gpus: usize) -> usize {
-        (self.leased_count + self.queued_gpus).clamp(min_gpus, self.fleet.len())
+    /// `[min_gpus, fleet]`.
+    fn fleet_target(&self, t: &Tallies, min_gpus: usize) -> usize {
+        (t.leased + t.queued_gpus).clamp(min_gpus, self.fleet.gpus.len())
     }
 
     /// One elastic resize pass. Returns `true` if the active set changed.
@@ -669,38 +739,38 @@ impl<'p, K: SortKey> SortService<'p, K> {
             return false;
         };
         let now = self.sys.now();
-        let target = self.fleet_target(min_gpus);
-        let before = self.active_count;
+        let t = self.book.tallies(&self.fleet);
+        let target = self.fleet_target(&t, min_gpus);
+        let fleet = &mut self.fleet;
+        let mut count = t.active;
         // Scale up immediately — a burst must not queue behind a timer.
         // Lowest slot first, mirrored by highest-first release below, so
         // the fleet grows and shrinks from opposite ends deterministically.
-        for i in 0..self.active.len() {
-            if self.active_count >= target {
+        for i in 0..fleet.active.len() {
+            if count >= target {
                 break;
             }
-            if !self.active[i] {
-                self.active[i] = true;
-                self.idle_since[i] = now;
-                self.active_count += 1;
-                // An inactive slot is never leased, so it goes straight to
-                // the free pool.
-                self.free_count += 1;
+            if !fleet.active[i] {
+                fleet.active[i] = true;
+                fleet.idle_since[i] = now;
+                count += 1;
             }
         }
-        for i in (0..self.active.len()).rev() {
-            if self.active_count <= target {
+        for i in (0..fleet.active.len()).rev() {
+            if count <= target {
                 break;
             }
-            if self.active[i] && !self.leased[i] && now.since(self.idle_since[i]) >= idle_release {
-                self.active[i] = false;
-                self.active_count -= 1;
-                self.free_count -= 1;
+            if fleet.active[i] && !fleet.leased[i] && now.since(fleet.idle_since[i]) >= idle_release
+            {
+                fleet.active[i] = false;
+                count -= 1;
             }
         }
-        if self.active_count == before {
+        if count == t.active {
             return false;
         }
-        push_step(&mut self.fleet_log, now, self.active_count);
+        self.book.set_active(count);
+        push_step(&mut self.fleet_log, now, count);
         true
     }
 
@@ -715,12 +785,14 @@ impl<'p, K: SortKey> SortService<'p, K> {
         else {
             return None;
         };
-        if self.active_count <= self.fleet_target(min_gpus) {
+        let t = self.book.tallies(&self.fleet);
+        if t.active <= self.fleet_target(&t, min_gpus) {
             return None;
         }
-        (0..self.fleet.len())
-            .filter(|&i| self.active[i] && !self.leased[i])
-            .map(|i| self.idle_since[i] + idle_release)
+        let fleet = &self.fleet;
+        (0..fleet.gpus.len())
+            .filter(|&i| fleet.active[i] && !fleet.leased[i])
+            .map(|i| fleet.idle_since[i] + idle_release)
             .min()
     }
 
@@ -729,60 +801,52 @@ impl<'p, K: SortKey> SortService<'p, K> {
         for &g in gang {
             let i = self
                 .fleet
+                .gpus
                 .binary_search(&g)
                 .expect("gang GPUs come from the fleet");
-            debug_assert_ne!(self.leased[i], leased, "lease transitions are exact");
-            self.leased[i] = leased;
-            // Leased slots are always active, so every lease transition
-            // moves the slot in or out of the free pool.
-            if leased {
-                self.leased_count += 1;
-                self.free_count -= 1;
-            } else {
-                self.leased_count -= 1;
-                self.free_count += 1;
-                self.idle_since[i] = now;
+            debug_assert_ne!(self.fleet.leased[i], leased, "lease transitions are exact");
+            self.fleet.leased[i] = leased;
+            if !leased {
+                self.fleet.idle_since[i] = now;
             }
         }
+        self.book.leases_changed(gang.len(), leased);
     }
 
     /// Dispatch head-of-line jobs while the policy's next pick is
     /// placeable. Returns `true` if anything was dispatched.
-    ///
-    /// The pick is one indexed lookup; when the maintained free count
-    /// can't cover the gang (the overload steady state) the attempt costs
-    /// O(log n) total, with no queue rebuild and no free-set re-collect.
     fn try_dispatch(&mut self) -> bool {
         let mut any = false;
-        while let Some(seq) = self.queue.pick() {
-            let (_, pending) = self.queue.get(seq).expect("picked entry is live");
-            let g = pending.job.gpus;
-            if self.free_count < g {
+        loop {
+            let tenants = &self.tenants;
+            let credit = |t: TenantId| -> f64 {
+                tenants
+                    .binary_search_by_key(&t, |e| e.id)
+                    .map_or(0.0, |i| tenants[i].credit)
+            };
+            let Some((ticket, pending)) = self.book.head(&credit) else {
                 break;
-            }
+            };
+            let g = pending.job.gpus;
+            let need = device_footprint_keys(&pending.job, self.fidelity.scale())
+                * K::DATA_TYPE.key_bytes();
             let mut free = std::mem::take(&mut self.free_scratch);
-            free.clear();
-            free.extend(
-                self.fleet
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| self.active[i] && !self.leased[i])
-                    .map(|(_, &gpu)| gpu),
-            );
             let mut cursor = self.rr_cursor;
-            let placed = self.placement.place(
-                self.sys.platform(),
-                self.sys.constraint_table(),
-                &free,
-                g,
-                &mut cursor,
-            );
+            let placed = if self.book.free_gpus(&self.fleet, g, &mut free) {
+                self.placement.place(
+                    self.sys.platform(),
+                    self.sys.constraint_table(),
+                    &free,
+                    g,
+                    &mut cursor,
+                )
+            } else {
+                None
+            };
             self.free_scratch = free;
             let Some(gang) = placed else {
                 break;
             };
-            let need = device_footprint_keys(&pending.job, self.fidelity.scale())
-                * K::DATA_TYPE.key_bytes();
             if gang
                 .iter()
                 .any(|&d| self.sys.world().gpu_free_bytes(d) < need)
@@ -790,16 +854,15 @@ impl<'p, K: SortKey> SortService<'p, K> {
                 break;
             }
             self.rr_cursor = cursor;
-            let (view, pending) = self.queue.remove(seq).expect("picked entry is live");
-            self.queued_gpus -= g;
-            push_step(&mut self.queue_depth, self.sys.now(), self.queue.len());
+            let (view, pending) = self.book.dequeue(ticket);
+            push_step(&mut self.queue_depth, self.sys.now(), self.book.queue_len());
             let ti = self.tenant_index(view.tenant);
             self.tenants[ti].credit += view.cost.as_secs_f64() / self.tenants[ti].weight;
-            // Mirror the charge into the queue's ordered credit index —
-            // the tenant table stays authoritative, the index follows it.
+            // The tenant table stays authoritative; bookkeeping that keeps
+            // its own credit order follows it.
             let credit = self.tenants[ti].credit;
-            self.queue.set_credit(view.tenant, credit);
-            self.dispatch(seq, pending.at, pending.job, view.cost, view.deadline, gang);
+            self.book.charged(view.tenant, credit);
+            self.dispatch(view, pending, gang);
             any = true;
         }
         any
@@ -807,15 +870,9 @@ impl<'p, K: SortKey> SortService<'p, K> {
 
     /// Lease `gang` to `job`, build its driver, and enqueue its first
     /// phase.
-    fn dispatch(
-        &mut self,
-        seq: u64,
-        at: SimTime,
-        job: SortJob,
-        cost: SimDuration,
-        deadline: Option<SimTime>,
-        gang: Vec<usize>,
-    ) {
+    fn dispatch(&mut self, view: QueueView, pending: Pending, gang: Vec<usize>) {
+        let seq = view.seq;
+        let Pending { at, job } = pending;
         let scale = self.fidelity.scale();
         let phys = (job.keys / scale) as usize;
         // Inputs are generated into pooled buffers: the driver consumes
@@ -859,88 +916,23 @@ impl<'p, K: SortKey> SortService<'p, K> {
             gang,
             submitted: at,
             started,
-            deadline,
-            cost,
+            deadline: view.deadline,
+            cost: view.cost,
             input,
             driver,
             wait: Vec::new(),
-            outstanding: 0,
             track,
         };
-        let key = self.next_run_key;
-        self.next_run_key += 1;
-        self.running.insert(key, running);
-        self.step_one(key);
-    }
-
-    /// Step one running job and route the result: register its next wait
-    /// set, or finish it.
-    fn step_one(&mut self, key: u64) {
-        let step = self
-            .running
-            .get_mut(&key)
-            .expect("stepping a live job")
-            .driver
-            .step(&mut self.sys);
-        match step {
-            DriverStep::Wait(ops) => self.register_waits(key, ops),
-            DriverStep::Done => {
-                let r = self.running.remove(&key).expect("finishing a live job");
-                self.finish(r);
-            }
-        }
-    }
-
-    /// Record a job's next wait set. Ops already complete don't count; a
-    /// job whose whole set is already complete goes straight back on the
-    /// ready list (it is stepped again on the *next* pass, exactly when
-    /// the linear scan's next `retain` sweep would have caught it).
-    fn register_waits(&mut self, key: u64, ops: Vec<OpId>) {
-        let mut wait = std::mem::take(&mut self.running.get_mut(&key).expect("live job").wait);
-        wait.clear();
-        for op in ops {
-            if self.sys.op_done(op) {
-                continue;
-            }
-            self.op_waiters.insert(op, key);
-            wait.push(op);
-        }
-        let outstanding = wait.len();
-        let r = self.running.get_mut(&key).expect("live job");
-        r.wait = wait;
-        r.outstanding = outstanding;
-        if outstanding == 0 {
-            self.ready.insert(key);
-        }
-    }
-
-    /// Step every job whose wait set has drained, in dispatch order —
-    /// driven by op-completion wakeups, not a wait-list rescan. Returns
-    /// `true` if any job advanced (or finished).
-    fn step_ready(&mut self) -> bool {
-        if self.ready.is_empty() {
-            return false;
-        }
-        // One batch per pass: a job that re-arms into an already-complete
-        // wait set lands back in `ready` for the next pass, mirroring the
-        // reference's one-sweep-per-call semantics.
-        let batch = std::mem::take(&mut self.ready);
-        for key in batch {
-            self.step_one(key);
-        }
-        true
+        B::start(self, running);
     }
 
     /// Validate, release, and record a completed job.
-    fn finish(&mut self, mut r: Running<K>) {
+    pub(crate) fn finish(&mut self, mut r: Running<K>) {
         let output = r.driver.take_output();
         let validated =
             r.driver.validated() && is_sorted(&output) && same_multiset(&r.input, &output);
         r.driver.release(&mut self.sys);
         self.set_leased(&r.gang, false);
-        // The job's gang-seconds leave the backlog the moment it retires —
-        // the same exact-integer quantum `submit` added.
-        self.backlog_gang_ns -= u128::from(r.cost.0) * r.gang.len() as u128;
         if self.recorder.is_enabled() {
             let end = self.sys.now();
             // "job" (submitted → finished) encloses "queued" and
@@ -1002,6 +994,200 @@ impl<'p, K: SortKey> SortService<'p, K> {
             fleet_size: self.fleet_log,
             makespan,
             weights: self.tenants.iter().map(|t| (t.id, t.weight)).collect(),
+        }
+    }
+}
+
+/// A running job plus how many of its `wait` ops have not yet completed.
+/// Maintained by op-completion wakeups; the job is steppable at zero.
+struct Armed<K: SortKey> {
+    job: Running<K>,
+    outstanding: usize,
+}
+
+/// Incrementally maintained bookkeeping: every question [`Service`] asks
+/// is answered from an index or a counter.
+pub struct Indexed<K: SortKey> {
+    /// The indexed pending queue: O(log n) pick under every policy.
+    queue: IndexedQueue<Pending>,
+    /// Σ gang size over pending jobs (the elastic fleet-target demand).
+    queued_gpus: usize,
+    /// Σ estimated cost × gang size over pending **and** running jobs, in
+    /// gang-nanoseconds: added at enqueue, subtracted when the job leaves
+    /// the running set — exact integers, so bit-identical to a fresh sum.
+    backlog_gang_ns: u128,
+    active_count: usize,
+    leased_count: usize,
+    /// Running jobs keyed by dispatch order, so iteration (frontier
+    /// collection, ready stepping) visits them in the order a list scan
+    /// would.
+    running: BTreeMap<u64, Armed<K>>,
+    next_run_key: u64,
+    /// In-flight wait op → the dispatch key of the job waiting on it.
+    op_waiters: HashMap<OpId, u64>,
+    /// Jobs whose wait set has fully drained, in dispatch order.
+    ready: BTreeSet<u64>,
+    /// Drain scratch for the op-completion log.
+    completions: Vec<OpId>,
+}
+
+impl<K: SortKey> Bookkeeping<K> for Indexed<K> {
+    type Ticket = u64;
+
+    fn new(policy: QueuePolicy, sys: &mut GpuSystem<'_, K>, active: usize) -> Self {
+        // Op completions are logged so job wakeups are O(completions)
+        // instead of a wait-list rescan.
+        sys.set_completion_log(true);
+        Self {
+            queue: IndexedQueue::new(policy),
+            queued_gpus: 0,
+            backlog_gang_ns: 0,
+            active_count: active,
+            leased_count: 0,
+            running: BTreeMap::new(),
+            next_run_key: 0,
+            op_waiters: HashMap::new(),
+            ready: BTreeSet::new(),
+            completions: Vec::new(),
+        }
+    }
+
+    fn queue_len(&self) -> usize {
+        self.queue.len()
+    }
+
+    fn enqueue(&mut self, view: QueueView, pending: Pending) {
+        self.backlog_gang_ns += u128::from(view.cost.0) * pending.job.gpus as u128;
+        self.queued_gpus += pending.job.gpus;
+        self.queue.push(view, pending);
+    }
+
+    fn head(&mut self, _credit: &dyn Fn(TenantId) -> f64) -> Option<(u64, &Pending)> {
+        let seq = self.queue.pick()?;
+        let (_, pending) = self.queue.get(seq).expect("picked entry is live");
+        Some((seq, pending))
+    }
+
+    fn dequeue(&mut self, seq: u64) -> (QueueView, Pending) {
+        let (view, pending) = self.queue.remove(seq).expect("picked entry is live");
+        self.queued_gpus -= pending.job.gpus;
+        (view, pending)
+    }
+
+    fn charged(&mut self, tenant: TenantId, credit: f64) {
+        self.queue.set_credit(tenant, credit);
+    }
+
+    fn queue_wait(&self, fleet_gpus: usize) -> SimDuration {
+        estimate_queue_wait_ns(self.backlog_gang_ns, fleet_gpus)
+    }
+
+    fn tallies(&self, _fleet: &Fleet) -> Tallies {
+        Tallies {
+            active: self.active_count,
+            leased: self.leased_count,
+            queued_gpus: self.queued_gpus,
+        }
+    }
+
+    /// When the counts can't cover the gang (the overload steady state)
+    /// the attempt bails in O(1), without collecting the free set.
+    fn free_gpus(&self, fleet: &Fleet, need: usize, out: &mut Vec<usize>) -> bool {
+        if self.active_count - self.leased_count < need {
+            return false;
+        }
+        fleet.collect_free(out);
+        true
+    }
+
+    fn set_active(&mut self, active: usize) {
+        self.active_count = active;
+    }
+
+    fn leases_changed(&mut self, gpus: usize, leased: bool) {
+        if leased {
+            self.leased_count += gpus;
+        } else {
+            self.leased_count -= gpus;
+        }
+    }
+
+    fn running(&self) -> impl Iterator<Item = &Running<K>> {
+        self.running.values().map(|a| &a.job)
+    }
+
+    fn start(svc: &mut SortService<'_, K>, job: Running<K>) {
+        let key = svc.book.next_run_key;
+        svc.book.next_run_key += 1;
+        svc.book.running.insert(
+            key,
+            Armed {
+                job,
+                outstanding: 0,
+            },
+        );
+        Self::step_one(svc, key);
+    }
+
+    /// Driven by op-completion wakeups, not a wait-list rescan.
+    fn step_ready(svc: &mut SortService<'_, K>) -> bool {
+        if svc.book.ready.is_empty() {
+            return false;
+        }
+        // One batch per pass: a job that re-arms into an already-complete
+        // wait set lands back in `ready` for the next pass, exactly when a
+        // one-sweep-per-call rescan would catch it.
+        let batch = std::mem::take(&mut svc.book.ready);
+        for key in batch {
+            Self::step_one(svc, key);
+        }
+        true
+    }
+
+    /// Route every op completion recorded since the last clock advance to
+    /// the job waiting on it; jobs whose wait set drained become ready.
+    fn absorb_completions(&mut self, sys: &mut GpuSystem<'_, K>) {
+        sys.drain_completions(&mut self.completions);
+        for op in self.completions.drain(..) {
+            if let Some(key) = self.op_waiters.remove(&op) {
+                let a = self.running.get_mut(&key).expect("waiter is running");
+                a.outstanding -= 1;
+                if a.outstanding == 0 {
+                    self.ready.insert(key);
+                }
+            }
+        }
+    }
+}
+
+impl<K: SortKey> Indexed<K> {
+    /// Step one running job and route the result: register its next wait
+    /// set, or finish it.
+    fn step_one(svc: &mut SortService<'_, K>, key: u64) {
+        let book = &mut svc.book;
+        let armed = book.running.get_mut(&key).expect("stepping a live job");
+        match armed.job.driver.step(&mut svc.sys) {
+            DriverStep::Wait(ops) => {
+                // Ops already complete don't count; a job whose whole set
+                // is already complete goes straight back on the ready list.
+                armed.job.wait.clear();
+                for op in ops {
+                    if svc.sys.op_done(op) {
+                        continue;
+                    }
+                    book.op_waiters.insert(op, key);
+                    armed.job.wait.push(op);
+                }
+                armed.outstanding = armed.job.wait.len();
+                if armed.outstanding == 0 {
+                    book.ready.insert(key);
+                }
+            }
+            DriverStep::Done => {
+                let r = book.running.remove(&key).expect("finishing a live job").job;
+                book.backlog_gang_ns -= u128::from(r.cost.0) * r.gang.len() as u128;
+                svc.finish(r);
+            }
         }
     }
 }

@@ -82,6 +82,62 @@ fn open_loop_serve_bit_identical_across_replays_and_effect_threads() {
     }
 }
 
+/// The elastic-fleet claim (the workload, seed and configs of
+/// `benches/serve_load.rs::bench_elastic_vs_fixed`, which prints and
+/// records the numbers): on bursty MMPP arrivals, leasing GPUs elastically
+/// beats a fixed fleet of the same (rounded) mean size on p99 latency
+/// while spending no more GPU-time.
+#[test]
+fn elastic_fleet_beats_a_fixed_fleet_of_its_mean_size_on_bursts() {
+    let dgx = Platform::dgx_a100();
+    let bursty = || {
+        let mix = JobMix::of(
+            SortJob::new(TenantId(0), 1 << 16)
+                .with_algo(JobAlgo::Het)
+                .interactive(),
+        )
+        .and(SortJob::new(TenantId(1), 1 << 18).with_gpus(2), 0.75)
+        .and(SortJob::new(TenantId(2), 1 << 16).with_gpus(2), 0.5);
+        OpenLoop::new(
+            ArrivalProcess::Bursty {
+                base_rate: 300.0,
+                burst_rate: 15_000.0,
+                mean_calm: SimDuration::from_millis(4),
+                mean_burst: SimDuration::from_millis(2),
+            },
+            mix,
+            96,
+            0xB0B,
+        )
+    };
+    let base = || {
+        ServeConfig::new()
+            .sampled(SCALE)
+            .with_policy(QueuePolicy::Edf)
+            .with_admission(AdmissionPolicy::SloAware)
+            .with_slo(TenantId(0), SimDuration::from_micros(150))
+    };
+    let elastic = SortService::<u32>::new(&dgx, base().elastic(2, SimDuration::from_millis(1)))
+        .serve(bursty());
+    // As many fixed GPUs as the elastic run leased on average (rounded;
+    // never below the largest gang in the mix).
+    let gpus = (elastic.mean_fleet_size().round() as usize).max(2);
+    let fixed =
+        SortService::<u32>::new(&dgx, base().with_fleet((0..gpus).collect())).serve(bursty());
+    assert!(elastic.all_validated() && fixed.all_validated());
+    assert!(
+        elastic.mean_fleet_size() <= gpus as f64 + 0.05,
+        "elastic must not spend more GPU-time than the fixed-{gpus} fleet (mean {:.2})",
+        elastic.mean_fleet_size(),
+    );
+    assert!(
+        elastic.p99_latency() < fixed.p99_latency(),
+        "elastic p99 {} must beat a fixed fleet of its mean size ({gpus} GPUs) at {}",
+        elastic.p99_latency(),
+        fixed.p99_latency(),
+    );
+}
+
 /// Under bursty overload the elastic fleet flexes between its floor and
 /// the burst demand, SLO-aware admission sheds what the backlog could
 /// never finish in time, and the queue-depth cap is never breached.
