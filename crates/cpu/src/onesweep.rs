@@ -30,7 +30,9 @@
 //! in-tile order), and stable LSD radix output is unique — so the sequential
 //! kernel, the parallel kernel, and [`crate::lsb_radix`] all produce
 //! bit-identical outputs for every `MSORT_POOL_THREADS` setting. That is the
-//! property the effect-executor determinism suite pins.
+//! property the effect-executor determinism suite pins. Inputs too small to
+//! amortise the histogram set-up skip the passes for a comparison sort on
+//! the radix image, which yields the same bytes (see `SMALL_SORT_MAX_KEYS`).
 
 use msort_data::keys::{RadixImage, SortKey};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -54,6 +56,32 @@ const TILE: usize = 1 << 15;
 /// to the sequential kernel: a single tile has no scatter overlap to win
 /// and would pay the lookback state setup for nothing.
 const PARALLEL_FLOOR: usize = 2 * TILE;
+
+/// At or below this many keys [`onesweep_sort_with_aux`] (and so the parallel
+/// entry's fallback) sorts by radix image with a comparison sort instead:
+/// the radix passes first allocate and zero `4 × RADIX_BUCKETS` counters
+/// (64 KiB) and prefix-scan three of them, which no small input amortises.
+/// The dispatch depends only on the input size, and both paths produce the
+/// same bytes (`to_radix` is a bijection, so the sorted sequence is unique).
+///
+/// Rule: the largest power of two at which the comparison sort still wins.
+/// Probe numbers from `cargo run -p msort-bench --release --example tune`
+/// on the 2-core CI container (u32 uniform, the comparison sort's worst
+/// case), built with this constant at 1 so the `onesweep` column is the
+/// radix passes at every size:
+///
+/// ```text
+/// n=   64: comparison   0.39 us, onesweep   5.11 us
+/// n=  512: comparison   3.81 us, onesweep   7.75 us
+/// n= 1024: comparison   8.44 us, onesweep  10.50 us
+/// n= 1536: comparison  13.81 us, onesweep  14.25 us
+/// n= 2048: comparison  19.77 us, onesweep  16.56 us
+/// n= 8192: comparison  87.11 us, onesweep  64.41 us
+/// ```
+///
+/// The two tie at 1.5 Ki keys and the radix passes win from 2 Ki up.
+/// `tests/kernel_props.rs` straddles this value by name.
+const SMALL_SORT_MAX_KEYS: usize = 1 << 10;
 
 /// Number of digit passes needed to cover `R::BITS` at [`RADIX_BITS`] per
 /// pass (the last pass covers the remaining high bits).
@@ -83,7 +111,10 @@ pub fn onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
         aux.len() >= n,
         "auxiliary buffer must cover the input length"
     );
-    if n <= 1 {
+    if n <= SMALL_SORT_MAX_KEYS {
+        // `to_radix` is a bijection, so sorting by radix image yields the
+        // same unique sequence as the stable LSD passes below.
+        data.sort_unstable_by_key(|k| k.to_radix());
         return;
     }
     let aux = &mut aux[..n];

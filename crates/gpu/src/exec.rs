@@ -23,9 +23,15 @@
 //! * The driver joins via [`EffectExecutor::flush`] before any return to
 //!   host code and via [`EffectExecutor::wait_writes`] before snapshotting
 //!   a copy source, so no read ever observes a half-applied effect.
+//! * Dispatch is **size-aware**: a job whose access set covers at most
+//!   [`INLINE_MAX_ELEMS`] physical elements costs less than the hand-off to
+//!   a pool worker, so `submit` runs it on the driver thread — after
+//!   joining exactly the live jobs it conflicts with, before returning.
+//!   The driver is the only submitter, so such a job runs after every
+//!   earlier conflicting job and before every later one: the serial order.
 //!
 //! With `threads <= 1` the executor degenerates to the serial seed
-//! behavior: submit runs the job inline and the joins are no-ops.
+//! behavior: submit runs every job inline and the joins are no-ops.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -57,6 +63,36 @@ impl Access {
 fn sets_conflict(a: &[Access], b: &[Access]) -> bool {
     a.iter().any(|x| b.iter().any(|y| x.conflicts(y)))
 }
+
+/// Jobs whose access set covers at most this many physical elements (reads
+/// plus writes, scratch included) run on the submitting thread instead of
+/// the pool. Like `primitives::PARALLEL_MIN_KEYS`, the dispatch depends only
+/// on the job's *size* (never on the thread count), so a given effect
+/// always takes the same path.
+///
+/// Rule: the largest power of two at which the default device sort —
+/// per element the slowest effect the drivers issue — still costs less than
+/// one hand-off to a pool worker, so below it no overlap can pay for the
+/// hand-off. Probe numbers from `MSORT_POOL_THREADS=2 cargo run -p
+/// msort-bench --release --example tune` on the 2-core CI container (u32):
+///
+/// ```text
+/// pool hand-off round trip: 38.51 us
+/// n= 1024: copy  0.041 us, device sort thrust    8.76 / stehle    8.03 / mgpu   39.99 us
+/// n= 4096: copy  0.128 us, device sort thrust   31.36 / stehle   37.07 / mgpu  219.53 us
+/// n= 8192: copy  0.874 us, device sort thrust   68.17 / stehle   78.87 / mgpu  509.23 us
+/// ```
+///
+/// A device sort of `n` keys covers `2n` elements with its scratch, so the
+/// 4 Ki-key sort (31 µs) is the last one under the 38.5 µs hand-off: 8 Ki
+/// elements. Copies and merges of that size cost under 1 µs and 10 µs. The
+/// ModernGPU-like merge sort is ~7× slower per key and only the Table 2
+/// experiment runs it; inline it merely forgoes overlap. End to end at pool
+/// width 2 a 2 Ki floor is 20–55 % slower than this one on `perf`'s
+/// `cluster_sort` and `serve_overload` (their 2–4 Ki-element sorts go to
+/// the pool) and floors from 8 Ki to 64 Ki are within run-to-run noise.
+/// `tests/exec_determinism.rs` straddles this value by name.
+const INLINE_MAX_ELEMS: usize = 1 << 13;
 
 /// A submitted effect. `run` is `Some` while the job waits for conflicting
 /// predecessors; once dispatched it stays in the map as a placeholder (so
@@ -162,17 +198,30 @@ impl EffectExecutor {
         self.threads <= 1
     }
 
-    /// Submit an effect job. Serial mode runs it inline; otherwise it runs
-    /// on the pool once every earlier live job it conflicts with finished.
+    /// Submit an effect job. Serial mode runs it inline. Otherwise a job of
+    /// at most [`INLINE_MAX_ELEMS`] elements runs right here once every live
+    /// job it conflicts with has finished (its panic is stored for the next
+    /// [`EffectExecutor::flush`], like a pooled job's), and a larger one
+    /// runs on the pool once every earlier live job it conflicts with
+    /// finished. Nothing is allocated unless the job goes to the pool.
     ///
     /// # Safety contract (not enforced by types)
     /// `run` may capture raw views of `World` buffer memory; the caller
     /// guarantees those stay valid until the job completes (the system
     /// flushes before any world access or drop) and that `accesses` covers
     /// every byte the closure touches.
-    pub(crate) fn submit(&self, accesses: Vec<Access>, run: impl FnOnce() + Send + 'static) {
+    pub(crate) fn submit(&self, accesses: &[Access], run: impl FnOnce() + Send + 'static) {
         if self.is_serial() {
             run();
+            return;
+        }
+        let elems: usize = accesses.iter().map(|a| a.hi - a.lo).sum();
+        if elems <= INLINE_MAX_ELEMS {
+            self.join_conflicts(accesses);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+                let mut inner = self.shared.inner.lock().expect("exec mutex");
+                inner.panic.get_or_insert(payload);
+            }
             return;
         }
         let (id, runnable) = {
@@ -182,7 +231,7 @@ impl EffectExecutor {
             let mut deps = 0usize;
             let mut blockers: Vec<u64> = Vec::new();
             for (&jid, job) in &inner.jobs {
-                if sets_conflict(&job.accesses, &accesses) {
+                if sets_conflict(&job.accesses, accesses) {
                     deps += 1;
                     blockers.push(jid);
                 }
@@ -204,7 +253,7 @@ impl EffectExecutor {
             inner.jobs.insert(
                 id,
                 Job {
-                    accesses,
+                    accesses: accesses.to_vec(),
                     run: stored,
                     deps,
                     dependents: Vec::new(),
@@ -224,17 +273,21 @@ impl EffectExecutor {
         if self.is_serial() || lo >= hi {
             return;
         }
-        let probe = [Access {
+        self.join_conflicts(&[Access {
             buf,
             lo,
             hi,
             write: false,
-        }];
+        }]);
+    }
+
+    /// Block until no live job conflicts with `accesses`.
+    fn join_conflicts(&self, accesses: &[Access]) {
         self.join(|inner| {
             !inner
                 .jobs
                 .values()
-                .any(|j| sets_conflict(&j.accesses, &probe))
+                .any(|j| sets_conflict(&j.accesses, accesses))
         });
     }
 
@@ -348,21 +401,33 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// `w`/`r` ranges are in units of one above-floor job, so every
+    /// non-empty range goes to the pool; `small_w` ranges stay inline.
+    const UNIT: usize = INLINE_MAX_ELEMS + 1;
+
     fn w(buf: usize, lo: usize, hi: usize) -> Access {
         Access {
             buf,
-            lo,
-            hi,
+            lo: lo * UNIT,
+            hi: hi * UNIT,
             write: true,
         }
     }
 
     fn r(buf: usize, lo: usize, hi: usize) -> Access {
         Access {
+            write: false,
+            ..w(buf, lo, hi)
+        }
+    }
+
+    fn small_w(buf: usize, lo: usize, hi: usize) -> Access {
+        assert!(hi - lo <= INLINE_MAX_ELEMS);
+        Access {
             buf,
             lo,
             hi,
-            write: false,
+            write: true,
         }
     }
 
@@ -380,7 +445,7 @@ mod tests {
         let mut ex = EffectExecutor::new();
         ex.set_threads(1);
         let hit = AtomicUsize::new(0);
-        ex.submit(vec![w(0, 0, 4)], {
+        ex.submit(&[w(0, 0, 4)], {
             let hit = &hit as *const AtomicUsize as usize;
             move || {
                 // SAFETY: inline execution — the reference outlives the call.
@@ -399,7 +464,7 @@ mod tests {
         for i in 0..16u32 {
             let log = Arc::clone(&log);
             // All jobs write the same range: fully ordered.
-            ex.submit(vec![w(0, 0, 8)], move || {
+            ex.submit(&[w(0, 0, 8)], move || {
                 log.lock().unwrap().push(i);
             });
         }
@@ -414,7 +479,7 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         for i in 0..64usize {
             let count = Arc::clone(&count);
-            ex.submit(vec![w(i % 8, (i / 8) * 10, (i / 8) * 10 + 10)], move || {
+            ex.submit(&[w(i % 8, (i / 8) * 10, (i / 8) * 10 + 10)], move || {
                 count.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -429,7 +494,7 @@ mod tests {
         let data = Arc::new(Mutex::new(0u32));
         {
             let data = Arc::clone(&data);
-            ex.submit(vec![w(3, 0, 100)], move || {
+            ex.submit(&[w(3, 0, 100)], move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 *data.lock().unwrap() = 7;
             });
@@ -439,7 +504,7 @@ mod tests {
         // A pure reader on the same range must not block wait_writes.
         {
             let data = Arc::clone(&data);
-            ex.submit(vec![r(3, 0, 100)], move || {
+            ex.submit(&[r(3, 0, 100)], move || {
                 let _ = *data.lock().unwrap();
             });
         }
@@ -463,7 +528,7 @@ mod tests {
         .enumerate()
         {
             let cell = Arc::clone(&cell);
-            ex.submit(acc, move || cell.lock().unwrap().push(i));
+            ex.submit(&acc, move || cell.lock().unwrap().push(i));
         }
         ex.flush();
         assert_eq!(*cell.lock().unwrap(), vec![0, 1, 2]);
@@ -473,10 +538,85 @@ mod tests {
     fn flush_propagates_job_panic() {
         let mut ex = EffectExecutor::new();
         ex.set_threads(4);
-        ex.submit(vec![w(0, 0, 1)], || panic!("effect boom"));
-        let err = catch_unwind(AssertUnwindSafe(|| ex.flush()));
-        assert!(err.is_err());
-        ex.flush(); // panic consumed; executor is reusable
+        // A pooled job's panic and an inline job's resurface the same way.
+        for access in [w(0, 0, 1), small_w(0, 0, 1)] {
+            ex.submit(&[access], || panic!("effect boom"));
+            let err = catch_unwind(AssertUnwindSafe(|| ex.flush()));
+            assert!(err.is_err());
+            ex.flush(); // panic consumed; executor is reusable
+        }
+    }
+
+    #[test]
+    fn small_job_waits_for_conflicting_pooled_job() {
+        let mut ex = EffectExecutor::new();
+        ex.set_threads(4);
+        let data = Arc::new(Mutex::new(0u32));
+        {
+            let data = Arc::clone(&data);
+            ex.submit(&[w(0, 0, 1)], move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                *data.lock().unwrap() = 7;
+            });
+        }
+        let seen = Arc::new(Mutex::new(None));
+        {
+            let (data, seen) = (Arc::clone(&data), Arc::clone(&seen));
+            ex.submit(&[small_w(0, 5, 6)], move || {
+                *seen.lock().unwrap() = Some(*data.lock().unwrap());
+            });
+        }
+        // Inline: done when submit returns, after the sleeping writer.
+        assert_eq!(*seen.lock().unwrap(), Some(7));
+        ex.flush();
+    }
+
+    #[test]
+    fn small_jobs_run_on_the_submitting_thread() {
+        let mut ex = EffectExecutor::new();
+        ex.set_threads(4);
+        let me = std::thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let small_tx = tx.clone();
+        ex.submit(&[small_w(0, 0, INLINE_MAX_ELEMS)], move || {
+            small_tx.send(std::thread::current().id()).unwrap();
+        });
+        assert_eq!(
+            rx.try_recv(),
+            Ok(me),
+            "at the floor: inline, done on return"
+        );
+        if msort_cpu::pool::threads() > 1 {
+            ex.submit(
+                &[small_w(1, 0, INLINE_MAX_ELEMS), small_w(2, 0, 1)],
+                move || {
+                    tx.send(std::thread::current().id()).unwrap();
+                },
+            );
+            // Receive before flushing: a helping flush could run the job here.
+            assert_ne!(rx.recv(), Ok(me), "above the floor: pooled");
+        }
+        ex.flush();
+    }
+
+    #[test]
+    fn mixed_sizes_on_one_range_replay_in_submission_order() {
+        let mut ex = EffectExecutor::new();
+        ex.set_threads(4);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..32u32 {
+            let log = Arc::clone(&log);
+            let access = if i % 3 == 0 {
+                w(0, 0, 1)
+            } else {
+                small_w(0, 0, 8)
+            };
+            ex.submit(&[access], move || {
+                log.lock().unwrap().push(i);
+            });
+        }
+        ex.flush();
+        assert_eq!(*log.lock().unwrap(), (0..32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1443,7 +1443,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 }
                 let out = RawSlice::new(&mut self.world.data_mut(dst.0)[dst_off..dst_off + l]);
                 self.exec.submit(
-                    vec![Access {
+                    &[Access {
                         buf: dst.0 .0,
                         lo: dst_off,
                         hi: dst_off + l,
@@ -1466,7 +1466,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// Enqueue an effect on the wall-clock executor, tagged with the
     /// physical buffer ranges it reads and writes. In serial mode
     /// (`set_effect_threads(1)`) the job runs inline right here, which is
-    /// exactly the seed executor's behavior. The kernels always chunk by
+    /// exactly the seed executor's behavior, and so does any job too small
+    /// to be worth a hand-off to the pool. The kernels always chunk by
     /// the process-wide pool thread count, so the bytes produced do not
     /// depend on the effect-level schedule.
     fn submit_effect(&mut self, effect: Effect<K>) {
@@ -1489,7 +1490,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 let d = RawSlice::new(&mut d[lo..hi]);
                 let a = RawSlice::new(&mut a[..n]);
                 self.exec.submit(
-                    vec![
+                    &[
                         Access {
                             buf: data.0,
                             lo,
@@ -1524,7 +1525,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 let s = RawSliceConst::new(&s[..l]);
                 let d = RawSlice::new(&mut d[..l]);
                 self.exec.submit(
-                    vec![
+                    &[
                         Access {
                             buf: src.0,
                             lo: 0,
@@ -1554,7 +1555,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 let n = buf.len();
                 let d = RawSlice::new(buf);
                 self.exec.submit(
-                    vec![Access {
+                    &[Access {
                         buf: data.0,
                         lo: 0,
                         hi: n,
@@ -1589,7 +1590,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 let d = RawSlice::new(&mut d[lo..hi]);
                 let a = RawSlice::new(&mut a[..n]);
                 self.exec.submit(
-                    vec![
+                    &[
                         Access {
                             buf: data.0,
                             lo,
@@ -1653,7 +1654,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             write: true,
         });
         let out = RawSlice::new(&mut self.world.data_mut(out_buf)[out_off..out_off + total]);
-        self.exec.submit(accesses, move || {
+        self.exec.submit(&accesses, move || {
             // SAFETY: read accesses cover every input window, the write
             // access covers the output range; conflicting jobs are ordered.
             let out = unsafe { out.as_mut() };

@@ -16,9 +16,11 @@
 //! placement remains. [`best_gpu_set`] enumerates the candidate subsets of
 //! a fleet and returns the deterministic argmin.
 
-use crate::constraint::{ConstraintId, ConstraintTable};
+use crate::constraint::{ConstraintId, ConstraintTable, ConstraintVec};
 use crate::platforms::Platform;
 use crate::route::{route, Endpoint};
+use std::borrow::Borrow;
+use std::cell::OnceCell;
 
 /// How much a gang's traffic pattern loads its tightest shared constraint.
 ///
@@ -61,23 +63,42 @@ impl SetScore {
 /// in `msort-core`.
 #[must_use]
 pub fn score_gpu_set(platform: &Platform, table: &ConstraintTable, gpus: &[usize]) -> SetScore {
-    let topo = &platform.topology;
+    let endpoint = |gpu: Option<usize>| gpu.map_or(Endpoint::HOST0, Endpoint::gpu);
+    score_pattern(table, gpus, |src, dst| {
+        flow_constraints(platform, endpoint(src), endpoint(dst))
+    })
+}
+
+/// The weighted constraints of one flow of the gang's traffic pattern.
+fn flow_constraints(platform: &Platform, src: Endpoint, dst: Endpoint) -> ConstraintVec {
+    let r = route(&platform.topology, src, dst).expect("platform endpoints are connected");
+    platform.flow_request(&r).constraints
+}
+
+/// Add up the gang's flows in their canonical order — host→member and
+/// member→host per member, then each pair both ways — and reduce the loads
+/// against `table`'s capacities. `flow(src, dst)` yields one flow's
+/// constraints (`None` = host socket 0); the fixed order makes the score the
+/// same `f64` bit for bit however the lists are obtained.
+fn score_pattern<C: Borrow<ConstraintVec>>(
+    table: &ConstraintTable,
+    members: &[usize],
+    flow: impl Fn(Option<usize>, Option<usize>) -> C,
+) -> SetScore {
     let mut load = vec![0.0f64; table.constraints().len()];
-    let add_flow = |load: &mut Vec<f64>, src: Endpoint, dst: Endpoint| {
-        let r = route(topo, src, dst).expect("platform endpoints are connected");
-        for &(id, w) in platform.flow_request(&r).constraints.as_slice() {
+    let mut add_flow = |src, dst| {
+        for &(id, w) in flow(src, dst).borrow().as_slice() {
             load[id.0] += w;
         }
     };
-
-    for &g in gpus {
-        add_flow(&mut load, Endpoint::HOST0, Endpoint::gpu(g));
-        add_flow(&mut load, Endpoint::gpu(g), Endpoint::HOST0);
+    for &m in members {
+        add_flow(None, Some(m));
+        add_flow(Some(m), None);
     }
-    for (i, &a) in gpus.iter().enumerate() {
-        for &b in &gpus[i + 1..] {
-            add_flow(&mut load, Endpoint::gpu(a), Endpoint::gpu(b));
-            add_flow(&mut load, Endpoint::gpu(b), Endpoint::gpu(a));
+    for (i, &a) in members.iter().enumerate() {
+        for &b in &members[i + 1..] {
+            add_flow(Some(a), Some(b));
+            add_flow(Some(b), Some(a));
         }
     }
 
@@ -111,16 +132,25 @@ pub fn best_gpu_set(
     if g == 0 || fleet.len() < g {
         return None;
     }
+    // Candidates share endpoint pairs (70 four-GPU gangs of an 8-GPU fleet
+    // replay 1400 flows over 72 distinct pairs), so resolve each pair's
+    // route once, when a candidate first needs it. Row/column `n` is the host.
+    let n = fleet.len();
+    let endpoint = |i: usize| fleet.get(i).map_or(Endpoint::HOST0, |&g| Endpoint::gpu(g));
+    let flows: Vec<OnceCell<ConstraintVec>> = vec![OnceCell::new(); (n + 1) * (n + 1)];
     let mut best: Option<(SetScore, Vec<usize>)> = None;
-    for combo in combinations(fleet.len(), g) {
-        let set: Vec<usize> = combo.iter().map(|&i| fleet[i]).collect();
-        let score = score_gpu_set(platform, table, &set);
+    for combo in combinations(n, g) {
+        let score = score_pattern(table, &combo, |src, dst| {
+            let (src, dst) = (src.unwrap_or(n), dst.unwrap_or(n));
+            flows[src * (n + 1) + dst]
+                .get_or_init(|| flow_constraints(platform, endpoint(src), endpoint(dst)))
+        });
         match &best {
             Some((incumbent, _)) if !score.beats(incumbent) => {}
-            _ => best = Some((score, set)),
+            _ => best = Some((score, combo)),
         }
     }
-    best.map(|(_, set)| set)
+    best.map(|(_, combo)| combo.iter().map(|&i| fleet[i]).collect())
 }
 
 /// All `k`-element index subsets of `0..n` in lexicographic order.
@@ -240,6 +270,32 @@ mod tests {
         assert!(dead.bottleneck.is_infinite());
         let best = best_gpu_set(&p, &adjusted, &[0, 1, 2, 3], 2).unwrap();
         assert_eq!(best, vec![2, 3], "placement must avoid the dead link");
+    }
+
+    #[test]
+    fn best_set_is_the_argmin_of_per_candidate_scores() {
+        // `best_gpu_set` scores from routes resolved once per call; the
+        // winner must be what scoring every candidate alone picks.
+        for p in [
+            Platform::dgx_a100(),
+            Platform::ibm_ac922(),
+            Platform::delta_d22x(),
+        ] {
+            let t = p.constraint_table();
+            let fleet: Vec<usize> = (0..p.gpu_count()).rev().collect();
+            for g in 1..=fleet.len().min(4) {
+                let mut best: Option<(SetScore, Vec<usize>)> = None;
+                for combo in combinations(fleet.len(), g) {
+                    let set: Vec<usize> = combo.iter().map(|&i| fleet[i]).collect();
+                    let score = score_gpu_set(&p, t, &set);
+                    match &best {
+                        Some((incumbent, _)) if !score.beats(incumbent) => {}
+                        _ => best = Some((score, set)),
+                    }
+                }
+                assert_eq!(best_gpu_set(&p, t, &fleet, g), best.map(|(_, set)| set));
+            }
+        }
     }
 
     #[test]

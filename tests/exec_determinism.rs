@@ -116,6 +116,33 @@ fn dispatch_floor_straddle_bit_identical() {
     }
 }
 
+/// The executor runs an effect inline when its access set covers at most
+/// `msort_gpu`'s private `exec::INLINE_MAX_ELEMS` (8 Ki) elements and on the
+/// pool above. With 4 GPUs, per-GPU chunks of floor − 1, floor and floor + 1
+/// keys straddle it for the copies (a copy covers its chunk), and chunks
+/// around half the floor straddle it for the device sorts (a sort covers its
+/// chunk plus as much scratch). Who executes an effect must not show.
+#[test]
+fn inline_floor_straddle_bit_identical() {
+    let platform = Platform::dgx_a100();
+    let floor: u64 = 1 << 13;
+    for chunk in [floor / 2, floor / 2 + 1, floor - 1, floor, floor + 1] {
+        let n = 4 * chunk;
+        for algo in ["p2p", "het", "sample"] {
+            let (out_serial, rep_serial) = run_once(&platform, algo, DISTS[2], n, 1);
+            let (out_pool, rep_pool) = run_once(&platform, algo, DISTS[2], n, 4);
+            assert_eq!(
+                out_serial, out_pool,
+                "{algo} n={n}: output differs across effect budgets"
+            );
+            assert_eq!(
+                rep_serial, rep_pool,
+                "{algo} n={n}: SortReport differs across effect budgets"
+            );
+        }
+    }
+}
+
 /// Sampled fidelity takes different code paths (scaled physical payloads);
 /// the invariant must hold there too.
 #[test]

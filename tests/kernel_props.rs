@@ -24,11 +24,13 @@
 
 use multi_gpu_sort::cpu::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
 use multi_gpu_sort::cpu::{
-    bucket_counts, bucket_of, merge_path_sort, multiway_merge, onesweep_sort,
-    parallel_onesweep_sort, parallel_onesweep_sort_with_aux, partition_by_splitters,
-    select_splitters,
+    bucket_counts, bucket_of, lsb_radix_sort, merge_path_sort, multiway_merge, onesweep_sort,
+    onesweep_sort_with_aux, parallel_onesweep_sort, parallel_onesweep_sort_with_aux,
+    partition_by_splitters, select_splitters,
 };
+use multi_gpu_sort::data::keys::RadixImage;
 use multi_gpu_sort::data::Rng;
+use multi_gpu_sort::gpu::primitives::device_sort_with;
 use multi_gpu_sort::prelude::*;
 
 const CASES: u64 = 32;
@@ -152,6 +154,96 @@ fn parallel_onesweep_with_aux_bit_identical() {
         parallel_onesweep_sort_with_aux(&mut par, &mut aux, threads);
         assert_eq!(par, reference, "threads={threads}");
     }
+}
+
+/// Every entry that can reach OneSweep's small-input path, against the
+/// sequential LSB radix sort, on sizes around the crossover (mirrors
+/// `msort_cpu::onesweep`'s private `SMALL_SORT_MAX_KEYS`). `specials` are the
+/// type's awkward values, drawn at random to make one more input pattern.
+/// Radix images are compared, not keys: `NaN != NaN` and `-0.0 == 0.0`.
+fn check_small_sort_path<K: SortKey>(specials: &[K]) {
+    const CROSSOVER: usize = 1 << 10;
+    let image = |keys: &[K]| -> Vec<u64> { keys.iter().map(|k| k.to_radix().to_u64()).collect() };
+    for n in [
+        0,
+        1,
+        2,
+        CROSSOVER - 1,
+        CROSSOVER,
+        CROSSOVER + 1,
+        2 * CROSSOVER,
+    ] {
+        let mut rng = Rng::seed_from_u64(n as u64);
+        let mut inputs: Vec<Vec<K>> = [
+            Distribution::Uniform,
+            Distribution::Constant,
+            Distribution::ReverseSorted,
+            Distribution::ZipfDuplicates { skew_permille: 800 },
+        ]
+        .into_iter()
+        .map(|dist| generate(dist, n, 41))
+        .collect();
+        inputs.push(
+            (0..n)
+                .map(|_| specials[rng.usize_in(0..specials.len())])
+                .collect(),
+        );
+        for (pattern, input) in inputs.iter().enumerate() {
+            let mut oracle = input.clone();
+            lsb_radix_sort(&mut oracle);
+            let expected = image(&oracle);
+            let what = format!("{:?} n={n} pattern {pattern}", K::DATA_TYPE);
+            let mut aux = input.clone();
+
+            let mut got = input.clone();
+            onesweep_sort_with_aux(&mut got, &mut aux);
+            assert_eq!(image(&got), expected, "sequential, {what}");
+
+            let mut got = input.clone();
+            parallel_onesweep_sort_with_aux(&mut got, &mut aux, 2);
+            assert_eq!(image(&got), expected, "parallel, {what}");
+
+            for algo in GpuSortAlgo::all() {
+                let mut got = input.clone();
+                device_sort_with(algo, &mut got, &mut aux, 2);
+                assert_eq!(image(&got), expected, "{algo:?}, {what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn small_sort_path_matches_lsb_radix_for_every_key_type() {
+    check_small_sort_path(&[0u32, 1, u32::MAX, u32::MAX - 1, 1 << 31]);
+    check_small_sort_path(&[0u64, 1, u64::MAX, 1 << 63, 1 << 32]);
+    check_small_sort_path(&[0i32, -1, 1, i32::MIN, i32::MAX]);
+    check_small_sort_path(&[0i64, -1, 1, i64::MIN, i64::MAX]);
+    check_small_sort_path(&[
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc0_0001),
+        f32::from_bits(0x7f80_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        -1.5,
+    ]);
+    check_small_sort_path(&[
+        0.0f64,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0001),
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -1.5,
+    ]);
 }
 
 #[test]
