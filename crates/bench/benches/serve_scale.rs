@@ -1,35 +1,29 @@
-//! Million-job scale benchmark for the indexed serve core.
+//! Million-job scale benchmark for the indexed serve core — the one
+//! wall-clock claim `perf/` cannot state, because `perf` calls no
+//! `Reference*` oracle.
 //!
-//! Two result families land in `BENCH_serve_scale.json`:
+//! * Indexed vs reference: wall-clock of the indexed scheduler against the
+//!   golden linear-scan [`ReferenceService`] on identical queued-heavy
+//!   workloads (a deep bounded queue, so the reference's per-event rescans
+//!   are O(depth) while the indexed core stays O(log depth)). The ≥3x
+//!   acceptance claim at the largest size is asserted, not just printed.
+//! * The headline: one million offered jobs through the indexed core in a
+//!   single open-loop Poisson run, with admission, placement, gang leasing,
+//!   and simulated execution all live. The reference is *not* run at this
+//!   size — that is the point.
 //!
-//! * `serve_scale_indexed_*` vs `serve_scale_reference_*` — wall-clock of
-//!   the indexed scheduler against the golden linear-scan
-//!   [`ReferenceService`] on identical queued-heavy workloads (a deep
-//!   bounded queue, so the reference's per-event rescans are O(depth)
-//!   while the indexed core stays O(log depth)). `elements` carries the
-//!   offered job count, so `melems/s` reads as simulated jobs per
-//!   wall-second. The ≥3x acceptance claim at the largest size is
-//!   asserted here, not just printed.
-//! * `serve_scale_million_*` — the headline: one million offered jobs
-//!   through the indexed core in a single open-loop Poisson run, with
-//!   admission, placement, gang leasing, and simulated execution all
-//!   live. The reference is *not* run at this size — that is the point.
-//!
-//! `MSORT_BENCH_QUICK=1` trims sizes for CI smoke runs.
+//! Every run takes 0.2–22 s, so each is timed once with `Instant`: no
+//! warm-up, no repetitions.
 
-use msort_bench::Harness;
 use msort_serve::{
     JobAlgo, JobMix, OpenLoop, QueuePolicy, ReferenceService, ServeConfig, ServiceReport, SortJob,
     SortService, TenantId,
 };
-use std::hint::black_box;
+use msort_topology::Platform;
+use std::time::{Duration, Instant};
 
 const SCALE: u64 = 64;
 const SEED: u64 = 0x5CA1E;
-
-fn quick() -> bool {
-    std::env::var_os("MSORT_BENCH_QUICK").is_some()
-}
 
 /// Tiny one-GPU jobs with an occasional two-GPU straggler: at million-job
 /// scale the *scheduler* is the measured object, so per-job sort work is
@@ -64,115 +58,70 @@ fn config(depth: usize) -> ServeConfig {
 /// capacity, so the queue pegs at its cap for the whole run —
 /// "queued-heavy" by construction (verified by the max-depth print).
 const HEAVY_RATE: f64 = 10_000_000.0;
+const HEAVY_DEPTH: usize = 8_192;
 
-fn run_indexed(jobs: u64, rate: f64, depth: usize) -> ServiceReport {
-    let dgx = msort_topology::Platform::dgx_a100();
-    let report = SortService::<u32>::new(&dgx, config(depth)).serve(OpenLoop::poisson(
-        rate,
-        mix(),
-        jobs,
-        SEED,
-    ));
+/// One validated run, end to end (service construction included), and
+/// its wall-clock.
+fn timed(run: impl FnOnce() -> ServiceReport) -> (ServiceReport, Duration) {
+    let start = Instant::now();
+    let report = run();
+    let wall = start.elapsed();
     assert!(report.all_validated());
-    report
-}
-
-fn run_reference(jobs: u64, rate: f64, depth: usize) -> ServiceReport {
-    let dgx = msort_topology::Platform::dgx_a100();
-    let report = ReferenceService::<u32>::new(&dgx, config(depth)).serve(OpenLoop::poisson(
-        rate,
-        mix(),
-        jobs,
-        SEED,
-    ));
-    assert!(report.all_validated());
-    report
+    (report, wall)
 }
 
 fn main() {
-    let mut h = Harness::new("serve_scale").sample_size(1);
+    let dgx = Platform::dgx_a100();
+    let workload = |jobs, rate| OpenLoop::poisson(rate, mix(), jobs, SEED);
 
     // Indexed vs reference on identical queued-heavy workloads.
-    let (sizes, depth): (&[u64], usize) = if quick() {
-        (&[2_000, 8_000], 4_096)
-    } else {
-        (&[10_000, 30_000, 100_000], 8_192)
-    };
-    let mut at_largest = (0u128, 0u128);
-    for &jobs in sizes {
-        h.bench_throughput(
-            &format!("serve_scale_indexed_dgx/jobs_{jobs}"),
-            jobs,
-            || {
-                let report = run_indexed(jobs, HEAVY_RATE, depth);
-                let max_depth = report
-                    .queue_depth
-                    .iter()
-                    .map(|&(_, d)| d)
-                    .max()
-                    .unwrap_or(0);
-                println!(
-                    "  jobs {jobs}: completed {} rejected {} max depth {max_depth}",
-                    report.outcomes.len(),
-                    report.rejected.len(),
-                );
-                black_box(report.makespan)
-            },
-        );
-        h.bench_throughput(
-            &format!("serve_scale_reference_dgx/jobs_{jobs}"),
-            jobs,
-            || black_box(run_reference(jobs, HEAVY_RATE, depth).makespan),
-        );
-        let results = h.results();
-        let (idx, rf) = (
-            results[results.len() - 2].median().as_nanos(),
-            results[results.len() - 1].median().as_nanos(),
-        );
+    let sizes = [10_000u64, 30_000, 100_000];
+    let walls = sizes.map(|jobs| {
+        let (report, idx) = timed(|| {
+            SortService::<u32>::new(&dgx, config(HEAVY_DEPTH)).serve(workload(jobs, HEAVY_RATE))
+        });
+        let (_, rf) = timed(|| {
+            ReferenceService::<u32>::new(&dgx, config(HEAVY_DEPTH))
+                .serve(workload(jobs, HEAVY_RATE))
+        });
+        let max_depth = report.queue_depth.iter().map(|&(_, d)| d).max();
         println!(
-            "jobs {jobs:>8}: indexed {:>8.1} ms  reference {:>8.1} ms  speedup {:.2}x",
-            idx as f64 / 1e6,
-            rf as f64 / 1e6,
-            rf as f64 / idx as f64,
+            "jobs {jobs:>8}: indexed {:>8.1} ms  reference {:>8.1} ms  speedup {:.2}x  \
+             (completed {}, rejected {}, max depth {})",
+            idx.as_secs_f64() * 1e3,
+            rf.as_secs_f64() * 1e3,
+            rf.as_secs_f64() / idx.as_secs_f64(),
+            report.outcomes.len(),
+            report.rejected.len(),
+            max_depth.unwrap_or(0),
         );
-        at_largest = (idx, rf);
-    }
-    // The acceptance claim: ≥3x over the reference at the largest
-    // queued-heavy size (100k jobs in the full run).
-    let (idx, rf) = at_largest;
+        (idx, rf)
+    });
+    // The acceptance claim: ≥3x over the reference at the largest size.
+    let ([.., largest], [.., (idx, rf)]) = (sizes, walls);
     assert!(
         rf >= 3 * idx,
-        "indexed core must beat the reference by >=3x at {} jobs \
-         (indexed {} ns, reference {} ns)",
-        sizes.last().unwrap(),
-        idx,
-        rf
+        "indexed core must beat the reference by >=3x at {largest} jobs \
+         (indexed {idx:?}, reference {rf:?})",
     );
 
     // The headline: one million offered jobs through the indexed core.
     // Offered just under capacity so the service stays busy end to end
     // and (nearly) everything completes — the measured number is the
     // full admission → queue → placement → execution → retire path.
-    let million = if quick() { 20_000 } else { 1_000_000 };
-    let rate = 1_000_000.0;
-    h.bench_throughput(
-        &format!("serve_scale_million_dgx/jobs_{million}"),
-        million,
-        || {
-            let report = run_indexed(million, rate, usize::MAX);
-            println!(
-                "  {} offered, {} completed, {} rejected, makespan {}, \
-                 p99 {} ns, mean depth sample count {}",
-                report.offered_jobs(),
-                report.outcomes.len(),
-                report.rejected.len(),
-                report.makespan,
-                report.p99_latency().0,
-                report.queue_depth.len(),
-            );
-            black_box(report.makespan)
-        },
+    let (report, wall) = timed(|| {
+        SortService::<u32>::new(&dgx, config(usize::MAX)).serve(workload(1_000_000, 1_000_000.0))
+    });
+    println!(
+        "{} offered in {:.1} s ({:.1} us/job): {} completed, {} rejected, makespan {}, \
+         p99 {} ns, {} queue-depth samples",
+        report.offered_jobs(),
+        wall.as_secs_f64(),
+        wall.as_secs_f64() * 1e6 / report.offered_jobs() as f64,
+        report.outcomes.len(),
+        report.rejected.len(),
+        report.makespan,
+        report.p99_latency().0,
+        report.queue_depth.len(),
     );
-
-    h.finish();
 }

@@ -8,7 +8,7 @@
 //! report the modeled PARADIS rates used in the simulated figures.
 
 use crate::ExperimentResult;
-use msort_cpu::{parallel_lsb_radix_sort, parallel_sort, ParadisConfig};
+use msort_cpu::{parallel_onesweep_sort, parallel_sort, ParadisConfig};
 use msort_data::{generate, Distribution};
 use msort_sim::CostModel;
 use msort_topology::PlatformId;
@@ -50,7 +50,7 @@ pub fn run() -> ExperimentResult {
         );
         time_sort("PARADIS", &mut r, n, |d| paradis_sort_threads(d, threads));
         time_sort("parallel LSB radix (Polychroniou-style)", &mut r, n, |d| {
-            parallel_lsb_radix_sort(d, threads)
+            parallel_onesweep_sort(d, threads)
         });
     }
     for id in PlatformId::paper_set() {

@@ -15,10 +15,8 @@
 //! ```
 
 pub mod experiments;
-pub mod harness;
 pub mod result;
 
-pub use harness::Harness;
 pub use result::{ExperimentResult, Row};
 
 /// Default sampling factor for paper-scale simulated runs: one physical

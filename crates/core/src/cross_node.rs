@@ -495,24 +495,34 @@ mod tests {
 
     #[test]
     fn four_node_cluster_exchanges_more_than_two_node() {
-        let n: u64 = 1 << 14;
-        let mut shares = Vec::new();
-        for nodes in [2, 4] {
-            let cluster = dgx_a100_cluster(nodes, Fabric::IbNdr);
-            let mut data: Vec<u32> = generate(Distribution::Uniform, n as usize, 3);
-            let report = cross_node_sort(
-                &cluster,
-                &CrossNodeConfig::new(InnerAlgo::SampleSort),
-                &mut data,
-                n,
+        // Share of the run the inter-node fabric is busy.
+        let share = |fabric, nodes: usize, n: u64, fidelity: Fidelity, seed| {
+            let cluster = dgx_a100_cluster(nodes, fabric);
+            let physical = (n / fidelity.scale()) as usize;
+            let mut data: Vec<u32> = generate(Distribution::Uniform, physical, seed);
+            let config = CrossNodeConfig {
+                fidelity,
+                ..CrossNodeConfig::new(InnerAlgo::SampleSort)
+            };
+            let report = cross_node_sort(&cluster, &config, &mut data, n);
+            assert!(report.validated, "{nodes} nodes over {fabric:?}");
+            report.inter_node.as_secs_f64() / report.total.as_secs_f64()
+        };
+        // Strong scaling: the same keys over more nodes.
+        let strong = [2, 4].map(|nodes| share(Fabric::IbNdr, nodes, 1 << 14, Fidelity::Full, 3));
+        // Weak scaling: 2^18 keys per GPU, so per-node work is constant and
+        // the growth is the node-level machinery alone — the scatter over
+        // node 0's NIC, the all-to-all bucket exchange, the gather.
+        let sampled = Fidelity::Sampled { scale: 256 };
+        let weak = [1, 2, 4, 8]
+            .map(|nodes| share(Fabric::IbHdr, nodes, (8 * nodes as u64) << 18, sampled, 17));
+        assert_eq!(weak[0], 0.0, "one node has no fabric to cross");
+        for shares in [&strong[..], &weak[..]] {
+            assert!(
+                shares.windows(2).all(|w| w[1] > w[0]),
+                "inter-node share should grow with node count: {shares:?}"
             );
-            assert!(report.validated, "{nodes} nodes");
-            shares.push(report.inter_node.as_secs_f64() / report.total.as_secs_f64());
         }
-        assert!(
-            shares[1] > shares[0],
-            "inter-node share should grow with node count: {shares:?}"
-        );
     }
 
     #[test]

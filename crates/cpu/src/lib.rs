@@ -46,7 +46,6 @@ pub mod mergesort;
 pub mod msb_radix;
 pub mod multiway;
 pub mod onesweep;
-pub mod par_lsb_radix;
 pub mod paradis;
 pub mod parsort;
 pub mod pool;
@@ -60,7 +59,6 @@ pub use multiway::{multiway_merge, parallel_multiway_merge, LoserTree};
 pub use onesweep::{
     onesweep_sort, onesweep_sort_with_aux, parallel_onesweep_sort, parallel_onesweep_sort_with_aux,
 };
-pub use par_lsb_radix::{parallel_lsb_radix_sort, parallel_lsb_radix_sort_with_aux};
 pub use paradis::{paradis_sort, ParadisConfig};
 pub use parsort::parallel_sort;
 pub use sample::{bucket_counts, bucket_of, partition_by_splitters, select_splitters, Splitter};

@@ -1,8 +1,8 @@
 //! OneSweep-style single-pass radix sort.
 //!
-//! The classic parallel LSB radix sort ([`crate::par_lsb_radix`]) sweeps the
-//! keys **twice per digit**: a histogram pass to size the per-thread output
-//! regions, then the scatter itself — `2d` full reads for `d` digit passes.
+//! The classic parallel LSB radix sort sweeps the keys **twice per digit**:
+//! a histogram pass to size the per-thread output regions, then the scatter
+//! itself — `2d` full reads for `d` digit passes.
 //! OneSweep (Adinets & Merrill, "Onesweep: A Faster Least Significant Digit
 //! Radix Sort for GPUs", the kernel family behind the GPUSorting exemplar
 //! that beats CUB's `DeviceRadixSort`) removes the per-pass histogram sweep:
@@ -347,7 +347,7 @@ unsafe fn scatter<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &
 /// `Send` raw-pointer wrapper for disjoint-region scatters. Accessed only
 /// through [`SendPtr::write`] / explicit `copy_nonoverlapping` so closures
 /// capture the wrapper, not the raw pointer (edition-2021 closures capture
-/// individual fields). Shared with [`crate::par_lsb_radix`].
+/// individual fields). Shared with [`crate::sample`].
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 

@@ -1,6 +1,6 @@
 //! The shared worker pool behind every parallel algorithm in the workspace.
 //!
-//! The parallel kernels ([`crate::parsort`], [`crate::par_lsb_radix`],
+//! The parallel kernels ([`crate::parsort`], [`crate::onesweep`],
 //! [`crate::paradis`], [`crate::multiway`]) used to call
 //! `std::thread::scope` on every invocation. A simulated sort applies
 //! thousands of data effects, each of which may fan out into worker

@@ -96,35 +96,51 @@ fn topology_aware_placement_picks_preferred_pairs() {
 #[test]
 fn topology_aware_beats_round_robin_on_dgx() {
     let p = Platform::dgx_a100();
-    let arrivals: Vec<(SimTime, SortJob)> = (0..6)
-        .map(|i| {
-            (
-                SimTime::ZERO,
-                SortJob::new(TenantId(i % 3), 1 << 16).with_seed(7 + u64::from(i)),
-            )
-        })
-        .collect();
-    let config = |placement| {
-        ServeConfig::new()
-            .with_placement(placement)
-            .with_fleet(vec![0, 1, 2])
-    };
-    let rr = run(&p, config(PlacementPolicy::RoundRobin), arrivals.clone());
-    let topo = run(&p, config(PlacementPolicy::TopologyAware), arrivals);
-    assert_eq!(rr.outcomes.len(), 6);
-    assert_eq!(topo.outcomes.len(), 6);
-    assert!(rr.all_validated() && topo.all_validated());
-    assert!(
-        topo.outcomes.iter().all(|o| o.gpus == vec![0, 2]),
-        "topology-aware must keep choosing the switch-disjoint pair"
-    );
-    assert!(
-        topo.makespan < rr.makespan,
-        "topology-aware makespan {} must beat round-robin {}",
-        topo.makespan,
-        rr.makespan
-    );
-    assert!(topo.throughput_mkeys() > rr.throughput_mkeys());
+    // (jobs, keys per job, tenants, first seed, everything but placement)
+    let cases = [
+        (6u64, 1u64 << 16, 3, 7, ServeConfig::new()),
+        (
+            12,
+            1 << 18,
+            4,
+            11,
+            ServeConfig::new()
+                .sampled(64)
+                .with_policy(QueuePolicy::WeightedFair),
+        ),
+    ];
+    for (jobs, keys, tenants, seed, base) in cases {
+        let arrivals: Vec<(SimTime, SortJob)> = (0..jobs)
+            .map(|i| {
+                let tenant = TenantId((i % tenants) as u32);
+                (
+                    SimTime::ZERO,
+                    SortJob::new(tenant, keys).with_seed(seed + i),
+                )
+            })
+            .collect();
+        let config = |placement| {
+            base.clone()
+                .with_placement(placement)
+                .with_fleet(vec![0, 1, 2])
+        };
+        let rr = run(&p, config(PlacementPolicy::RoundRobin), arrivals.clone());
+        let topo = run(&p, config(PlacementPolicy::TopologyAware), arrivals);
+        assert_eq!(rr.outcomes.len() as u64, jobs);
+        assert_eq!(topo.outcomes.len() as u64, jobs);
+        assert!(rr.all_validated() && topo.all_validated());
+        assert!(
+            topo.outcomes.iter().all(|o| o.gpus == vec![0, 2]),
+            "topology-aware must keep choosing the switch-disjoint pair"
+        );
+        assert!(
+            topo.makespan < rr.makespan,
+            "{jobs} jobs: topology-aware makespan {} must beat round-robin {}",
+            topo.makespan,
+            rr.makespan
+        );
+        assert!(topo.throughput_mkeys() > rr.throughput_mkeys());
+    }
 }
 
 /// Four equally weighted tenants saturate a 2-GPU fleet with equal jobs:

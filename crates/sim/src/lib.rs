@@ -35,7 +35,6 @@
 pub mod calibrate;
 pub mod fault;
 pub mod flows;
-pub mod reference;
 pub mod time;
 
 pub use calibrate::{CostModel, GpuSortAlgo};

@@ -1,6 +1,6 @@
 //! Golden differential test: the event-queue engine ([`msort_sim::flows`])
 //! against the original O(n)-rescan engine preserved in
-//! [`msort_sim::reference`].
+//! `tests/reference/mod.rs`.
 //!
 //! Randomized staggered-flow schedules on all four platforms drive both
 //! engines through identical action sequences — starts (including
@@ -12,10 +12,16 @@
 //! (`f64::to_bits`). Nothing is approximate: the optimized engine is only
 //! correct if it is indistinguishable from the reference.
 
+// The whole original engine is kept, not only the calls this test makes:
+// it is the oracle for allocator work to come, and a thinned copy is no
+// longer the engine that was replaced.
+#[allow(dead_code)]
+mod reference;
+
 use msort_sim::flows::{FlowId, FlowSim};
-use msort_sim::reference::{RefFlowId, ReferenceFlowSim};
 use msort_sim::{SimDuration, SimTime};
 use msort_topology::{Endpoint, Platform, Route};
+use reference::{RefFlowId, ReferenceFlowSim};
 
 /// splitmix64: tiny, seedable, and good enough to scramble action choices.
 struct Rng(u64);

@@ -1,13 +1,13 @@
 //! Reference fluid engine: the original O(n)-rescan implementation,
 //! preserved verbatim.
 //!
-//! The optimized engine in [`crate::flows`] (slab storage, completion heap,
-//! incremental allocation) must produce **bit-identical** completion times
-//! to this one. This module keeps the original engine — including its own
-//! private copy of the progressive-filling allocator loop, so the two
+//! The optimized engine in [`msort_sim::flows`] (slab storage, completion
+//! heap, incremental allocation) must produce **bit-identical** completion
+//! times to this one. This module keeps the original engine — including its
+//! own private copy of the progressive-filling allocator loop, so the two
 //! engines share no allocation code — as the golden model for the
-//! differential test in `tests/differential.rs` and as the baseline for the
-//! before/after benchmarks in `crates/bench/benches/flow_allocator.rs`.
+//! differential test in `tests/differential.rs`. It lives beside that test,
+//! not in the crate, so it is no part of the public API.
 //!
 //! Known costs this implementation pays per event (the reason it was
 //! replaced): it clones every active flow's `FlowRequest` into a fresh
@@ -15,7 +15,7 @@
 //! ones included) to find the next completion, and never reuses retired
 //! flow slots.
 
-use crate::time::{SimDuration, SimTime};
+use msort_sim::{SimDuration, SimTime};
 use msort_topology::{ConstraintTable, FlowRequest, Platform, Route};
 
 /// Handle to a flow in the reference engine. Plain index: invalidated by

@@ -82,22 +82,37 @@ fn open_loop_serve_bit_identical_across_replays_and_effect_threads() {
     }
 }
 
-/// The elastic-fleet claim (the workload, seed and configs of
-/// `benches/serve_load.rs::bench_elastic_vs_fixed`, which prints and
-/// records the numbers): on bursty MMPP arrivals, leasing GPUs elastically
-/// beats a fixed fleet of the same (rounded) mean size on p99 latency
-/// while spending no more GPU-time.
+/// Three tenants, three algorithm families, gangs of 1 and 2 — small
+/// enough gangs that a fixed fleet of the elastic run's mean size is
+/// always feasible.
+fn small_gang_mix() -> JobMix {
+    JobMix::of(
+        SortJob::new(TenantId(0), 1 << 16)
+            .with_algo(JobAlgo::Het)
+            .interactive(),
+    )
+    .and(SortJob::new(TenantId(1), 1 << 18).with_gpus(2), 0.75)
+    .and(SortJob::new(TenantId(2), 1 << 16).with_gpus(2), 0.5)
+}
+
+/// The p99 budget the two tests below hold the interactive tenant to.
+const P99_BUDGET: SimDuration = SimDuration(150_000);
+
+fn budget_config() -> ServeConfig {
+    ServeConfig::new()
+        .sampled(SCALE)
+        .with_policy(QueuePolicy::Edf)
+        .with_admission(AdmissionPolicy::SloAware)
+        .with_slo(TenantId(0), P99_BUDGET)
+}
+
+/// The elastic-fleet claim: on bursty MMPP arrivals, leasing GPUs
+/// elastically beats a fixed fleet of the same (rounded) mean size on p99
+/// latency while spending no more GPU-time.
 #[test]
 fn elastic_fleet_beats_a_fixed_fleet_of_its_mean_size_on_bursts() {
     let dgx = Platform::dgx_a100();
     let bursty = || {
-        let mix = JobMix::of(
-            SortJob::new(TenantId(0), 1 << 16)
-                .with_algo(JobAlgo::Het)
-                .interactive(),
-        )
-        .and(SortJob::new(TenantId(1), 1 << 18).with_gpus(2), 0.75)
-        .and(SortJob::new(TenantId(2), 1 << 16).with_gpus(2), 0.5);
         OpenLoop::new(
             ArrivalProcess::Bursty {
                 base_rate: 300.0,
@@ -105,25 +120,21 @@ fn elastic_fleet_beats_a_fixed_fleet_of_its_mean_size_on_bursts() {
                 mean_calm: SimDuration::from_millis(4),
                 mean_burst: SimDuration::from_millis(2),
             },
-            mix,
+            small_gang_mix(),
             96,
             0xB0B,
         )
     };
-    let base = || {
-        ServeConfig::new()
-            .sampled(SCALE)
-            .with_policy(QueuePolicy::Edf)
-            .with_admission(AdmissionPolicy::SloAware)
-            .with_slo(TenantId(0), SimDuration::from_micros(150))
-    };
-    let elastic = SortService::<u32>::new(&dgx, base().elastic(2, SimDuration::from_millis(1)))
-        .serve(bursty());
+    let elastic = SortService::<u32>::new(
+        &dgx,
+        budget_config().elastic(2, SimDuration::from_millis(1)),
+    )
+    .serve(bursty());
     // As many fixed GPUs as the elastic run leased on average (rounded;
     // never below the largest gang in the mix).
     let gpus = (elastic.mean_fleet_size().round() as usize).max(2);
-    let fixed =
-        SortService::<u32>::new(&dgx, base().with_fleet((0..gpus).collect())).serve(bursty());
+    let fixed = SortService::<u32>::new(&dgx, budget_config().with_fleet((0..gpus).collect()))
+        .serve(bursty());
     assert!(elastic.all_validated() && fixed.all_validated());
     assert!(
         elastic.mean_fleet_size() <= gpus as f64 + 0.05,
@@ -136,6 +147,48 @@ fn elastic_fleet_beats_a_fixed_fleet_of_its_mean_size_on_bursts() {
         elastic.p99_latency(),
         fixed.p99_latency(),
     );
+}
+
+/// Capacity at a fixed p99 budget: sweeping the offered Poisson rate, the
+/// highest rate the elastic fleet serves inside the budget — the knee of
+/// the goodput-vs-load curve — is 16 000 jobs/s on the DGX A100 and
+/// 4 000 jobs/s on the AC922, whose four GPUs run out one swept rate sooner.
+/// Up to the knee nothing is shed.
+#[test]
+fn capacity_knee_at_a_fixed_p99_budget_per_platform() {
+    const RATES: [f64; 5] = [250.0, 1_000.0, 4_000.0, 16_000.0, 64_000.0];
+    // (platform, knee rate, p99 at the knee, p99 one rate past it) in ns.
+    let cases = [
+        (Platform::dgx_a100(), 16_000.0, 136_408, 528_059),
+        (Platform::ibm_ac922(), 4_000.0, 116_547, 183_510),
+    ];
+    for (platform, knee_rate, p99_at_knee, p99_past_knee) in cases {
+        let sweep = RATES.map(|rate| {
+            let config = budget_config().elastic(2, SimDuration::from_millis(1));
+            let report = SortService::<u32>::new(&platform, config).serve(OpenLoop::poisson(
+                rate,
+                small_gang_mix(),
+                96,
+                0x5EED,
+            ));
+            assert!(report.all_validated(), "{:?} at {rate}/s", platform.id);
+            report
+        });
+        assert!(
+            sweep[0].p99_latency() <= P99_BUDGET,
+            "the lowest swept rate must meet the p99 budget"
+        );
+        let knee = sweep
+            .iter()
+            .rposition(|r| r.p99_latency() <= P99_BUDGET)
+            .expect("the lowest rate meets the budget");
+        assert_eq!(RATES[knee], knee_rate, "knee moved on {:?}", platform.id);
+        assert_eq!(sweep[knee].p99_latency(), SimDuration(p99_at_knee));
+        assert_eq!(sweep[knee + 1].p99_latency(), SimDuration(p99_past_knee));
+        for (rate, report) in RATES.iter().zip(&sweep[..=knee]) {
+            assert_eq!(report.shed_jobs(), 0, "{:?} at {rate}/s", platform.id);
+        }
+    }
 }
 
 /// Under bursty overload the elastic fleet flexes between its floor and
