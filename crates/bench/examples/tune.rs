@@ -1,10 +1,8 @@
 //! One-off tuning probes (not shipped in CI) behind the size-dispatch
 //! constants: `primitives::PARALLEL_MIN_KEYS` (seq vs parallel onesweep, copy
-//! vs par_copy), `onesweep`'s small-sort crossover (radix passes vs comparison
-//! sort) and `exec`'s inline floor (one pool hand-off vs the effect itself).
+//! vs par_copy) and `onesweep`'s small-sort crossover (radix passes vs
+//! comparison sort).
 use msort_data::{generate, Distribution};
-use msort_sim::GpuSortAlgo;
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 fn med(mut v: Vec<f64>) -> f64 {
@@ -30,7 +28,6 @@ fn main() {
     println!("pool threads = {threads}");
     parallel_floor_probe(threads);
     small_sort_probe();
-    handoff_probe(threads);
 }
 
 fn parallel_floor_probe(threads: usize) {
@@ -116,55 +113,6 @@ fn small_sort_probe() {
             "n={n:5}: comparison {:6.2} us, onesweep {:6.2} us",
             cmp * 1e6,
             onesweep * 1e6,
-        );
-    }
-}
-
-/// One cross-thread hand-off (box the job, queue it, wake a pool worker,
-/// sleep until it reports back — what `EffectExecutor::submit` + `flush`
-/// cost around a pooled job) against running a copy or a device sort of the
-/// same size right here.
-fn handoff_probe(threads: usize) {
-    if threads > 1 {
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let handoff = time_per_call(20_000, || {
-            let signal = Arc::clone(&done);
-            msort_cpu::pool::spawn(move || {
-                *signal.0.lock().expect("probe mutex") = true;
-                signal.1.notify_all();
-            });
-            let mut flag = done.0.lock().expect("probe mutex");
-            while !*flag {
-                flag = done.1.wait(flag).expect("probe mutex");
-            }
-            *flag = false;
-        });
-        println!("pool hand-off round trip: {:.2} us", handoff * 1e6);
-    } else {
-        println!("pool hand-off round trip: no pool worker at width 1 (set MSORT_POOL_THREADS=2)");
-    }
-    println!("inline effects, u32 (access set: copy n elements, device sort 2n with its scratch):");
-    for n in SMALL_SIZES.into_iter().chain([16_384, 32_768]) {
-        let input: Vec<u32> = generate(Distribution::Uniform, n, 7);
-        let copy = on_fresh_copy(&input, |_, _| {});
-        // Thrust and CUB share one kernel.
-        let sorts = [
-            GpuSortAlgo::ThrustLike,
-            GpuSortAlgo::StehleLike,
-            GpuSortAlgo::MgpuLike,
-        ]
-        .map(|algo| {
-            let sort = |d: &mut [u32], aux: &mut [u32]| {
-                msort_gpu::primitives::device_sort_with(algo, d, aux, 1);
-            };
-            on_fresh_copy(&input, sort) - copy
-        });
-        println!(
-            "n={n:5}: copy {:6.3} us, device sort thrust {:7.2} / stehle {:7.2} / mgpu {:7.2} us",
-            copy * 1e6,
-            sorts[0] * 1e6,
-            sorts[1] * 1e6,
-            sorts[2] * 1e6,
         );
     }
 }

@@ -23,18 +23,27 @@
 use msort_cluster::cluster_of;
 use msort_core::{
     cpu_only_sort, cross_node_sort, het_sort, mwms_sort, p2p_sort, rp_sort, sample_sort,
-    single_gpu_sort, CrossNodeConfig, HetConfig, InnerAlgo, LargeDataApproach, MwmsConfig,
-    P2pConfig, RpConfig, SampleSortConfig, SortReport,
+    single_gpu_sort, CrossNodeConfig, Family, HetConfig, LargeDataApproach, MwmsConfig, P2pConfig,
+    RpConfig, SampleSortConfig, SortReport,
 };
 use msort_data::{generate, DataType, Distribution};
 use msort_gpu::Fidelity;
 use msort_sim::GpuSortAlgo;
 use msort_topology::{Fabric, Platform, PlatformId};
 
+/// What `--algo` names: a multi-GPU sort family or one of the two
+/// single-device baselines.
+#[derive(Clone, Copy)]
+enum Algo {
+    Family(Family),
+    SingleGpu,
+    CpuOnly,
+}
+
 /// Parsed command-line options.
 struct Options {
     platform: PlatformId,
-    algo: String,
+    algo: Algo,
     gpus: usize,
     keys: u64,
     dist: Distribution,
@@ -59,7 +68,7 @@ impl Default for Options {
     fn default() -> Self {
         Self {
             platform: PlatformId::DgxA100,
-            algo: "p2p".to_owned(),
+            algo: Algo::Family(Family::P2p),
             gpus: 4,
             keys: 1 << 24,
             dist: Distribution::Uniform,
@@ -141,7 +150,19 @@ fn parse(args: &[String]) -> Option<Options> {
                     }
                 }
             }
-            "--algo" => opts.algo = value("--algo")?,
+            "--algo" => {
+                opts.algo = match value("--algo")?.as_str() {
+                    "1gpu" => Algo::SingleGpu,
+                    "cpu" => Algo::CpuOnly,
+                    family => match family.parse() {
+                        Ok(family) => Algo::Family(family),
+                        Err(e) => {
+                            eprintln!("{e}, or 1gpu, cpu");
+                            return None;
+                        }
+                    },
+                }
+            }
             "--gpus" => opts.gpus = value("--gpus")?.parse().ok()?,
             "--keys" => opts.keys = parse_count(&value("--keys")?)?,
             "--scale" => opts.scale = value("--scale")?.parse().ok()?,
@@ -252,16 +273,9 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
     };
     let mut data: Vec<K> = generate(opts.dist, (n / scale) as usize, opts.seed);
     if opts.nodes > 1 {
-        let inner = match opts.algo.as_str() {
-            "p2p" => InnerAlgo::P2p,
-            "het" => InnerAlgo::Het,
-            "rp" => InnerAlgo::Rp,
-            "sample" => InnerAlgo::SampleSort,
-            "mwms" => InnerAlgo::MultiwayMerge,
-            other => {
-                eprintln!("--nodes > 1 needs --algo p2p|het|rp|sample|mwms (got '{other}')");
-                usage()
-            }
+        let Algo::Family(inner) = opts.algo else {
+            eprintln!("--nodes > 1 needs --algo p2p|het|rp|sample|mwms");
+            usage()
         };
         let mut cfg = CrossNodeConfig::new(inner);
         cfg.fidelity = fidelity;
@@ -269,8 +283,8 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
         cfg.gpus_per_node = Some(opts.gpus);
         return cross_node_sort(platform, &cfg, &mut data, n);
     }
-    match opts.algo.as_str() {
-        "p2p" => {
+    match opts.algo {
+        Algo::Family(Family::P2p) => {
             let mut cfg = P2pConfig {
                 fidelity,
                 algo: opts.primitive,
@@ -279,7 +293,7 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
             cfg.multi_hop = opts.multi_hop;
             p2p_sort(platform, &cfg, &mut data, n)
         }
-        "het" => {
+        Algo::Family(Family::Het) => {
             let mut cfg = HetConfig {
                 fidelity,
                 algo: opts.primitive,
@@ -289,7 +303,7 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
             cfg.eager_merge = opts.eager_merge;
             het_sort(platform, &cfg, &mut data, n)
         }
-        "rp" => {
+        Algo::Family(Family::Rp) => {
             let cfg = RpConfig {
                 fidelity,
                 algo: opts.primitive,
@@ -297,7 +311,7 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
             };
             rp_sort(platform, &cfg, &mut data, n)
         }
-        "sample" => {
+        Algo::Family(Family::SampleSort) => {
             let cfg = SampleSortConfig {
                 fidelity,
                 algo: opts.primitive,
@@ -305,7 +319,7 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
             };
             sample_sort(platform, &cfg, &mut data, n)
         }
-        "mwms" => {
+        Algo::Family(Family::MultiwayMerge) => {
             let cfg = MwmsConfig {
                 fidelity,
                 algo: opts.primitive,
@@ -313,12 +327,8 @@ fn run_typed<K: msort_data::SortKey>(opts: &Options, platform: &Platform) -> Sor
             };
             mwms_sort(platform, &cfg, &mut data, n)
         }
-        "1gpu" => single_gpu_sort(platform, fidelity, opts.primitive, &mut data, n),
-        "cpu" => cpu_only_sort(platform, fidelity, &mut data, n),
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            usage()
-        }
+        Algo::SingleGpu => single_gpu_sort(platform, fidelity, opts.primitive, &mut data, n),
+        Algo::CpuOnly => cpu_only_sort(platform, fidelity, &mut data, n),
     }
 }
 
@@ -405,7 +415,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if matches!(opts.algo.as_str(), "p2p") && !opts.gpus.is_power_of_two() {
+    if matches!(opts.algo, Algo::Family(Family::P2p)) && !opts.gpus.is_power_of_two() {
         eprintln!(
             "--algo p2p needs a power-of-two GPU count (got {})",
             opts.gpus

@@ -14,6 +14,8 @@
 //! cargo run -p msort-bench --bin reproduce -- all
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod result;
 

@@ -32,6 +32,8 @@
 //! [`RateAllocator`]: msort_topology::RateAllocator
 //! [`Topology`]: msort_topology::Topology
 
+#![forbid(unsafe_code)]
+
 use msort_topology::{
     append_paper_node, ClusterLayout, Fabric, Platform, PlatformId, TopologyBuilder,
 };

@@ -80,3 +80,32 @@ impl Family {
         }
     }
 }
+
+/// Parses a family's command-line spelling: its short tag in lower case
+/// (`p2p`, `rp`, `het`, `sample`, `mwms`).
+impl std::str::FromStr for Family {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Family::all()
+            .into_iter()
+            .find(|f| f.tag().to_ascii_lowercase() == s)
+            .ok_or_else(|| format!("unknown sort family '{s}' (p2p, rp, het, sample, mwms)"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_family_round_trips_through_its_cli_spelling() {
+        for (family, cli) in Family::all()
+            .into_iter()
+            .zip(["p2p", "rp", "het", "sample", "mwms"])
+        {
+            assert_eq!(cli.parse(), Ok(family));
+        }
+        assert!("P2P sort".parse::<Family>().is_err());
+    }
+}

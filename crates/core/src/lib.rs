@@ -39,8 +39,7 @@
 //!   `msort-serve`), with each family's device-memory footprint.
 //! * [`run`] — the shared [`RunConfig`]: one builder for algorithm,
 //!   fidelity, fault schedule, observability recorder, and seed, consumed
-//!   by every entry point (single-shot sorts, drivers, the serve layer,
-//!   the bench harness).
+//!   by every entry point (single-shot sorts, drivers, the serve layer).
 //! * [`baseline`] — the CPU-only (PARADIS) and single-GPU baselines every
 //!   figure compares against.
 //! * [`report`] — per-run reports: end-to-end duration, the four-phase
@@ -59,6 +58,8 @@
 //! let report = p2p_sort(&dgx, &P2pConfig::new(4), &mut keys, 1 << 14);
 //! assert!(report.validated && is_sorted(&keys));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod cross_node;

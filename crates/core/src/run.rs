@@ -3,10 +3,10 @@
 //!
 //! Every entry point — the single-shot sorts ([`crate::p2p_sort`],
 //! [`crate::rp_sort`], [`crate::het_sort`]), hand-driven
-//! [`SortDriver`](crate::SortDriver)s, the serve-layer `SortService`, and
-//! the bench harness — consumes the same [`RunConfig`]: which
-//! [`Algorithm`] to run, at what [`Fidelity`], under which
-//! [`FaultPlan`], observed by which [`Recorder`], with which seed.
+//! [`SortDriver`](crate::SortDriver)s and the serve-layer `SortService` —
+//! consumes the same [`RunConfig`]: which [`Algorithm`] to run, at what
+//! [`Fidelity`], under which [`FaultPlan`], observed by which [`Recorder`],
+//! with which seed.
 //! [`Algorithm::driver`] is the one place a configured algorithm turns
 //! into its resumable driver.
 //!
@@ -143,11 +143,6 @@ pub struct RunConfig {
     /// Seed for harnesses that generate data or randomize schedules from
     /// the run configuration (the sorts themselves take explicit data).
     pub seed: u64,
-    /// Worker budget for the wall-clock effect executor (`Some(1)` forces
-    /// the seed's serial in-line execution; `None` uses the shared pool
-    /// width). Purely a wall-clock knob: outputs, reports, and simulated
-    /// clocks are bit-identical across settings.
-    pub effect_threads: Option<usize>,
 }
 
 impl Default for RunConfig {
@@ -167,7 +162,6 @@ impl RunConfig {
             faults: FaultPlan::new(),
             recorder: Recorder::disabled(),
             seed: 0,
-            effect_threads: None,
         }
     }
 
@@ -250,13 +244,6 @@ impl RunConfig {
         self
     }
 
-    /// Cap the wall-clock effect executor's worker budget (`1` = serial).
-    #[must_use]
-    pub fn with_effect_threads(mut self, threads: usize) -> Self {
-        self.effect_threads = Some(threads);
-        self
-    }
-
     /// Build a [`GpuSystem`] with this configuration's fidelity, fault
     /// schedule, and recorder installed — the one place every entry point
     /// gets its executor from.
@@ -265,9 +252,6 @@ impl RunConfig {
         let mut sys = GpuSystem::new(platform, self.fidelity);
         sys.schedule_faults(&self.faults);
         sys.set_recorder(self.recorder.clone());
-        if let Some(n) = self.effect_threads {
-            sys.set_effect_threads(n);
-        }
         sys
     }
 }

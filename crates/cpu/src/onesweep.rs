@@ -30,7 +30,7 @@
 //! in-tile order), and stable LSD radix output is unique — so the sequential
 //! kernel, the parallel kernel, and [`crate::lsb_radix`] all produce
 //! bit-identical outputs for every `MSORT_POOL_THREADS` setting. That is the
-//! property the effect-executor determinism suite pins. Inputs too small to
+//! property `tests/golden.rs` pins at pool widths 1 and 2. Inputs too small to
 //! amortise the histogram set-up skip the passes for a comparison sort on
 //! the radix image, which yields the same bytes (see `SMALL_SORT_MAX_KEYS`).
 

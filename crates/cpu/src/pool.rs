@@ -13,8 +13,6 @@
 //!   may borrow from the caller's stack, every spawned task is guaranteed
 //!   to finish before `scope` returns, and a panicking task resurfaces as a
 //!   panic in the caller (first panic wins, like `std::thread::scope`).
-//! * [`spawn`] submits a detached `'static` task (used by the GPU runtime's
-//!   deferred effect executor).
 //! * [`threads`] is the worker budget parallel algorithms should chunk by:
 //!   the machine's available parallelism, overridable with the
 //!   `MSORT_POOL_THREADS` environment variable so CI can force
@@ -107,37 +105,10 @@ fn worker_loop(shared: &Shared) {
                 q = shared.cv.wait(q).expect("pool mutex");
             }
         };
-        // Tasks are panic-wrapped at submission ([`scope`] stores the
-        // payload, [`spawn`] documents the requirement); a stray unwind
-        // would otherwise silently kill the worker.
+        // Tasks are panic-wrapped at submission ([`Scope::spawn`] stores
+        // the payload); a stray unwind would otherwise silently kill the
+        // worker.
         let _ = catch_unwind(AssertUnwindSafe(task));
-    }
-}
-
-/// Submit a detached task. The task must not panic (wrap fallible work in
-/// `catch_unwind`); a panic is swallowed by the worker.
-pub fn spawn(f: impl FnOnce() + Send + 'static) {
-    let p = pool();
-    p.shared
-        .queue
-        .lock()
-        .expect("pool mutex")
-        .push_back(Box::new(f));
-    p.shared.cv.notify_one();
-}
-
-/// Pop and run one queued task on the calling thread. Returns `false` when
-/// the queue was empty. Lets executors outside this crate help the pool
-/// while they wait (the same mechanism [`scope`] uses internally).
-pub fn try_help() -> bool {
-    let p = pool();
-    let task = p.shared.queue.lock().expect("pool mutex").pop_front();
-    match task {
-        Some(t) => {
-            t();
-            true
-        }
-        None => false,
     }
 }
 
@@ -329,25 +300,6 @@ mod tests {
         // The sibling task still ran to completion before the panic
         // resurfaced (scope joins everything first).
         assert_eq!(finished.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn detached_spawn_runs() {
-        let done = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&done);
-        spawn(move || {
-            d.store(1, Ordering::Release);
-        });
-        // Drain via helping (robust even with zero workers), then give any
-        // worker-side execution a moment to finish.
-        while try_help() {}
-        for _ in 0..1000 {
-            if done.load(Ordering::Acquire) == 1 {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        panic!("detached task never ran");
     }
 
     #[test]

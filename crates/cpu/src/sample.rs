@@ -10,10 +10,10 @@
 //! * **Determinism.** Splitters are drawn at *evenly spaced positions*
 //!   (the midpoints of `count` equal strides), never by an RNG — the
 //!   multi-GPU driver requires bit-reproducible runs from the data alone,
-//!   across every pool width and effect-executor budget. An evenly spaced
-//!   sample of an arbitrary input is exactly as representative as a
-//!   random one unless the input correlates value with position at the
-//!   stride wavelength, which no paper distribution does.
+//!   across every pool width. An evenly spaced sample of an arbitrary
+//!   input is exactly as representative as a random one unless the input
+//!   correlates value with position at the stride wavelength, which no
+//!   paper distribution does.
 //! * **Duplicate robustness.** A splitter is a `(key, position)` pair and
 //!   the bucket order is lexicographic on `(radix image, position)`. For
 //!   duplicate-heavy inputs (Zipf, constant) a key-only comparison would
@@ -105,7 +105,7 @@ pub fn bucket_counts<K: SortKey>(data: &[K], splitters: &[Splitter<K>]) -> Vec<u
 ///
 /// Within a bucket, keys keep their input order (the scatter is stable),
 /// so the output bytes are unique and identical for every `threads`
-/// value — the property the effect-executor determinism suite pins.
+/// value — the property `tests/golden.rs` pins at pool widths 1 and 2.
 ///
 /// # Panics
 /// Panics if `aux.len() < data.len()` or `splitters` is not sorted by

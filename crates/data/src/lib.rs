@@ -14,6 +14,8 @@
 //! * [`generate`]/[`generate_into`] — deterministic, seedable generators.
 //! * [`validate`] — sortedness and permutation checks used by every test.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod gen;
 pub mod keys;

@@ -232,8 +232,8 @@ impl<K: SortKey> World<K> {
         par_copy(&mut b.data[do_..do_ + l], &a.data[so..so + l]);
     }
 
-    /// Mutable physical view of a whole buffer.
-    pub(crate) fn data_mut(&mut self, id: BufId) -> &mut [K] {
+    /// Mutable physical payload of a whole buffer.
+    pub(crate) fn data_mut(&mut self, id: BufId) -> &mut Vec<K> {
         &mut self.buffers[id.0].data
     }
 

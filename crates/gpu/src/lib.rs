@@ -46,8 +46,9 @@
 //! assert_eq!(sys.world().slice(host, 0, 4), &[0, 1, 2, 3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
-mod exec;
 pub mod primitives;
 pub mod system;
 

@@ -49,7 +49,7 @@ pub fn device_sort<K: SortKey>(algo: GpuSortAlgo, data: &mut [K], aux: &mut [K])
 /// [`device_sort`] with an explicit worker budget. Above
 /// [`PARALLEL_MIN_KEYS`] each algorithm family dispatches to its parallel
 /// counterpart (a real GPU runs these kernels on thousands of threads;
-/// the wall-clock engine runs them on the shared worker pool).
+/// this runtime runs them on the shared worker pool).
 pub fn device_sort_with<K: SortKey>(
     algo: GpuSortAlgo,
     data: &mut [K],

@@ -19,10 +19,9 @@
 //! its completion time, so any host-side read after a `synchronize` sees
 //! exactly what real hardware would have produced.
 
-use crate::buffer::{BufId, Fidelity, Location, World};
-use crate::exec::{Access, EffectExecutor, RawSlice, RawSliceConst};
+use crate::buffer::{par_copy, BufId, Fidelity, Location, World};
 use crate::primitives;
-use msort_cpu::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
+use msort_cpu::multiway::parallel_multiway_merge;
 use msort_data::SortKey;
 use msort_sim::{CostModel, FaultPlan, FlowId, FlowSim, GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::{Endpoint, FlowRequest, LinkId, Platform, Route};
@@ -149,14 +148,12 @@ enum Effect<K> {
         aux: BufId,
         splitters: Vec<(K, u64)>,
     },
-    #[allow(dead_code)]
-    Marker(std::marker::PhantomData<K>),
 }
 
 impl<K> Effect<K> {
     fn name(&self) -> &'static str {
         match self {
-            Effect::None | Effect::Marker(_) => "delay",
+            Effect::None => "delay",
             Effect::DeviceSort { .. } => "gpu sort",
             Effect::DeviceMergeInto { .. } => "gpu merge",
             Effect::HostSort { .. } => "cpu sort",
@@ -266,11 +263,6 @@ pub struct GpuSystem<'p, K: SortKey> {
     recorder: Recorder,
     /// Per-stream span tracks, created lazily (index = stream id).
     rec_stream_tracks: Vec<TrackId>,
-    /// Wall-clock executor for data effects: completed ops enqueue their
-    /// copy/sort/merge as jobs tagged with buffer read/write sets;
-    /// non-conflicting jobs run concurrently on the shared worker pool and
-    /// the driver joins before any world access (see [`crate::exec`]).
-    exec: EffectExecutor,
 }
 
 struct StreamQueue {
@@ -304,19 +296,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             retries: 0,
             recorder: Recorder::disabled(),
             rec_stream_tracks: Vec::new(),
-            exec: EffectExecutor::new(),
         }
-    }
-
-    /// Set the effect executor's concurrency budget. `1` forces the serial
-    /// baseline (every effect applies inline at its op's completion, on the
-    /// driver thread); the default is the shared pool's thread count. The
-    /// final buffer contents and reports are bit-identical either way —
-    /// the executor changes *when and where* effects run, never what they
-    /// compute.
-    pub fn set_effect_threads(&mut self, threads: usize) {
-        self.exec.flush();
-        self.exec.set_threads(threads);
     }
 
     /// Attach a [`Recorder`]: completed ops emit per-stream spans, and the
@@ -972,14 +952,10 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             self.start_ready_ops();
             if let Some(ops) = stop_ops {
                 if ops.iter().any(|o| self.op_done(*o)) {
-                    // Join in-flight effects before handing control back:
-                    // the caller may read any buffer now.
-                    self.exec.flush();
                     return self.flows.now();
                 }
             }
             if deadline.is_some_and(|d| self.flows.now() >= d) {
-                self.exec.flush();
                 return self.flows.now();
             }
             // Next event: earliest fixed completion, flow completion, or
@@ -1016,9 +992,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                     .filter(|(_, o)| !matches!(o.state, OpState::Done))
                     .map(|(i, _)| self.ops_base + i)
                     .collect();
-                // Join effects before panicking or returning: unwinding
-                // must not race jobs holding raw views of the world.
-                self.exec.flush();
                 if stop_ops.is_some() {
                     panic!(
                         "run_until: nothing is running and none of the awaited ops \
@@ -1128,7 +1101,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 op.attempts
             };
             if attempts > MAX_TRANSFER_RETRIES {
-                self.exec.flush();
                 panic!(
                     "transfer op {idx} was interrupted {attempts} times; giving up\nlink health:\n{}",
                     self.flows
@@ -1266,20 +1238,12 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     fn start_op(&mut self, id: OpId) {
         let now = self.flows.now();
         self.op_mut(id.0).started = Some(now);
-        // Copies stage their source bytes now (see `Op::staged`). An
-        // in-flight effect job may still be writing the source range, so
-        // join the executor's writers on it first — the serial baseline
-        // applied every effect before any later op could start.
-        match self.op(id.0).kind.as_ref().expect("op has a kind") {
-            OpKind::Transfer { src, len, .. } | OpKind::LocalCopy { src, len, .. } => {
-                let (src, len) = ((src.0, src.1), *len);
-                let so = self.world.physical(src.1);
-                let l = self.world.physical(len);
-                self.exec.wait_writes(src.0 .0, so, so + l);
-                let snapshot = self.world.slice(src.0, src.1, len).to_vec();
-                self.op_mut(id.0).staged = Some(snapshot);
-            }
-            _ => {}
+        // Copies stage their source bytes now (see `Op::staged`).
+        if let Some(OpKind::Transfer { src, len, .. } | OpKind::LocalCopy { src, len, .. }) =
+            &self.op(id.0).kind
+        {
+            let snapshot = self.world.slice(src.0, src.1, *len).to_vec();
+            self.op_mut(id.0).staged = Some(snapshot);
         }
         if matches!(self.op(id.0).kind, Some(OpKind::Transfer { .. })) {
             self.launch_transfer(id.0);
@@ -1438,42 +1402,24 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                     .expect("copy staged its source");
                 let dst_off = self.world.physical(dst.1);
                 let l = self.world.physical(len);
-                if l == 0 {
-                    return;
-                }
-                let out = RawSlice::new(&mut self.world.data_mut(dst.0)[dst_off..dst_off + l]);
-                self.exec.submit(
-                    &[Access {
-                        buf: dst.0 .0,
-                        lo: dst_off,
-                        hi: dst_off + l,
-                        write: true,
-                    }],
-                    move || {
-                        // SAFETY: the job's write access covers exactly this
-                        // range; the executor serializes conflicting jobs and
-                        // the system flushes before the buffer is read/freed.
-                        crate::buffer::par_copy(unsafe { out.as_mut() }, &staged[..l]);
-                    },
+                par_copy(
+                    &mut self.world.data_mut(dst.0)[dst_off..dst_off + l],
+                    &staged,
                 );
             }
             OpKind::Fixed { effect, .. } | OpKind::HostFlow { effect, .. } => {
-                self.submit_effect(effect);
+                self.apply_effect(effect);
             }
         }
     }
 
-    /// Enqueue an effect on the wall-clock executor, tagged with the
-    /// physical buffer ranges it reads and writes. In serial mode
-    /// (`set_effect_threads(1)`) the job runs inline right here, which is
-    /// exactly the seed executor's behavior, and so does any job too small
-    /// to be worth a hand-off to the pool. The kernels always chunk by
-    /// the process-wide pool thread count, so the bytes produced do not
-    /// depend on the effect-level schedule.
-    fn submit_effect(&mut self, effect: Effect<K>) {
-        let threads = msort_cpu::pool::threads();
+    /// Apply a completed op's data effect, right here on the driver thread.
+    /// Ops complete in simulated-time order, so effects apply in that order
+    /// too; the kernels split large inputs over the shared worker pool by
+    /// input size alone ([`primitives::PARALLEL_MIN_KEYS`]).
+    fn apply_effect(&mut self, effect: Effect<K>) {
         match effect {
-            Effect::None | Effect::Marker(_) => {}
+            Effect::None => {}
             Effect::DeviceSort {
                 algo,
                 data,
@@ -1482,97 +1428,24 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             } => {
                 let lo = self.world.physical(range.0);
                 let hi = self.world.physical(range.1);
-                let n = hi - lo;
-                if n == 0 {
-                    return;
-                }
                 let (d, a) = self.world.two_mut(data, aux);
-                let d = RawSlice::new(&mut d[lo..hi]);
-                let a = RawSlice::new(&mut a[..n]);
-                self.exec.submit(
-                    &[
-                        Access {
-                            buf: data.0,
-                            lo,
-                            hi,
-                            write: true,
-                        },
-                        Access {
-                            buf: aux.0,
-                            lo: 0,
-                            hi: n,
-                            write: true,
-                        },
-                    ],
-                    move || {
-                        // SAFETY: write accesses cover both views (see above).
-                        primitives::device_sort_with(
-                            algo,
-                            unsafe { d.as_mut() },
-                            unsafe { a.as_mut() },
-                            threads,
-                        );
-                    },
-                );
+                primitives::device_sort(algo, &mut d[lo..hi], &mut a[..hi - lo]);
             }
             Effect::DeviceMergeInto { src, mid, len, dst } => {
                 let m = self.world.physical(mid);
                 let l = self.world.physical(len);
-                if l == 0 {
-                    return;
-                }
                 let (s, d) = self.world.two_mut(src, dst);
-                let s = RawSliceConst::new(&s[..l]);
-                let d = RawSlice::new(&mut d[..l]);
-                self.exec.submit(
-                    &[
-                        Access {
-                            buf: src.0,
-                            lo: 0,
-                            hi: l,
-                            write: false,
-                        },
-                        Access {
-                            buf: dst.0,
-                            lo: 0,
-                            hi: l,
-                            write: true,
-                        },
-                    ],
-                    move || {
-                        // SAFETY: read access on src, write access on dst.
-                        primitives::device_merge_into_with(
-                            unsafe { s.as_ref() },
-                            m,
-                            unsafe { d.as_mut() },
-                            threads,
-                        );
-                    },
-                );
+                primitives::device_merge_into(&s[..l], m, &mut d[..l]);
             }
             Effect::HostSort { data } => {
-                let buf = self.world.data_mut(data);
-                let n = buf.len();
-                let d = RawSlice::new(buf);
-                self.exec.submit(
-                    &[Access {
-                        buf: data.0,
-                        lo: 0,
-                        hi: n,
-                        write: true,
-                    }],
-                    move || {
-                        // SAFETY: write access covers the whole buffer.
-                        msort_cpu::parallel_sort(unsafe { d.as_mut() });
-                    },
-                );
+                msort_cpu::parallel_sort(self.world.data_mut(data));
             }
             Effect::HostMultiwayMerge { inputs, output } => {
                 let out_off = self.world.physical(output.1);
-                self.submit_multiway_merge(inputs, output.0, out_off, threads);
+                self.apply_multiway_merge(&inputs, output.0, out_off);
             }
             Effect::DeviceMultiwayMerge { inputs, dst } => {
-                self.submit_multiway_merge(inputs, dst, 0, threads);
+                self.apply_multiway_merge(&inputs, dst, 0);
             }
             Effect::DevicePartition {
                 data,
@@ -1582,121 +1455,45 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             } => {
                 let lo = self.world.physical(range.0);
                 let hi = self.world.physical(range.1);
-                let n = hi - lo;
-                if n == 0 {
-                    return;
-                }
                 let (d, a) = self.world.two_mut(data, aux);
-                let d = RawSlice::new(&mut d[lo..hi]);
-                let a = RawSlice::new(&mut a[..n]);
-                self.exec.submit(
-                    &[
-                        Access {
-                            buf: data.0,
-                            lo,
-                            hi,
-                            write: true,
-                        },
-                        Access {
-                            buf: aux.0,
-                            lo: 0,
-                            hi: n,
-                            write: true,
-                        },
-                    ],
-                    move || {
-                        // SAFETY: write accesses cover both views (see above).
-                        primitives::device_partition_with(
-                            unsafe { d.as_mut() },
-                            unsafe { a.as_mut() },
-                            &splitters,
-                            threads,
-                        );
-                    },
-                );
+                primitives::device_partition(&mut d[lo..hi], &mut a[..hi - lo], &splitters);
             }
         }
     }
 
-    /// Shared zero-copy path for host and device multiway merges: input
-    /// windows are *borrowed* from the world (the seed copied every run
-    /// with `to_vec()`); only a window that physically overlaps the output
-    /// range is materialized inside the job, because the merge would
-    /// otherwise overwrite unread input.
-    fn submit_multiway_merge(
+    /// Shared zero-copy path for host and device multiway merges: the
+    /// output payload leaves the world for the call, so every input window
+    /// in another buffer is a plain borrow of the world. A window living in
+    /// the output buffer itself is copied first — the merge would otherwise
+    /// overwrite unread input.
+    fn apply_multiway_merge(
         &mut self,
-        inputs: Vec<(BufId, u64, u64)>,
+        inputs: &[(BufId, u64, u64)],
         out_buf: BufId,
         out_off: usize,
-        threads: usize,
     ) {
-        let mut accesses = Vec::with_capacity(inputs.len() + 1);
-        let mut views: Vec<RawSliceConst<K>> = Vec::with_capacity(inputs.len());
-        let mut total = 0usize;
-        for &(b, off, len) in &inputs {
-            let window = self.world.slice(b, off, len);
-            total += window.len();
-            accesses.push(Access {
-                buf: b.0,
-                lo: self.world.physical(off),
-                hi: self.world.physical(off) + window.len(),
-                write: false,
-            });
-            views.push(RawSliceConst::new(window));
-        }
-        if total == 0 {
-            return;
-        }
-        accesses.push(Access {
-            buf: out_buf.0,
-            lo: out_off,
-            hi: out_off + total,
-            write: true,
-        });
-        let out = RawSlice::new(&mut self.world.data_mut(out_buf)[out_off..out_off + total]);
-        self.exec.submit(&accesses, move || {
-            // SAFETY: read accesses cover every input window, the write
-            // access covers the output range; conflicting jobs are ordered.
-            let out = unsafe { out.as_mut() };
-            let out_lo = out.as_ptr() as usize;
-            let out_hi = out_lo + std::mem::size_of_val::<[K]>(out);
-            // Inputs overlapping the output (in-place merges within one
-            // buffer) are copied out first; disjoint ones are borrowed.
-            let owned: Vec<Option<Vec<K>>> = views
-                .iter()
-                .map(|v| {
-                    let (lo, hi) = v.byte_range();
-                    // SAFETY: read access covers the window.
-                    (lo < out_hi && out_lo < hi).then(|| unsafe { v.as_ref() }.to_vec())
+        let mut out = std::mem::take(self.world.data_mut(out_buf));
+        let world = &self.world;
+        let owned: Vec<Option<Vec<K>>> = inputs
+            .iter()
+            .map(|&(b, off, len)| {
+                (b == out_buf).then(|| {
+                    let o = world.physical(off);
+                    out[o..o + world.physical(len)].to_vec()
                 })
-                .collect();
-            let refs: Vec<&[K]> = views
-                .iter()
-                .zip(&owned)
-                .map(|(v, o)| match o {
-                    Some(copy) => copy.as_slice(),
-                    // SAFETY: read access covers the window.
-                    None => unsafe { v.as_ref() },
-                })
-                .collect();
-            parallel_multiway_merge_with(
-                &refs,
-                out,
-                ParallelMergeConfig {
-                    threads,
-                    ..Default::default()
-                },
-            );
-        });
-    }
-}
-
-impl<K: SortKey> Drop for GpuSystem<'_, K> {
-    fn drop(&mut self) {
-        // Effect jobs hold raw views of `self.world`; they must finish
-        // before the world's buffers drop. Quiet: propagating a job panic
-        // while already unwinding would abort.
-        self.exec.quiet_flush();
+            })
+            .collect();
+        let runs: Vec<&[K]> = inputs
+            .iter()
+            .zip(&owned)
+            .map(|(&(b, off, len), copy)| match copy {
+                Some(copy) => copy.as_slice(),
+                None => world.slice(b, off, len),
+            })
+            .collect();
+        let total: usize = runs.iter().map(|r| r.len()).sum();
+        parallel_multiway_merge(&runs, &mut out[out_off..out_off + total]);
+        *self.world.data_mut(out_buf) = out;
     }
 }
 
@@ -1859,6 +1656,20 @@ mod tests {
         assert!(is_sorted(&merged));
         assert_eq!(merged[0], 0);
         assert_eq!(merged[1023], 1023);
+    }
+
+    #[test]
+    fn multiway_merge_copies_windows_living_in_the_output_buffer() {
+        let p = Platform::dgx_a100();
+        let mut sys = system(&p);
+        // In place: both runs sit where the merged output goes.
+        let h = sys
+            .world_mut()
+            .import_host(0, vec![4u32, 5, 6, 7, 0, 1, 2, 3], 8);
+        let s = sys.stream();
+        sys.cpu_multiway_merge(s, vec![(h, 0, 4), (h, 4, 4)], h, 0, &[]);
+        sys.synchronize();
+        assert_eq!(sys.world().slice(h, 0, 8), &[0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

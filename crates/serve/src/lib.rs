@@ -52,6 +52,8 @@
 //! assert!(report.all_validated());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod job;
 pub mod placement;

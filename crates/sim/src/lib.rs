@@ -32,6 +32,8 @@
 //! assert!((d.as_millis_f64() - 36.0).abs() < 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod fault;
 pub mod flows;

@@ -37,6 +37,8 @@
 //! assert!((rates[0] / 1e9 - 72.0).abs() < 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod allocate;
 pub mod constraint;
 pub mod graph;

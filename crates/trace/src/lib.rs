@@ -22,7 +22,7 @@
 //!
 //! The recorder attaches through `msort_core::RunConfig`
 //! (`.with_recorder(...)`), consumed uniformly by single-shot sorts, sort
-//! drivers, the serve `SortService`, and the bench harness.
+//! drivers and the serve `SortService`.
 //!
 //! **Overhead contract:** a disabled recorder (the default) costs one
 //! branch per instrumentation site — no allocation, no event storage —
@@ -31,6 +31,8 @@
 //!
 //! This crate is a leaf: timestamps are plain `u64` nanoseconds (the unit
 //! of `msort_sim::SimTime`), so every layer can depend on it.
+
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod json;

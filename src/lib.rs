@@ -47,6 +47,8 @@
 //! println!("{}", report.summary());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use msort_cluster as cluster;
 pub use msort_core as core;
 pub use msort_cpu as cpu;

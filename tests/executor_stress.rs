@@ -89,18 +89,16 @@ fn rp_sort_any_input() {
 
 /// Random DAGs of *data effects* sharing buffers: sorts over random
 /// subranges, pairwise merges, and overlapping copies, on random streams
-/// with random waits. The wall-clock effect executor must produce
-/// bit-identical buffer contents whether it runs serially or with four
-/// effect threads — conflicting jobs keep their simulated order, and the
-/// kernels chunk by the process-wide pool width either way.
+/// with random waits. Effects apply in simulated completion order, which
+/// the seed alone decides, so two runs of one DAG must leave bit-identical
+/// buffer contents.
 #[test]
-fn random_effect_dags_bit_identical_across_effect_threads() {
+fn random_effect_dags_replay_bit_identical() {
     for seed in 0..16u64 {
-        let run = |effect_threads: usize| -> Vec<Vec<u32>> {
+        let run = || -> Vec<Vec<u32>> {
             let mut rng = Rng::seed_from_u64(9_000 + seed);
             let platform = Platform::dgx_a100();
             let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&platform, Fidelity::Full);
-            sys.set_effect_threads(effect_threads);
             let n: u64 = 1 << 12;
             let host = sys.world_mut().import_host(
                 0,
@@ -124,8 +122,8 @@ fn random_effect_dags_bit_identical_across_effect_threads() {
                     .collect();
                 let op = match i % 4 {
                     0 => {
-                        // Sort a random subrange (conflicts with copies and
-                        // merges touching the same buffer).
+                        // Sort a random subrange (overlaps copies and merges
+                        // touching the same buffer).
                         let lo = rng.u64_in(0..n / 2);
                         let hi = lo + rng.u64_in(1..n - lo);
                         sys.gpu_sort(
@@ -169,7 +167,7 @@ fn random_effect_dags_bit_identical_across_effect_threads() {
             }
             out
         };
-        assert_eq!(run(1), run(4), "seed {seed}: world contents diverged");
+        assert_eq!(run(), run(), "seed {seed}: world contents diverged");
     }
 }
 

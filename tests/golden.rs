@@ -1,13 +1,17 @@
 //! Golden digests: cross-commit drift detection for every sort family.
 //!
-//! `properties`, `chaos`, and `exec_determinism` compare a run only with
-//! itself, so a refactor that moves every clock by one nanosecond passes
-//! them all. This suite pins a 64-bit digest of `format!("{report:?}")`
-//! plus the output bytes for a fixed matrix of runs; the table below was
-//! printed by `print_goldens` and must not change unless a PR *means* to
-//! change simulated results (then regenerate it with
+//! `properties` and `chaos` compare a run only with itself, so a refactor
+//! that moves every clock by one nanosecond passes them both. This suite
+//! pins a 64-bit digest of `format!("{report:?}")` plus the output bytes
+//! for a fixed matrix of runs; the table below was printed by
+//! `print_goldens` and must not change unless a PR *means* to change
+//! simulated results (then regenerate it with
 //! `cargo test --test golden -- --ignored --nocapture print_goldens`).
+//! The `parallel` rows sort enough keys to reach the pool-parallel kernels:
+//! CI runs this suite at `MSORT_POOL_THREADS` 1 and 2, and the same digests
+//! must hold at both.
 
+use multi_gpu_sort::gpu::primitives::PARALLEL_MIN_KEYS;
 use multi_gpu_sort::prelude::*;
 use std::fmt::Debug;
 
@@ -27,8 +31,18 @@ fn digest(report: &impl Debug, output: &[u32]) -> u64 {
 }
 
 fn sort_digest(platform: &Platform, config: &RunConfig, logical: u64, seed: u64) -> u64 {
+    dist_digest(platform, config, logical, Distribution::Uniform, seed)
+}
+
+fn dist_digest(
+    platform: &Platform,
+    config: &RunConfig,
+    logical: u64,
+    dist: Distribution,
+    seed: u64,
+) -> u64 {
     let phys = (logical / config.fidelity.scale()) as usize;
-    let mut data: Vec<u32> = generate(Distribution::Uniform, phys, seed);
+    let mut data: Vec<u32> = generate(dist, phys, seed);
     let report = run_sort(platform, config, &mut data, logical);
     assert!(report.validated, "{}", report.algorithm);
     digest(&report, &data)
@@ -135,10 +149,32 @@ fn cases() -> Vec<(String, u64)> {
     ));
 
     out.push(("serve/sjf-elastic-200".to_string(), service_digest()));
+
+    // Every family above the parallel-kernel floor: chunks of twice
+    // `PARALLEL_MIN_KEYS`, so sorts, merges, partitions and copies split
+    // over the pool whenever it is wider than one thread.
+    let wide = 8 * PARALLEL_MIN_KEYS as u64;
+    for (fname, config) in families(4) {
+        for (dname, dist, seed) in [
+            ("uniform", Distribution::Uniform, 16),
+            (
+                "zipf",
+                Distribution::ZipfDuplicates { skew_permille: 800 },
+                17,
+            ),
+        ] {
+            out.push((
+                format!("{fname}/dgx/parallel/{dname}"),
+                dist_digest(&dgx, &config, wide, dist, seed),
+            ));
+        }
+    }
     out
 }
 
-/// Recorded at the commit before the staged-sort skeleton landed.
+/// Recorded at the commit before the staged-sort skeleton landed; the
+/// `parallel` rows at the last commit that had the effect executor, where
+/// pool widths 1 and 2 printed the same ten digests.
 const GOLDEN: &[(&str, u64)] = &[
     ("p2p/ac922/full", 0x6afc9ae0c3c09f01),
     ("p2p/ac922/sampled", 0x56715c926984a469),
@@ -190,6 +226,16 @@ const GOLDEN: &[(&str, u64)] = &[
     ("cross-node/MultiwayMerge", 0x93360a6dbdd08850),
     ("p2p/dgx/faulted", 0x2a978001bc70a4cc),
     ("serve/sjf-elastic-200", 0xf98976975c5d4a99),
+    ("p2p/dgx/parallel/uniform", 0x6ab46bc76024a3c3),
+    ("p2p/dgx/parallel/zipf", 0x906e4c99b5b01ae2),
+    ("rp/dgx/parallel/uniform", 0xf856e527180e0066),
+    ("rp/dgx/parallel/zipf", 0x13d70e38598b6b9d),
+    ("het/dgx/parallel/uniform", 0xc0cbdf64cbbc8b51),
+    ("het/dgx/parallel/zipf", 0xea21c0cca988b912),
+    ("sample/dgx/parallel/uniform", 0x7ec85b8c5280f9d1),
+    ("sample/dgx/parallel/zipf", 0xc19476a9ccb621ff),
+    ("mwms/dgx/parallel/uniform", 0x8d04f8af78dfdec3),
+    ("mwms/dgx/parallel/zipf", 0x12f6101d67bf8b0c),
 ];
 
 #[test]
