@@ -66,9 +66,6 @@ pub struct CrossNodeConfig {
     pub algo: GpuSortAlgo,
     /// Simulation fidelity.
     pub fidelity: Fidelity,
-    /// Samples drawn per node per bucket for the global splitter
-    /// selection.
-    pub oversample: usize,
 }
 
 impl CrossNodeConfig {
@@ -80,7 +77,6 @@ impl CrossNodeConfig {
             gpus_per_node: None,
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
-            oversample: 32,
         }
     }
 
@@ -88,13 +84,6 @@ impl CrossNodeConfig {
     #[must_use]
     pub fn sampled(mut self, scale: u64) -> Self {
         self.fidelity = Fidelity::Sampled { scale };
-        self
-    }
-
-    /// Restrict each node to its first `g` GPUs.
-    #[must_use]
-    pub fn with_gpus_per_node(mut self, g: usize) -> Self {
-        self.gpus_per_node = Some(g);
         self
     }
 }
@@ -323,7 +312,6 @@ impl<K: SortKey> Middle<K> for CrossNodeDriver<K> {
                     &mut self.st,
                     sys,
                     &self.stage,
-                    self.config.oversample,
                     |node| Location::Host {
                         socket: layout.node_socket(node),
                     },

@@ -209,13 +209,6 @@ impl RunConfig {
         Self::with_algorithm(config.fidelity, Algorithm::CrossNode(config))
     }
 
-    /// Set the simulation fidelity.
-    #[must_use]
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
     /// Use sampled fidelity with the given factor.
     #[must_use]
     pub fn sampled(mut self, scale: u64) -> Self {

@@ -63,11 +63,13 @@ pub struct SampleSortConfig {
     /// single-node platforms; the cross-node driver points each inner sort
     /// at its node's home socket).
     pub home_socket: usize,
-    /// Samples drawn per chunk per bucket. Higher values tighten the
-    /// bucket-imbalance bound at the cost of a longer (host-side) splitter
-    /// selection; the classic sample-sort analysis suggests `O(log n)`.
-    pub oversample: usize,
 }
+
+/// Samples drawn per chunk (a GPU's here, a node's in the cross-node
+/// exchange) per bucket. Higher values tighten the bucket-imbalance bound
+/// at the cost of a longer (host-side) splitter selection; the classic
+/// sample-sort analysis suggests `O(log n)`.
+const OVERSAMPLE: usize = 32;
 
 impl SampleSortConfig {
     /// Default configuration.
@@ -79,7 +81,6 @@ impl SampleSortConfig {
             algo: GpuSortAlgo::ThrustLike,
             fidelity: Fidelity::Full,
             home_socket: 0,
-            oversample: 32,
         }
     }
 
@@ -87,13 +88,6 @@ impl SampleSortConfig {
     #[must_use]
     pub fn sampled(mut self, scale: u64) -> Self {
         self.fidelity = Fidelity::Sampled { scale };
-        self
-    }
-
-    /// Use the given per-chunk-per-bucket oversampling factor.
-    #[must_use]
-    pub fn with_oversample(mut self, oversample: usize) -> Self {
-        self.oversample = oversample;
         self
     }
 }
@@ -123,7 +117,6 @@ enum SampleStep {
 /// from the splitter histogram mid-run. Timing starts at the first step.
 pub struct SampleSortDriver<K: SortKey> {
     st: Staging<K>,
-    oversample: usize,
     /// Per GPU: (primary chunk, partition scatter target).
     bufs: Vec<(BufId, BufId)>,
     /// Per GPU: receive buffer, allocated after splitter selection.
@@ -175,7 +168,6 @@ impl<K: SortKey> SampleSortDriver<K> {
             .collect();
         Self {
             st,
-            oversample: config.oversample,
             bufs,
             recv: Vec::with_capacity(g),
             recv_len: vec![0; g],
@@ -226,7 +218,6 @@ impl<K: SortKey> Middle<K> for SampleSortDriver<K> {
                     &mut self.st,
                     sys,
                     &self.bufs,
-                    self.oversample,
                     |lane| Location::Gpu { index: gpus[lane] },
                     GpuSystem::gpu_partition,
                 );
@@ -305,7 +296,6 @@ pub(crate) fn splitter_exchange<'p, K: SortKey>(
     st: &mut Staging<K>,
     sys: &mut GpuSystem<'p, K>,
     chunks: &[(BufId, BufId)],
-    oversample: usize,
     recv_at: impl Fn(usize) -> Location,
     partition: PartitionOp<'p, K>,
 ) -> Exchange {
@@ -319,7 +309,7 @@ pub(crate) fn splitter_exchange<'p, K: SortKey>(
         .iter()
         .map(|c| sys.world().slice(c.0, 0, chunk))
         .collect();
-    let splitters: Vec<Splitter<K>> = select_splitters(&views, lanes, oversample);
+    let splitters: Vec<Splitter<K>> = select_splitters(&views, lanes, OVERSAMPLE);
     // Physical per-(chunk, bucket) histogram; `resize` only matters for
     // the degenerate empty-input case (no samples, one catch-all bucket).
     let counts: Vec<Vec<u64>> = views
@@ -331,7 +321,7 @@ pub(crate) fn splitter_exchange<'p, K: SortKey>(
         })
         .collect();
     drop(views);
-    // Selection cost: each lane contributes an O(oversample·lanes) sample;
+    // Selection cost: each lane contributes an O(`OVERSAMPLE`·lanes) sample;
     // model it like the pivot selections of the other sorts, once per
     // contributing chunk.
     let split_cost = sys.cost_model().pivot_selection(chunk);

@@ -89,15 +89,11 @@ pub fn device_sort_with<K: SortKey>(
 }
 
 /// Merge the two sorted runs `src[..mid]` and `src[mid..]` into `dst`
-/// (the `thrust::merge` pattern used by P2P sort's local merges).
+/// (the `thrust::merge` pattern used by P2P sort's local merges). Large
+/// merges split along merge-path diagonals across the pool, exactly like
+/// the per-block tiles of a real GPU merge kernel.
 pub fn device_merge_into<K: SortKey>(src: &[K], mid: usize, dst: &mut [K]) {
-    device_merge_into_with(src, mid, dst, msort_cpu::pool::threads());
-}
-
-/// [`device_merge_into`] with an explicit worker budget: large merges split
-/// along merge-path diagonals across the pool, exactly like the per-block
-/// tiles of a real GPU merge kernel.
-pub fn device_merge_into_with<K: SortKey>(src: &[K], mid: usize, dst: &mut [K], threads: usize) {
+    let threads = msort_cpu::pool::threads();
     if threads > 1 && dst.len() >= PARALLEL_MIN_KEYS {
         mergesort::parallel_merge_into(&src[..mid], &src[mid..], dst, threads);
     } else {
@@ -108,26 +104,16 @@ pub fn device_merge_into_with<K: SortKey>(src: &[K], mid: usize, dst: &mut [K], 
 /// Stably partition `data` into `splitters.len() + 1` contiguous buckets
 /// (sample sort's local scatter pass), using `aux` as the scatter target.
 /// Returns the bucket boundaries (a `buckets + 1` prefix-sum vector).
+/// Above [`PARALLEL_MIN_KEYS`] the histogram and scatter passes tile
+/// across the pool (fixed 32 Ki-key tiles, so the output never depends on
+/// its width); below it the sequential path wins on dispatch overhead.
 pub fn device_partition<K: SortKey>(
     data: &mut [K],
     aux: &mut [K],
     splitters: &[(K, u64)],
 ) -> Vec<usize> {
-    device_partition_with(data, aux, splitters, msort_cpu::pool::threads())
-}
-
-/// [`device_partition`] with an explicit worker budget. Above
-/// [`PARALLEL_MIN_KEYS`] the histogram and scatter passes tile across the
-/// pool (fixed 32 Ki-key tiles, so the output never depends on the
-/// budget); below it the sequential path wins on dispatch overhead.
-pub fn device_partition_with<K: SortKey>(
-    data: &mut [K],
-    aux: &mut [K],
-    splitters: &[(K, u64)],
-    threads: usize,
-) -> Vec<usize> {
     let budget = if data.len() >= PARALLEL_MIN_KEYS {
-        threads
+        msort_cpu::pool::threads()
     } else {
         1
     };

@@ -221,8 +221,7 @@ pub struct GpuSystem<'p, K: SortKey> {
     ops_base: usize,
     /// Event min-heap over fixed-duration completions: `(ends, op)`.
     /// Lazily invalidated — an entry is live only while the op is still
-    /// `Running` with exactly that end time (the PR 1 completion-heap
-    /// pattern).
+    /// `Running` with exactly that end time.
     timers: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// Event min-heap over retry wakeups: `(at, op)`, lazily invalidated
     /// like `timers`.
@@ -235,10 +234,6 @@ pub struct GpuSystem<'p, K: SortKey> {
     /// [`GpuSystem::start_ready_ops`] pass (deduplicated via
     /// `StreamQueue::dirty`).
     dirty_streams: Vec<usize>,
-    /// Completed op log for scheduler wakeups; recorded only while
-    /// [`GpuSystem::set_completion_log`] is on.
-    completion_log: Vec<OpId>,
-    log_completions: bool,
     reclaim_ops: bool,
     /// Per stream: index of the next not-yet-started op in `order`.
     streams: Vec<StreamQueue>,
@@ -286,8 +281,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             retry_heap: BinaryHeap::new(),
             flow_op: HashMap::new(),
             dirty_streams: Vec::new(),
-            completion_log: Vec::new(),
-            log_completions: false,
             reclaim_ops: false,
             streams: Vec::new(),
             route_cache: HashMap::new(),
@@ -383,22 +376,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// the driver does not read per-op history (the serve loop doesn't).
     pub fn set_op_reclaim(&mut self, on: bool) {
         self.reclaim_ops = on;
-    }
-
-    /// Record every completed op in a log drained by
-    /// [`GpuSystem::drain_completions`] — the scheduler-wakeup channel
-    /// that lets a multi-job driver react to exactly the ops that
-    /// finished instead of rescanning every job's wait list.
-    pub fn set_completion_log(&mut self, on: bool) {
-        self.log_completions = on;
-        if !on {
-            self.completion_log.clear();
-        }
-    }
-
-    /// Move the completed-op log (in completion order) into `out`.
-    pub fn drain_completions(&mut self, out: &mut Vec<OpId>) {
-        out.append(&mut self.completion_log);
     }
 
     /// Op at absolute index `idx` (must not be reclaimed).
@@ -1372,9 +1349,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 let s = op.stream.0;
                 self.mark_dirty(s);
             }
-        }
-        if self.log_completions {
-            self.completion_log.push(OpId(idx));
         }
         if self.recorder.is_enabled() {
             let sid = self.op(idx).stream.0;

@@ -32,8 +32,9 @@
 //!   throughput and fair-share error, queue-depth and fleet-size
 //!   timelines, goodput and SLO attainment, and p50/p95/p99 latency;
 //! * [`mod@reference`] — [`ReferenceService`]: the same serve loop over
-//!   linear-scan bookkeeping (lists rescanned on every question), the
-//!   differential oracle for [`SortService`]'s indexed bookkeeping.
+//!   linear-scan bookkeeping (the pending list rescanned on every
+//!   question), the differential oracle for [`SortService`]'s indexed
+//!   bookkeeping.
 //!
 //! Everything is bit-reproducible: same workload seed, same
 //! configuration (including a [`msort_sim::FaultPlan`]) → the identical

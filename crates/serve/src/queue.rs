@@ -155,10 +155,9 @@ impl QueuePolicy {
 ///
 /// Mid-queue removals (shed, timeout, dispatch of a non-head entry) don't
 /// restructure anything: the entry just leaves the `entries` map, and the
-/// stale heap/deque slot is discarded when it surfaces — the same lazy
-/// invalidation the flow engine's completion heap uses. Sequence numbers
-/// are globally unique and never reused, so "still in `entries`" is a
-/// complete liveness test.
+/// stale heap/deque slot is discarded when it surfaces (lazy
+/// invalidation). Sequence numbers are globally unique and never reused,
+/// so "still in `entries`" is a complete liveness test.
 /// The Fifo/Sjf/Edf comparison tuple: `(deadline-class rank, policy
 /// key, seq tie-break)` — exactly what the linear scan compares.
 type PolicyKey = (u8, u64, u64);

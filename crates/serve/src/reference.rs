@@ -2,9 +2,10 @@
 //! bookkeeping.
 //!
 //! [`ReferenceService`] is [`Service`] — the same `submit`, `try_dispatch`,
-//! `elastic_adjust`, `dispatch` and `finish` as [`crate::SortService`] —
-//! instantiated over [`Linear`], which keeps no index and no counter and
-//! answers every question the loop asks by rescanning:
+//! `elastic_adjust`, `dispatch`, `step_ready` and `finish` as
+//! [`crate::SortService`] — instantiated over [`Linear`], which keeps no
+//! index and no counter and answers every question the loop asks by
+//! rescanning:
 //!
 //! * *who runs next* — rebuild the `QueueView` list and scan it with
 //!   `QueuePolicy::pick`, per pick;
@@ -13,9 +14,10 @@
 //! * *which GPUs are free* — re-collect the free set, per placement
 //!   attempt;
 //! * *how many slots are active / leased / demanded* — count the lease
-//!   flags and sum the queue, per resize pass;
-//! * *which jobs can step* — sweep every running job's wait list with
-//!   `retain`, per pass (the op-completion log stays off).
+//!   flags and sum the queue, per resize pass.
+//!
+//! The running set is not on the list: gang leases bound it by the fleet,
+//! so [`Service`] keeps it as a plain list for both bookkeepings.
 //!
 //! It is O(n²) in offered jobs — which is exactly why it stays: each
 //! answer is simple enough to audit by eye, and the differential test
@@ -31,30 +33,26 @@ use crate::cost::estimate_queue_wait;
 use crate::job::TenantId;
 use crate::queue::{QueuePolicy, QueueView};
 use crate::service::{Bookkeeping, Fleet, Pending, Running, Service, Tallies};
-use msort_core::DriverStep;
 use msort_data::SortKey;
-use msort_gpu::GpuSystem;
 use msort_sim::SimDuration;
 
 /// The linear-scan service — see the module docs for why it exists.
-pub type ReferenceService<'p, K> = Service<'p, K, Linear<K>>;
+pub type ReferenceService<'p, K> = Service<'p, K, Linear>;
 
-/// Bookkeeping as two plain lists, rescanned on every question.
-pub struct Linear<K: SortKey> {
+/// Bookkeeping as one plain list, rescanned on every question.
+pub struct Linear {
     policy: QueuePolicy,
     pending: Vec<(QueueView, Pending)>,
-    running: Vec<Running<K>>,
 }
 
-impl<K: SortKey> Bookkeeping<K> for Linear<K> {
+impl Bookkeeping for Linear {
     /// Index into `pending`.
     type Ticket = usize;
 
-    fn new(policy: QueuePolicy, _sys: &mut GpuSystem<'_, K>, _active: usize) -> Self {
+    fn new(policy: QueuePolicy, _active: usize) -> Self {
         Self {
             policy,
             pending: Vec::new(),
-            running: Vec::new(),
         }
     }
 
@@ -76,12 +74,12 @@ impl<K: SortKey> Bookkeeping<K> for Linear<K> {
         self.pending.remove(i)
     }
 
-    fn queue_wait(&self, fleet_gpus: usize) -> SimDuration {
+    fn queue_wait<K: SortKey>(&self, running: &[Running<K>], fleet_gpus: usize) -> SimDuration {
         let backlog: Vec<(SimDuration, usize)> = self
             .pending
             .iter()
             .map(|(view, p)| (view.cost, p.job.gpus))
-            .chain(self.running.iter().map(|r| (r.cost, r.gang.len())))
+            .chain(running.iter().map(|r| (r.cost, r.gang.len())))
             .collect();
         estimate_queue_wait(&backlog, fleet_gpus)
     }
@@ -97,46 +95,5 @@ impl<K: SortKey> Bookkeeping<K> for Linear<K> {
     fn free_gpus(&self, fleet: &Fleet, need: usize, out: &mut Vec<usize>) -> bool {
         fleet.collect_free(out);
         out.len() >= need
-    }
-
-    fn running(&self) -> impl Iterator<Item = &Running<K>> {
-        self.running.iter()
-    }
-
-    fn start(svc: &mut ReferenceService<'_, K>, job: Running<K>) {
-        svc.book.running.push(job);
-        let idx = svc.book.running.len() - 1;
-        match svc.book.running[idx].driver.step(&mut svc.sys) {
-            DriverStep::Wait(ops) => svc.book.running[idx].wait = ops,
-            DriverStep::Done => {
-                let r = svc.book.running.remove(idx);
-                svc.finish(r);
-            }
-        }
-    }
-
-    fn step_ready(svc: &mut ReferenceService<'_, K>) -> bool {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < svc.book.running.len() {
-            let sys = &svc.sys;
-            svc.book.running[i].wait.retain(|&o| !sys.op_done(o));
-            if !svc.book.running[i].wait.is_empty() {
-                i += 1;
-                continue;
-            }
-            progressed = true;
-            match svc.book.running[i].driver.step(&mut svc.sys) {
-                DriverStep::Wait(ops) => {
-                    svc.book.running[i].wait = ops;
-                    i += 1;
-                }
-                DriverStep::Done => {
-                    let r = svc.book.running.remove(i);
-                    svc.finish(r);
-                }
-            }
-        }
-        progressed
     }
 }

@@ -23,14 +23,16 @@
 //! 5. advance the shared clock to the next job-op completion, arrival, or
 //!    elastic lease-release instant.
 //!
-//! That loop exists once, as [`Service`], generic over its bookkeeping:
-//! how the pending queue, the admission backlog, the fleet tallies and the
-//! running set are *stored and queried*. [`SortService`] runs it over
+//! That loop exists once, as [`Service`]. It owns the running set — a
+//! plain list in dispatch order, which exclusive gang leases bound by the
+//! fleet, so stepping and frontier collection simply scan it — and is
+//! generic over the bookkeeping of everything that grows with offered
+//! load: how the pending queue, the admission backlog and the fleet
+//! tallies are *stored and queried*. [`SortService`] runs it over
 //! [`Indexed`], built for million-job runs: an `IndexedQueue` (per-policy
 //! heaps / an ordered tenant-credit index) answers "who runs next" in
 //! O(log n), SLO admission reads an incrementally maintained backlog
-//! gang-nanosecond counter, the fleet tallies are maintained counts, and
-//! job wakeups ride the [`GpuSystem`] op-completion log.
+//! gang-nanosecond counter, and the fleet tallies are maintained counts.
 //! [`crate::ReferenceService`] runs the same loop over
 //! [`crate::reference::Linear`], which answers every one of those
 //! questions by rescanning, and a differential test proves both produce
@@ -49,7 +51,6 @@ use msort_gpu::{Fidelity, GpuSystem, OpId};
 use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::Platform;
 use msort_trace::{groups, ArgValue, Recorder, TrackId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the service does with a feasible submission whose latency budget
 /// is in doubt.
@@ -241,9 +242,9 @@ pub(crate) struct Running<K: SortKey> {
     deadline: Option<SimTime>,
     pub(crate) cost: SimDuration,
     input: Vec<K>,
-    pub(crate) driver: Box<dyn SortDriver<K>>,
+    driver: Box<dyn SortDriver<K>>,
     /// Ops of the current phase the job is waiting on.
-    pub(crate) wait: Vec<OpId>,
+    wait: Vec<OpId>,
     /// Per-job trace track (dummy when the recorder is disabled).
     track: TrackId,
 }
@@ -298,17 +299,17 @@ pub(crate) struct Tallies {
 }
 
 /// What [`Service`] asks of its bookkeeping: the pending queue, the
-/// admission backlog, the fleet tallies and the running set. Every
-/// decision stays in the loop; an implementation only chooses how the
-/// answers are stored. The trait is crate-private, which seals it: the
-/// two implementations in this crate are the only ones there can be.
-pub(crate) trait Bookkeeping<K: SortKey>: Sized {
+/// admission backlog and the fleet tallies. Every decision stays in the
+/// loop; an implementation only chooses how the answers are stored. The
+/// trait is crate-private, which seals it: the two implementations in
+/// this crate are the only ones there can be.
+pub(crate) trait Bookkeeping: Sized {
     /// Names one queued job between [`Self::head`] and
     /// [`Self::dequeue`]; stale after any other queue mutation.
     type Ticket: Copy;
 
     /// Empty bookkeeping for a fleet with `active` slots held.
-    fn new(policy: QueuePolicy, sys: &mut GpuSystem<'_, K>, active: usize) -> Self;
+    fn new(policy: QueuePolicy, active: usize) -> Self;
 
     /// Number of pending jobs.
     fn queue_len(&self) -> usize;
@@ -320,9 +321,11 @@ pub(crate) trait Bookkeeping<K: SortKey>: Sized {
     /// `tenant` was charged for a dispatch; its credit is now `credit`.
     fn charged(&mut self, _tenant: TenantId, _credit: f64) {}
 
-    /// [`crate::estimate_queue_wait`] over every pending and running
-    /// job.
-    fn queue_wait(&self, fleet_gpus: usize) -> SimDuration;
+    /// [`crate::estimate_queue_wait`] over every pending job and every
+    /// job in `running`.
+    fn queue_wait<K: SortKey>(&self, running: &[Running<K>], fleet_gpus: usize) -> SimDuration;
+    /// A job of estimated `cost` on `gang` GPUs left the running set.
+    fn left_running(&mut self, _cost: SimDuration, _gang: usize) {}
 
     fn tallies(&self, fleet: &Fleet) -> Tallies;
     /// Collect the free GPUs into `out`; `false` if there are fewer
@@ -332,25 +335,17 @@ pub(crate) trait Bookkeeping<K: SortKey>: Sized {
     fn set_active(&mut self, _active: usize) {}
     /// `gpus` slots were just leased (or released).
     fn leases_changed(&mut self, _gpus: usize, _leased: bool) {}
-
-    /// Running jobs in dispatch order.
-    fn running(&self) -> impl Iterator<Item = &Running<K>>;
-    /// Add a freshly dispatched job and step it once.
-    fn start(svc: &mut Service<'_, K, Self>, job: Running<K>);
-    /// Step every running job whose wait set has drained, in dispatch
-    /// order, handing finished ones to [`Service::finish`] as they
-    /// finish. Returns `true` if any job advanced.
-    fn step_ready(svc: &mut Service<'_, K, Self>) -> bool;
-    /// The clock advanced: take note of the ops that completed.
-    fn absorb_completions(&mut self, _sys: &mut GpuSystem<'_, K>) {}
 }
 
 /// The serve loop: a multi-tenant sort service over one platform and one
 /// simulated clock, generic over its bookkeeping `B`. Use it through
 /// [`SortService`] (or [`crate::ReferenceService`], the test oracle).
 pub struct Service<'p, K: SortKey, B> {
-    pub(crate) sys: GpuSystem<'p, K>,
-    pub(crate) book: B,
+    sys: GpuSystem<'p, K>,
+    book: B,
+    /// Jobs holding a gang lease, in dispatch order. Leases are exclusive,
+    /// so the fleet size bounds the list.
+    running: Vec<Running<K>>,
     recorder: Recorder,
     policy: QueuePolicy,
     placement: PlacementPolicy,
@@ -376,12 +371,12 @@ pub struct Service<'p, K: SortKey, B> {
 }
 
 /// The service: [`Service`] over the [`Indexed`] bookkeeping.
-pub type SortService<'p, K> = Service<'p, K, Indexed<K>>;
+pub type SortService<'p, K> = Service<'p, K, Indexed>;
 
 // The private bound is the point: it seals `B` to this crate's two
 // bookkeepings while `new` and `serve` stay callable from outside.
 #[allow(private_bounds)]
-impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
+impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
     /// Create a service over `platform`.
     ///
     /// # Panics
@@ -391,8 +386,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
     pub fn new(platform: &'p Platform, config: ServeConfig) -> Self {
         let mut sys = config.run.build_system(platform);
         // The serve loop never reads per-op history, so completed ops are
-        // reclaimed as the clock drains them (memory stays at the live
-        // window over a million-job run).
+        // reclaimed as the clock drains them.
         sys.set_op_reclaim(true);
         let mut gpus = config
             .fleet
@@ -442,8 +436,9 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
         };
         let initial = active.iter().filter(|&&a| a).count();
         Self {
-            book: B::new(config.policy, &mut sys, initial),
+            book: B::new(config.policy, initial),
             sys,
+            running: Vec::new(),
             recorder,
             policy: config.policy,
             placement: config.placement,
@@ -497,7 +492,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             loop {
                 let resized = self.elastic_adjust();
                 let dispatched = self.try_dispatch();
-                let stepped = B::step_ready(&mut self);
+                let stepped = self.step_ready();
                 if !resized && !dispatched && !stepped {
                     break;
                 }
@@ -505,8 +500,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             if cfg!(debug_assertions) {
                 self.check_conservation();
             }
-            if self.book.running().next().is_none() && self.book.queue_len() == 0 && next.is_none()
-            {
+            if self.running.is_empty() && self.book.queue_len() == 0 && next.is_none() {
                 break;
             }
             // The running set is bounded by the fleet (gang leases are
@@ -514,8 +508,8 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             // not O(offered jobs). Completed waits must be filtered here:
             // `run_until` returns immediately on an already-done op.
             let frontier: Vec<OpId> = self
-                .book
-                .running()
+                .running
+                .iter()
                 .flat_map(|r| r.wait.iter().copied())
                 .filter(|&o| !self.sys.op_done(o))
                 .collect();
@@ -529,7 +523,6 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
                 self.book.queue_len()
             );
             self.sys.run_until(&frontier, deadline);
-            self.book.absorb_completions(&mut self.sys);
         }
         debug_assert!(
             {
@@ -539,7 +532,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             "gangs still queued or slots still leased"
         );
         debug_assert_eq!(
-            self.book.queue_wait(1),
+            self.book.queue_wait(&self.running, 1),
             SimDuration::ZERO,
             "backlog gang-ns left behind"
         );
@@ -550,10 +543,9 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
     /// debug builds: every offered job is in exactly one place, and the
     /// tallies agree with the lease flags and the running set.
     fn check_conservation(&self) {
-        let running = self.book.running().count();
         assert_eq!(
             self.next_seq as usize,
-            self.outcomes.len() + self.rejected.len() + self.book.queue_len() + running,
+            self.outcomes.len() + self.rejected.len() + self.book.queue_len() + self.running.len(),
             "offered = completed + rejected + queued + running"
         );
         let t = self.book.tallies(&self.fleet);
@@ -564,7 +556,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             t.active,
             self.fleet.gpus.len()
         );
-        let gangs: usize = self.book.running().map(|r| r.gang.len()).sum();
+        let gangs: usize = self.running.iter().map(|r| r.gang.len()).sum();
         assert_eq!(t.leased, gangs, "leased slots = running gangs");
     }
 
@@ -697,7 +689,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
                 // before the backlog drains, so admission assumes it
                 // will). Optimism sheds conservatively: a shed job truly
                 // had no chance.
-                let wait = self.book.queue_wait(self.fleet.gpus.len());
+                let wait = self.book.queue_wait(&self.running, self.fleet.gpus.len());
                 if self.sys.now() + wait + cost > deadline {
                     self.reject(
                         seq,
@@ -868,8 +860,8 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
         any
     }
 
-    /// Lease `gang` to `job`, build its driver, and enqueue its first
-    /// phase.
+    /// Lease `gang` to `job`, build its driver, and step it once (which
+    /// enqueues its first phase).
     fn dispatch(&mut self, view: QueueView, pending: Pending, gang: Vec<usize>) {
         let seq = view.seq;
         let Pending { at, job } = pending;
@@ -908,7 +900,7 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
         } else {
             TrackId(u32::MAX)
         };
-        let running = Running {
+        self.running.push(Running {
             seq,
             tenant: job.tenant,
             keys: job.keys,
@@ -922,12 +914,51 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
             driver,
             wait: Vec::new(),
             track,
-        };
-        B::start(self, running);
+        });
+        self.step_job(self.running.len() - 1);
+    }
+
+    /// Step `running[i]`: park it on its next wait set, or finish it and
+    /// take it off the list. Returns `true` while the job is still running.
+    fn step_job(&mut self, i: usize) -> bool {
+        match self.running[i].driver.step(&mut self.sys) {
+            DriverStep::Wait(ops) => {
+                self.running[i].wait = ops;
+                true
+            }
+            DriverStep::Done => {
+                let r = self.running.remove(i);
+                self.book.left_running(r.cost, r.gang.len());
+                self.finish(r);
+                false
+            }
+        }
+    }
+
+    /// Step every running job whose wait set has drained, in dispatch
+    /// order. One sweep per call: a job that parks on an already-complete
+    /// wait set is caught by the next call. Returns `true` if any job
+    /// advanced.
+    fn step_ready(&mut self) -> bool {
+        let mut progressed = false;
+        let mut i = 0;
+        while i < self.running.len() {
+            let sys = &self.sys;
+            self.running[i].wait.retain(|&o| !sys.op_done(o));
+            if self.running[i].wait.is_empty() {
+                progressed = true;
+                if !self.step_job(i) {
+                    // `running[i]` is now the next job.
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        progressed
     }
 
     /// Validate, release, and record a completed job.
-    pub(crate) fn finish(&mut self, mut r: Running<K>) {
+    fn finish(&mut self, mut r: Running<K>) {
         let output = r.driver.take_output();
         let validated =
             r.driver.validated() && is_sorted(&output) && same_multiset(&r.input, &output);
@@ -998,16 +1029,9 @@ impl<'p, K: SortKey, B: Bookkeeping<K>> Service<'p, K, B> {
     }
 }
 
-/// A running job plus how many of its `wait` ops have not yet completed.
-/// Maintained by op-completion wakeups; the job is steppable at zero.
-struct Armed<K: SortKey> {
-    job: Running<K>,
-    outstanding: usize,
-}
-
 /// Incrementally maintained bookkeeping: every question [`Service`] asks
 /// is answered from an index or a counter.
-pub struct Indexed<K: SortKey> {
+pub struct Indexed {
     /// The indexed pending queue: O(log n) pick under every policy.
     queue: IndexedQueue<Pending>,
     /// Σ gang size over pending jobs (the elastic fleet-target demand).
@@ -1018,37 +1042,18 @@ pub struct Indexed<K: SortKey> {
     backlog_gang_ns: u128,
     active_count: usize,
     leased_count: usize,
-    /// Running jobs keyed by dispatch order, so iteration (frontier
-    /// collection, ready stepping) visits them in the order a list scan
-    /// would.
-    running: BTreeMap<u64, Armed<K>>,
-    next_run_key: u64,
-    /// In-flight wait op → the dispatch key of the job waiting on it.
-    op_waiters: HashMap<OpId, u64>,
-    /// Jobs whose wait set has fully drained, in dispatch order.
-    ready: BTreeSet<u64>,
-    /// Drain scratch for the op-completion log.
-    completions: Vec<OpId>,
 }
 
-impl<K: SortKey> Bookkeeping<K> for Indexed<K> {
+impl Bookkeeping for Indexed {
     type Ticket = u64;
 
-    fn new(policy: QueuePolicy, sys: &mut GpuSystem<'_, K>, active: usize) -> Self {
-        // Op completions are logged so job wakeups are O(completions)
-        // instead of a wait-list rescan.
-        sys.set_completion_log(true);
+    fn new(policy: QueuePolicy, active: usize) -> Self {
         Self {
             queue: IndexedQueue::new(policy),
             queued_gpus: 0,
             backlog_gang_ns: 0,
             active_count: active,
             leased_count: 0,
-            running: BTreeMap::new(),
-            next_run_key: 0,
-            op_waiters: HashMap::new(),
-            ready: BTreeSet::new(),
-            completions: Vec::new(),
         }
     }
 
@@ -1078,8 +1083,12 @@ impl<K: SortKey> Bookkeeping<K> for Indexed<K> {
         self.queue.set_credit(tenant, credit);
     }
 
-    fn queue_wait(&self, fleet_gpus: usize) -> SimDuration {
+    fn queue_wait<K: SortKey>(&self, _running: &[Running<K>], fleet_gpus: usize) -> SimDuration {
         estimate_queue_wait_ns(self.backlog_gang_ns, fleet_gpus)
+    }
+
+    fn left_running(&mut self, cost: SimDuration, gang: usize) {
+        self.backlog_gang_ns -= u128::from(cost.0) * gang as u128;
     }
 
     fn tallies(&self, _fleet: &Fleet) -> Tallies {
@@ -1109,85 +1118,6 @@ impl<K: SortKey> Bookkeeping<K> for Indexed<K> {
             self.leased_count += gpus;
         } else {
             self.leased_count -= gpus;
-        }
-    }
-
-    fn running(&self) -> impl Iterator<Item = &Running<K>> {
-        self.running.values().map(|a| &a.job)
-    }
-
-    fn start(svc: &mut SortService<'_, K>, job: Running<K>) {
-        let key = svc.book.next_run_key;
-        svc.book.next_run_key += 1;
-        svc.book.running.insert(
-            key,
-            Armed {
-                job,
-                outstanding: 0,
-            },
-        );
-        Self::step_one(svc, key);
-    }
-
-    /// Driven by op-completion wakeups, not a wait-list rescan.
-    fn step_ready(svc: &mut SortService<'_, K>) -> bool {
-        if svc.book.ready.is_empty() {
-            return false;
-        }
-        // One batch per pass: a job that re-arms into an already-complete
-        // wait set lands back in `ready` for the next pass, exactly when a
-        // one-sweep-per-call rescan would catch it.
-        let batch = std::mem::take(&mut svc.book.ready);
-        for key in batch {
-            Self::step_one(svc, key);
-        }
-        true
-    }
-
-    /// Route every op completion recorded since the last clock advance to
-    /// the job waiting on it; jobs whose wait set drained become ready.
-    fn absorb_completions(&mut self, sys: &mut GpuSystem<'_, K>) {
-        sys.drain_completions(&mut self.completions);
-        for op in self.completions.drain(..) {
-            if let Some(key) = self.op_waiters.remove(&op) {
-                let a = self.running.get_mut(&key).expect("waiter is running");
-                a.outstanding -= 1;
-                if a.outstanding == 0 {
-                    self.ready.insert(key);
-                }
-            }
-        }
-    }
-}
-
-impl<K: SortKey> Indexed<K> {
-    /// Step one running job and route the result: register its next wait
-    /// set, or finish it.
-    fn step_one(svc: &mut SortService<'_, K>, key: u64) {
-        let book = &mut svc.book;
-        let armed = book.running.get_mut(&key).expect("stepping a live job");
-        match armed.job.driver.step(&mut svc.sys) {
-            DriverStep::Wait(ops) => {
-                // Ops already complete don't count; a job whose whole set
-                // is already complete goes straight back on the ready list.
-                armed.job.wait.clear();
-                for op in ops {
-                    if svc.sys.op_done(op) {
-                        continue;
-                    }
-                    book.op_waiters.insert(op, key);
-                    armed.job.wait.push(op);
-                }
-                armed.outstanding = armed.job.wait.len();
-                if armed.outstanding == 0 {
-                    book.ready.insert(key);
-                }
-            }
-            DriverStep::Done => {
-                let r = book.running.remove(&key).expect("finishing a live job").job;
-                book.backlog_gang_ns -= u128::from(r.cost.0) * r.gang.len() as u128;
-                svc.finish(r);
-            }
         }
     }
 }

@@ -14,38 +14,27 @@
 //!
 //! # Engine internals
 //!
-//! * **Slab + free list.** Flows live in slots that are recycled after
-//!   [`FlowSim::compact`]; a long simulation no longer grows its flow table
-//!   without bound. [`FlowId`]s carry a generation counter, so a stale id
-//!   held across a `compact()` panics with a clear message instead of
-//!   silently aliasing an unrelated flow.
-//! * **Active list.** `active_order` keeps the unfinished flows in creation
-//!   order — the allocator sees requests in exactly the order the original
-//!   engine did (float summation order matters for bit-identical rates),
-//!   and per-event work scales with the number of *active* flows, not the
-//!   number ever started.
-//! * **Completion heap with epoch invalidation.** [`FlowSim::next_completion`]
-//!   keeps a min-heap of `(eta, creation-seq, slot)` entries. Any state
-//!   change that can move an eta (a re-allocation, or a clock advance —
-//!   the per-event `remaining -= rate·dt` decrement can shift the rounded
-//!   eta by a nanosecond) bumps an epoch counter; the heap rebuilds lazily
-//!   on the next query and is O(1) to peek until the epoch moves again.
-//!   The rebuild recomputes etas with exactly the original arithmetic, so
-//!   completion times are bit-identical to the reference engine
-//!   ([`crate::reference`]).
-//! * **Incremental allocation.** Re-allocation goes through a reusable
+//! * **In-flight list.** `active` holds the flows in flight, in creation
+//!   order, and nothing else: a flow leaves it the moment an advance
+//!   retires it or a `LinkDown` truncates it, so memory and per-event work
+//!   follow what the fabric can hold, not what was ever started. Creation
+//!   order is the allocator's float-summation order and the completion
+//!   tie-break, so removal always preserves it. A [`FlowId`] is the flow's
+//!   creation number; an id no longer in the list reads as done.
+//! * **Cached earliest completion.** [`FlowSim::next_completion`] is one
+//!   first-smallest pass over `active`, kept until something can move an
+//!   eta: a re-allocation, or a clock advance (the per-event
+//!   `remaining -= rate·dt` decrement can shift the rounded eta by a
+//!   nanosecond). The pass uses exactly the reference engine's arithmetic
+//!   (`tests/reference/`), so completion times are bit-identical to it.
+//! * **Lazy allocation.** Re-allocation goes through a reusable
 //!   [`RateAllocator`] (scratch vectors owned across events, flows read by
-//!   reference from the slab — no per-event `FlowRequest` clones), runs
-//!   *lazily* at the first point rates become observable — so a burst of
-//!   starts and completions between two events costs one allocation, where
-//!   the original engine paid one per start and one per completion batch —
-//!   and is skipped entirely when the active request sequence is unchanged
-//!   since the last allocation (zero-byte starts, `compact()`): the
-//!   allocator is a pure function of that sequence, so the cached rates
-//!   are exact.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!   reference — no per-event `FlowRequest` clones) and runs at the first
+//!   point rates become observable, so a burst of starts and completions
+//!   between two events costs one allocation. It is skipped while the
+//!   in-flight request sequence is unchanged since the last one
+//!   (zero-byte starts): the allocator is a pure function of that
+//!   sequence, so the cached rates are exact.
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::time::{SimDuration, SimTime};
@@ -55,33 +44,20 @@ use msort_topology::{
 };
 use msort_trace::{groups, ArgValue, Recorder, TrackId};
 
-/// Handle to an active (or completed) flow.
-///
-/// Generation-checked: after [`FlowSim::compact`] retires a completed
-/// flow's slot, any further use of an id for that slot panics instead of
-/// silently reading whatever flow was recycled into it.
+/// Handle to an active (or completed) flow: its creation number. Never
+/// reused, so an id stays meaningful after its flow has finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId {
-    slot: u32,
-    generation: u32,
-}
+pub struct FlowId(u64);
 
 #[derive(Debug)]
 struct ActiveFlow {
     request: FlowRequest,
     remaining: f64,
     rate: f64,
-    done: bool,
-    /// Monotonic creation number: orders allocator input and breaks
-    /// completion-time ties in creation order, exactly like the original
-    /// engine's first-smallest scan.
+    /// Monotonic creation number, the flow's [`FlowId`]. `active` is
+    /// sorted by it: that order is the allocator's input order and breaks
+    /// completion-time ties, exactly like the original engine's scan.
     seq: u64,
-}
-
-#[derive(Debug)]
-struct Slot {
-    generation: u32,
-    flow: Option<ActiveFlow>,
 }
 
 /// Tracks and per-link emission state for an enabled recorder. Present
@@ -130,26 +106,19 @@ fn endpoint_label(e: Endpoint) -> String {
 #[derive(Debug)]
 pub struct FlowSim<'p> {
     platform: &'p Platform,
-    slots: Vec<Slot>,
-    /// Slots available for reuse (freed by `compact`).
-    free: Vec<u32>,
-    /// Active (unfinished) slots in flow-creation order.
-    active_order: Vec<u32>,
+    /// The flows in flight, in creation order.
+    active: Vec<ActiveFlow>,
     now: SimTime,
     next_seq: u64,
-    /// Bumped whenever any active flow's `rate` or `remaining` may have
-    /// changed; the completion heap is stale while it trails this.
-    epoch: u64,
-    /// Epoch the completion heap was built at.
-    heap_epoch: u64,
-    /// Min-heap of `(eta, creation-seq, slot)` over the active flows.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Bumped whenever `active_order` membership changes; re-allocation is
-    /// skipped while it matches `allocated_at` (the active request
-    /// sequence — the allocator's entire input — is unchanged).
-    membership: u64,
-    /// `membership` stamp of the last executed allocation.
-    allocated_at: Option<u64>,
+    /// The earliest completion, once computed; cleared by whatever can
+    /// move an eta (a re-allocation, a clock advance).
+    next: Option<(SimTime, FlowId)>,
+    /// `false` until the first allocation (even of nothing: with a
+    /// recorder on it opens every link's utilization series at zero), and
+    /// again once `active` or a capacity changed since the last one (the
+    /// allocator's entire input): rates must be re-solved before they are
+    /// next observed.
+    rates_fresh: bool,
     allocator: RateAllocator,
     /// Scratch for allocator output (reused across events).
     rates: Vec<f64>,
@@ -182,16 +151,11 @@ impl<'p> FlowSim<'p> {
     pub fn new(platform: &'p Platform) -> Self {
         Self {
             platform,
-            slots: Vec::new(),
-            free: Vec::new(),
-            active_order: Vec::new(),
+            active: Vec::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            epoch: 0,
-            heap_epoch: u64::MAX,
-            heap: BinaryHeap::new(),
-            membership: 0,
-            allocated_at: None,
+            next: None,
+            rates_fresh: false,
             allocator: RateAllocator::new(),
             rates: Vec::new(),
             faults: Vec::new(),
@@ -244,14 +208,6 @@ impl<'p> FlowSim<'p> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of flow slots allocated (active, completed, and free). Stays
-    /// bounded by the peak concurrent flow count when `compact` is called
-    /// between phases.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Find a route on this platform (convenience wrapper).
@@ -375,57 +331,34 @@ impl<'p> FlowSim<'p> {
             // delivering at the fault instant and surface through
             // `take_interrupted` with their unfinished bytes.
             let (fwd, bwd, dup) = base.link_constraint_ids(ev.link());
-            let mut kept = 0;
-            for k in 0..self.active_order.len() {
-                let slot = self.active_order[k];
-                let entry = &mut self.slots[slot as usize];
-                let f = entry.flow.as_mut().expect("active slot holds a flow");
+            let (now, rec, recorder) = (self.now.0, &self.rec, &self.recorder);
+            let interrupted = &mut self.interrupted;
+            self.active.retain(|f| {
                 let hit = f
                     .request
                     .constraints
                     .iter()
                     .any(|&(c, _)| c == fwd || c == bwd || Some(c) == dup);
                 if hit {
-                    self.interrupted.push((
-                        FlowId {
-                            slot,
-                            generation: entry.generation,
-                        },
-                        f.remaining.ceil() as u64,
-                    ));
-                    if let Some(rs) = &self.rec {
-                        self.recorder.async_instant(
+                    let undelivered = f.remaining.ceil() as u64;
+                    interrupted.push((FlowId(f.seq), undelivered));
+                    if let Some(rs) = rec {
+                        recorder.async_instant(
                             rs.flows_track,
                             "interrupted",
                             "flow",
                             f.seq,
-                            self.now.0,
-                            vec![(
-                                "undelivered_bytes".to_string(),
-                                ArgValue::U64(f.remaining.ceil() as u64),
-                            )],
+                            now,
+                            vec![("undelivered_bytes".to_string(), ArgValue::U64(undelivered))],
                         );
-                        self.recorder.async_end(
-                            rs.flows_track,
-                            "transfer",
-                            "flow",
-                            f.seq,
-                            self.now.0,
-                        );
+                        recorder.async_end(rs.flows_track, "transfer", "flow", f.seq, now);
                     }
-                    f.remaining = 0.0;
-                    f.done = true;
-                } else {
-                    self.active_order[kept] = slot;
-                    kept += 1;
                 }
-            }
-            self.active_order.truncate(kept);
+                !hit
+            });
         }
-        // Capacities (and possibly membership) changed: the cached rates
-        // are stale. `membership` is the allocator-input stamp, so bumping
-        // it forces the next `ensure_rates` to re-run.
-        self.membership += 1;
+        // Capacities (and possibly the in-flight set) changed.
+        self.rates_fresh = false;
     }
 
     // ---- flow lifecycle ---------------------------------------------
@@ -452,33 +385,19 @@ impl<'p> FlowSim<'p> {
     fn start_labeled(&mut self, request: FlowRequest, bytes: u64, label: Option<String>) -> FlowId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let flow = ActiveFlow {
-            request,
-            remaining: bytes as f64,
-            rate: 0.0,
-            done: bytes == 0,
-            seq,
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].flow = Some(flow);
-                s
-            }
-            None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    flow: Some(flow),
-                });
-                u32::try_from(self.slots.len() - 1).expect("slot count fits u32")
-            }
-        };
-        let id = FlowId {
-            slot,
-            generation: self.slots[slot as usize].generation,
-        };
+        // A zero-byte flow is done at once and never enters `active`.
         if bytes > 0 {
-            self.active_order.push(slot);
-            self.membership += 1;
+            self.active.push(ActiveFlow {
+                request,
+                remaining: bytes as f64,
+                rate: 0.0,
+                seq,
+            });
+            // No eager re-allocation: rates are computed lazily at the next
+            // point they are observable (an advance, an eta query,
+            // `rate()`), so a batch of starts costs one allocation, not one
+            // per start.
+            self.rates_fresh = false;
             if let Some(rs) = &self.rec {
                 self.recorder.async_begin(
                     rs.flows_track,
@@ -490,116 +409,58 @@ impl<'p> FlowSim<'p> {
                 );
             }
         }
-        // No eager re-allocation: rates are computed lazily at the next
-        // point they are observable (an advance, an eta query, `rate()`),
-        // so a batch of starts costs one allocation, not one per start.
-        id
+        FlowId(seq)
     }
 
-    /// The flow behind `id`, with generation check.
-    fn flow(&self, id: FlowId) -> &ActiveFlow {
-        let slot = &self.slots[id.slot as usize];
-        assert!(
-            slot.generation == id.generation,
-            "stale FlowId: slot {} generation {} was retired by compact() \
-             (slot is now at generation {}); ids of completed flows do not \
-             survive compaction",
-            id.slot,
-            id.generation,
-            slot.generation
-        );
-        slot.flow
-            .as_ref()
-            .expect("generation-checked slot holds a flow")
+    /// The flow behind `id` while it is in flight (`active` is sorted by
+    /// creation number).
+    fn in_flight(&self, id: FlowId) -> Option<&ActiveFlow> {
+        let i = self.active.binary_search_by_key(&id.0, |f| f.seq).ok()?;
+        Some(&self.active[i])
     }
 
-    /// `true` once the flow has delivered all its bytes.
-    ///
-    /// # Panics
-    /// Panics if `id` was retired by [`FlowSim::compact`].
+    /// `true` once the flow has delivered all its bytes (or was truncated
+    /// by a link failure: it will never progress further).
     #[must_use]
     pub fn is_done(&self, id: FlowId) -> bool {
-        self.flow(id).done
+        self.in_flight(id).is_none()
     }
 
     /// Current rate (bytes/s) of a flow; zero once completed.
-    ///
-    /// # Panics
-    /// Panics if `id` was retired by [`FlowSim::compact`].
     #[must_use]
     pub fn rate(&mut self, id: FlowId) -> f64 {
         self.ensure_rates();
-        let f = self.flow(id);
-        if f.done {
-            0.0
-        } else {
-            f.rate
-        }
+        self.in_flight(id).map_or(0.0, |f| f.rate)
     }
 
     /// Number of currently active (unfinished) flows.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.active_order.len()
+        self.active.len()
     }
 
     /// Earliest upcoming flow completion `(time, flow)`, if any flow is
-    /// active.
+    /// active; ties go to the flow created first.
     ///
     /// O(1) while the engine state is unchanged since the last query; after
-    /// a start, advance, or re-allocation the completion heap rebuilds
-    /// lazily in one pass over the active flows.
+    /// a start, advance, or re-allocation, one pass over the active flows.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         self.ensure_rates();
-        if self.heap_epoch != self.epoch {
-            self.rebuild_heap();
-        }
-        while let Some(&Reverse((eta, seq, slot))) = self.heap.peek() {
-            let live = self.slots[slot as usize]
-                .flow
-                .as_ref()
-                .is_some_and(|f| !f.done && f.seq == seq);
-            if live {
-                return Some((
-                    eta,
-                    FlowId {
-                        slot,
-                        generation: self.slots[slot as usize].generation,
-                    },
-                ));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Rebuild the completion heap from the active flows, recomputing every
-    /// eta with the original engine's arithmetic.
-    fn rebuild_heap(&mut self) {
-        // Cold path first: a zero-rate active flow means the allocator
-        // starved it — impossible for feasible constraint tables, so when
-        // it does happen, dump enough state to debug the table.
-        for &slot in &self.active_order {
-            let f = self.slots[slot as usize]
-                .flow
-                .as_ref()
-                .expect("active slot holds a flow");
-            if f.rate <= 0.0 {
-                panic!("{}", self.starvation_report(f));
+        if self.next.is_none() {
+            for f in &self.active {
+                // A zero-rate active flow means the allocator starved it —
+                // impossible for feasible constraint tables, so when it
+                // does happen, dump enough state to debug the table.
+                if f.rate <= 0.0 {
+                    panic!("{}", self.starvation_report(f));
+                }
+                let eta = self.now + SimDuration::for_bytes_at(f.remaining.ceil() as u64, f.rate);
+                if self.next.is_none_or(|(best, _)| eta < best) {
+                    self.next = Some((eta, FlowId(f.seq)));
+                }
             }
         }
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
-        for &slot in &self.active_order {
-            let f = self.slots[slot as usize]
-                .flow
-                .as_ref()
-                .expect("active slot holds a flow");
-            let eta = self.now + SimDuration::for_bytes_at(f.remaining.ceil() as u64, f.rate);
-            entries.push(Reverse((eta, f.seq, slot)));
-        }
-        self.heap = BinaryHeap::from(entries);
-        self.heap_epoch = self.epoch;
+        self.next
     }
 
     /// Diagnostic for an allocator-starved flow: the flow's own constraint
@@ -621,14 +482,7 @@ impl<'p> FlowSim<'p> {
                 table.capacity(c)
             );
         }
-        // Current consumption per constraint across all active flows.
-        let mut used = vec![0.0f64; table.constraints().len()];
-        for &slot in &self.active_order {
-            let f = self.slots[slot as usize].flow.as_ref().unwrap();
-            for &(c, w) in &f.request.constraints {
-                used[c.0] += f.rate * w;
-            }
-        }
+        let used = self.constraint_load();
         msg.push_str("constraint table (* = saturated):\n");
         for (i, c) in table.constraints().iter().enumerate() {
             let saturated = used[i] >= c.capacity * 0.999;
@@ -665,21 +519,17 @@ impl<'p> FlowSim<'p> {
     /// # Panics
     /// Panics if `t` is in the past.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<FlowId> {
-        if self.fault_cursor < self.faults.len() {
-            let mut finished = Vec::new();
-            while self.fault_cursor < self.faults.len() && self.faults[self.fault_cursor].at() <= t
-            {
-                let ev = self.faults[self.fault_cursor];
-                self.fault_cursor += 1;
-                if ev.at() > self.now {
-                    self.advance_plain(ev.at(), &mut finished);
-                }
-                self.apply_fault(ev);
-            }
-            self.advance_plain(t, &mut finished);
-            return finished;
-        }
         let mut finished = Vec::new();
+        while let Some(&ev) = self.faults.get(self.fault_cursor) {
+            if ev.at() > t {
+                break;
+            }
+            self.fault_cursor += 1;
+            if ev.at() > self.now {
+                self.advance_plain(ev.at(), &mut finished);
+            }
+            self.apply_fault(ev);
+        }
         self.advance_plain(t, &mut finished);
         finished
     }
@@ -693,44 +543,26 @@ impl<'p> FlowSim<'p> {
         let dt = t.since(self.now).as_secs_f64();
         self.now = t;
         let already_finished = finished.len();
-        let mut kept = 0;
-        for k in 0..self.active_order.len() {
-            let slot = self.active_order[k];
-            let entry = &mut self.slots[slot as usize];
-            let f = entry.flow.as_mut().expect("active slot holds a flow");
+        let (rec, recorder) = (&self.rec, &self.recorder);
+        self.active.retain_mut(|f| {
             f.remaining -= f.rate * dt;
             // Sub-nanosecond residue is a completed flow: rates are exact
             // between events, but `for_bytes_at` rounds up to whole ns.
-            if f.remaining <= f.rate * 1e-9 + 1e-6 {
-                f.remaining = 0.0;
-                f.done = true;
-                finished.push(FlowId {
-                    slot,
-                    generation: entry.generation,
-                });
-            } else {
-                self.active_order[kept] = slot;
-                kept += 1;
+            let done = f.remaining <= f.rate * 1e-9 + 1e-6;
+            if done {
+                finished.push(FlowId(f.seq));
+                if let Some(rs) = rec {
+                    recorder.async_end(rs.flows_track, "transfer", "flow", f.seq, t.0);
+                }
             }
-        }
-        self.active_order.truncate(kept);
-        if let Some(rs) = &self.rec {
-            for id in &finished[already_finished..] {
-                let f = self.slots[id.slot as usize]
-                    .flow
-                    .as_ref()
-                    .expect("finished slot holds a flow");
-                self.recorder
-                    .async_end(rs.flows_track, "transfer", "flow", f.seq, t.0);
-            }
-        }
+            !done
+        });
         if dt > 0.0 {
-            // The decrement above can move rounded etas by a nanosecond;
-            // force the heap to recompute them.
-            self.epoch += 1;
+            // The decrement above can move rounded etas by a nanosecond.
+            self.next = None;
         }
-        if !finished.is_empty() {
-            self.membership += 1;
+        if finished.len() > already_finished {
+            self.rates_fresh = false;
         }
     }
 
@@ -748,23 +580,6 @@ impl<'p> FlowSim<'p> {
         self.now
     }
 
-    /// Retire all completed flows' slots onto the free list for reuse. The
-    /// retired flows' [`FlowId`]s become stale: using one afterwards panics
-    /// (generation check) instead of silently reading a recycled slot.
-    /// Useful between independent experiment phases.
-    pub fn compact(&mut self) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.flow.as_ref().is_some_and(|f| f.done) {
-                slot.flow = None;
-                slot.generation += 1;
-                self.free
-                    .push(u32::try_from(i).expect("slot index fits u32"));
-            }
-        }
-        // Active membership is unchanged: the cached rates stay valid (the
-        // original engine recomputed identical rates here).
-    }
-
     /// Bring the active flows' rates up to date, unless the active request
     /// sequence is unchanged since the last allocation (then the cached
     /// rates are already exact — the allocator is a pure function of that
@@ -772,58 +587,26 @@ impl<'p> FlowSim<'p> {
     /// burst of starts/completions between two events costs exactly one
     /// allocation.
     fn ensure_rates(&mut self) {
-        if self.allocated_at == Some(self.membership) {
+        if self.rates_fresh {
             return;
         }
         // Recording needs the pre-allocation rates to emit rate-*change*
         // events; capture them up front (recorder-on only).
-        let old_rates: Option<Vec<f64>> = self.rec.as_ref().map(|_| {
-            self.active_order
-                .iter()
-                .map(|&slot| {
-                    self.slots[slot as usize]
-                        .flow
-                        .as_ref()
-                        .expect("active slot holds a flow")
-                        .rate
-                })
-                .collect()
-        });
-        {
-            let FlowSim {
-                platform,
-                slots,
-                active_order,
-                allocator,
-                rates,
-                fault_table,
-                ..
-            } = self;
-            // Pristine runs read the platform's canonical table through the
-            // same expression as before any fault support existed; only a
-            // fired fault swaps in the health-adjusted clone.
-            let table = fault_table
-                .as_ref()
-                .unwrap_or_else(|| platform.constraint_table());
-            allocator.allocate_with(
-                table,
-                active_order.len(),
-                |i| {
-                    &slots[active_order[i] as usize]
-                        .flow
-                        .as_ref()
-                        .expect("active slot holds a flow")
-                        .request
-                },
-                rates,
-            );
-        }
-        for (k, &slot) in self.active_order.iter().enumerate() {
-            let rate = self.rates[k];
-            let f = self.slots[slot as usize]
-                .flow
-                .as_mut()
-                .expect("active slot holds a flow");
+        let old_rates: Option<Vec<f64>> = self
+            .rec
+            .as_ref()
+            .map(|_| self.active.iter().map(|f| f.rate).collect());
+        // Pristine runs read the platform's canonical table through the
+        // same expression as before any fault support existed; only a
+        // fired fault swaps in the health-adjusted clone.
+        let table = self
+            .fault_table
+            .as_ref()
+            .unwrap_or_else(|| self.platform.constraint_table());
+        let active = &self.active;
+        self.allocator
+            .allocate_with(table, active.len(), |i| &active[i].request, &mut self.rates);
+        for (f, &rate) in self.active.iter_mut().zip(&self.rates) {
             assert!(
                 rate.is_finite(),
                 "flow {} is unconstrained; give intra-device copies a rate cap",
@@ -831,23 +614,51 @@ impl<'p> FlowSim<'p> {
             );
             f.rate = rate;
         }
-        self.allocated_at = Some(self.membership);
-        self.epoch += 1;
+        self.rates_fresh = true;
+        self.next = None;
+        if cfg!(debug_assertions) {
+            self.check_capacity();
+        }
         if let Some(old_rates) = old_rates {
             self.record_allocation(&old_rates);
+        }
+    }
+
+    /// Current consumption (Σ rate × weight over `active`) per constraint.
+    fn constraint_load(&self) -> Vec<f64> {
+        let mut used = vec![0.0f64; self.constraint_table().constraints().len()];
+        for f in &self.active {
+            for &(c, w) in &f.request.constraints {
+                used[c.0] += f.rate * w;
+            }
+        }
+        used
+    }
+
+    /// Capacity conservation: no allocation may load a constraint beyond
+    /// its capacity (up to float summation error).
+    fn check_capacity(&self) {
+        let table = self.constraint_table();
+        for (c, &used) in table.constraints().iter().zip(&self.constraint_load()) {
+            assert!(
+                used <= c.capacity * (1.0 + 1e-9) + 1e-6,
+                "allocation overloads {:?}: {used} B/s used of {} B/s",
+                c.kind,
+                c.capacity
+            );
         }
     }
 
     /// Recorder-on only: emit per-flow rate-change events and per-link
     /// utilization counter samples for the allocation that just ran.
     fn record_allocation(&mut self, old_rates: &[f64]) {
+        // Per-link utilization: consumption over every constraint, then
+        // each link reports the most loaded of its (fwd, bwd, duplex)
+        // constraint rows. Unchanged links emit nothing.
+        let used = self.constraint_load();
         let Some(rs) = &mut self.rec else { return };
         let at = self.now.0;
-        for (k, &slot) in self.active_order.iter().enumerate() {
-            let f = self.slots[slot as usize]
-                .flow
-                .as_ref()
-                .expect("active slot holds a flow");
+        for (k, f) in self.active.iter().enumerate() {
             if old_rates.get(k).copied() != Some(f.rate) {
                 self.recorder.async_instant(
                     rs.flows_track,
@@ -859,23 +670,10 @@ impl<'p> FlowSim<'p> {
                 );
             }
         }
-        // Per-link utilization: consumption over every constraint, then
-        // each link reports the most loaded of its (fwd, bwd, duplex)
-        // constraint rows. Unchanged links emit nothing.
         let table = self
             .fault_table
             .as_ref()
             .unwrap_or_else(|| self.platform.constraint_table());
-        let mut used = vec![0.0f64; table.constraints().len()];
-        for &slot in &self.active_order {
-            let f = self.slots[slot as usize]
-                .flow
-                .as_ref()
-                .expect("active slot holds a flow");
-            for &(c, w) in &f.request.constraints {
-                used[c.0] += f.rate * w;
-            }
-        }
         for (i, last) in rs.last_util.iter_mut().enumerate() {
             let (fwd, bwd, dup) = table.link_constraint_ids(LinkId(i));
             let mut util = 0.0f64;
@@ -1016,53 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_finished_flows() {
-        let p = Platform::test_pcie(1);
-        let mut sim = FlowSim::new(&p);
-        let r = sim.route(Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
-        sim.start(&r, GIB);
-        sim.run_to_idle();
-        assert_eq!(sim.active_count(), 0);
-        sim.compact();
-        // New flows after compaction behave normally.
-        let f = sim.start(&r, GIB);
-        assert!(!sim.is_done(f));
-        sim.run_to_idle();
-        assert!(sim.is_done(f));
-    }
-
-    #[test]
-    fn compact_reuses_slots() {
-        // Repeated phase-style usage (start, drain, compact) must not grow
-        // the slot table: retired slots go to the free list and come back.
-        let p = Platform::test_pcie(1);
-        let mut sim = FlowSim::new(&p);
-        let r = sim.route(Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
-        for _ in 0..10 {
-            sim.start(&r, GIB);
-            sim.start(&r, GIB / 2);
-            sim.run_to_idle();
-            sim.compact();
-        }
-        assert_eq!(sim.slot_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale FlowId")]
-    fn stale_flow_id_panics_after_compact() {
-        let p = Platform::test_pcie(1);
-        let mut sim = FlowSim::new(&p);
-        let r = sim.route(Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
-        let f = sim.start(&r, GIB);
-        sim.run_to_idle();
-        sim.compact();
-        // The slot was retired (and may be recycled): the old id must not
-        // silently read it.
-        let _ = sim.is_done(f);
-    }
-
-    #[test]
-    fn ids_of_completed_flows_stay_valid_until_compact() {
+    fn ids_of_completed_flows_read_as_done() {
         let p = Platform::test_pcie(1);
         let mut sim = FlowSim::new(&p);
         let r = sim.route(Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
@@ -1191,6 +943,27 @@ mod tests {
         // and the diagnostic names the downed link.
         sim.start(&r, 1 << 20);
         let _ = sim.next_completion();
+    }
+
+    #[test]
+    fn first_observation_opens_every_link_series_at_zero() {
+        // An idle engine still allocates once, at its first observation, so
+        // a recording shows every link from the start, not from first use.
+        let p = Platform::test_pcie(2);
+        let mut sim = FlowSim::new(&p);
+        let recorder = Recorder::new();
+        sim.set_recorder(recorder.clone());
+        assert!(sim.next_completion().is_none());
+        let data = recorder.snapshot().expect("recorder is enabled");
+        let samples: Vec<f64> = data
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                msort_trace::EventKind::Counter { value, .. } => Some(value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(samples, vec![0.0; p.topology.links().len()]);
     }
 
     #[test]

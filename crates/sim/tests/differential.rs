@@ -1,16 +1,19 @@
-//! Golden differential test: the event-queue engine ([`msort_sim::flows`])
-//! against the original O(n)-rescan engine preserved in
-//! `tests/reference/mod.rs`.
+//! Golden differential test: the engine ([`msort_sim::flows`]) against the
+//! original engine preserved in `tests/reference/mod.rs`, which keeps
+//! every flow ever started and rescans them all.
 //!
 //! Randomized staggered-flow schedules on all four platforms drive both
 //! engines through identical action sequences — starts (including
 //! zero-byte flows), full advances to the next completion, partial and
-//! zero-length advances, and compactions — and after every step the test
-//! demands **bit-identical** state: same `now()` (integer nanoseconds, so
-//! `==` is bit equality), same completion events in the same order, and
-//! per-flow rates equal down to the last mantissa bit
-//! (`f64::to_bits`). Nothing is approximate: the optimized engine is only
-//! correct if it is indistinguishable from the reference.
+//! zero-length advances, and compactions of the reference engine's flow
+//! list (the engine itself holds only what is in flight, so it has
+//! nothing to compact) — and after every step the test demands
+//! **bit-identical** state: same `now()` (integer nanoseconds, so `==` is
+//! bit equality), same completion events in the same order, per-flow
+//! rates equal down to the last mantissa bit (`f64::to_bits`), and every
+//! flow ever created reading done exactly when it has finished. Nothing
+//! is approximate: the engine is only correct if it is indistinguishable
+//! from the reference.
 
 // The whole original engine is kept, not only the calls this test makes:
 // it is the oracle for allocator work to come, and a thinned copy is no
@@ -135,18 +138,22 @@ impl<'p> Pair<'p> {
         self.check();
     }
 
+    /// Retire the reference engine's completed flows (its ids shift).
     fn compact(&mut self) {
-        self.new.compact();
         self.reference.compact();
         self.ref_order.retain(|&c| !self.done[c]);
         self.check();
     }
 
     /// Invariants that must hold after every step: identical clocks,
-    /// identical active sets, and bit-identical rates for every live flow.
+    /// identical active sets, bit-identical rates for every live flow, and
+    /// an id reads done exactly once its flow has finished.
     fn check(&mut self) {
         assert_eq!(self.new.now(), self.reference.now());
         assert_eq!(self.new.active_count(), self.reference.active_count());
+        for (c, &id) in self.new_ids.iter().enumerate() {
+            assert_eq!(self.new.is_done(id), self.done[c], "is_done of flow {c}");
+        }
         for (pos, &c) in self.ref_order.iter().enumerate() {
             if self.done[c] {
                 continue;
@@ -158,7 +165,6 @@ impl<'p> Pair<'p> {
                 r_ref.to_bits(),
                 "rate of flow {c} diverges: {r_new} vs {r_ref}"
             );
-            assert!(!self.new.is_done(self.new_ids[c]));
         }
     }
 }
@@ -200,7 +206,7 @@ fn drive(platform: &Platform, seed: u64, steps: usize) {
                 let now = pair.new.now();
                 pair.advance_to(now);
             }
-            // Retire completed flows in both engines.
+            // Retire completed flows in the reference engine.
             _ => pair.compact(),
         }
     }

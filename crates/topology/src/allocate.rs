@@ -80,8 +80,8 @@ impl RateAllocator {
     /// `flow_at`, writing one rate per flow (in order) into `rates`.
     ///
     /// `flow_at(i)` must return the `i`-th flow for `i < n`; taking an
-    /// accessor rather than a slice lets callers keep their flows in
-    /// non-contiguous storage (e.g. a slab) without cloning per call.
+    /// accessor rather than a slice lets callers keep each request inside
+    /// a larger per-flow record without cloning per call.
     ///
     /// Flows with an empty constraint list and no cap are unconstrained;
     /// they receive `f64::INFINITY` (callers model such copies — e.g.

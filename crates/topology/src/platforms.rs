@@ -145,17 +145,6 @@ impl CpuModel {
             CpuModel::Custom => "custom CPU",
         }
     }
-
-    /// Physical cores across both sockets.
-    #[must_use]
-    pub fn total_cores(self) -> usize {
-        match self {
-            CpuModel::Power9 => 32,
-            CpuModel::XeonGold6148 => 40,
-            CpuModel::Epyc7742 => 128,
-            CpuModel::Custom => 16,
-        }
-    }
 }
 
 /// Extra friction for P2P transfers that traverse the host side, which the
