@@ -34,7 +34,7 @@ fn cpu_gpu_routes(platform: &Platform, gpus: &[usize], dir: Dir) -> Vec<Route> {
 }
 
 fn route(platform: &Platform, src: Endpoint, dst: Endpoint) -> Route {
-    msort_topology::route::route(&platform.topology, src, dst).expect("connected")
+    platform.route(src, dst).expect("connected")
 }
 
 /// Aggregate GB/s for one scenario.

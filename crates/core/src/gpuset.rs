@@ -71,14 +71,12 @@ pub(crate) fn resolve_gang(
 /// global stage) for `bytes_per_gpu` each.
 #[must_use]
 pub fn score_gpu_set(platform: &Platform, order: &[usize], bytes_per_gpu: u64) -> f64 {
-    let topo = &platform.topology;
+    let route = |src, dst| platform.route(src, dst).expect("platforms are connected");
+    let p2p = |a, b| route(Endpoint::gpu(a), Endpoint::gpu(b));
     // HtoD makespan for one chunk per GPU.
     let htod: Vec<_> = order
         .iter()
-        .map(|&gpu| {
-            msort_topology::route::route(topo, Endpoint::HOST0, Endpoint::gpu(gpu))
-                .expect("platforms are connected")
-        })
+        .map(|&gpu| route(Endpoint::HOST0, Endpoint::gpu(gpu)))
         .collect();
     let mut secs = measure_concurrent(platform, &htod, bytes_per_gpu)
         .makespan
@@ -89,8 +87,8 @@ pub fn score_gpu_set(platform: &Platform, order: &[usize], bytes_per_gpu: u64) -
     let mut pairwise = Vec::new();
     for pair in order.chunks(2) {
         if let [a, b] = pair {
-            pairwise.push(p2p_route(platform, *a, *b));
-            pairwise.push(p2p_route(platform, *b, *a));
+            pairwise.push(p2p(*a, *b));
+            pairwise.push(p2p(*b, *a));
         }
     }
     if !pairwise.is_empty() {
@@ -105,19 +103,14 @@ pub fn score_gpu_set(platform: &Platform, order: &[usize], bytes_per_gpu: u64) -
         for i in 0..order.len() / 2 {
             let a = order[i];
             let b = order[order.len() - 1 - i];
-            global.push(p2p_route(platform, a, b));
-            global.push(p2p_route(platform, b, a));
+            global.push(p2p(a, b));
+            global.push(p2p(b, a));
         }
         secs += measure_concurrent(platform, &global, bytes_per_gpu / 2)
             .makespan
             .as_secs_f64();
     }
     secs
-}
-
-fn p2p_route(platform: &Platform, a: usize, b: usize) -> msort_topology::Route {
-    msort_topology::route::route(&platform.topology, Endpoint::gpu(a), Endpoint::gpu(b))
-        .expect("platforms are connected")
 }
 
 /// Exhaustively search for the best ordered GPU set for P2P sort on `g`

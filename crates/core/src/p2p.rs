@@ -102,9 +102,9 @@ pub fn best_p2p_route(platform: &Platform, a: usize, b: usize, multi_hop: bool) 
         msort_topology::allocate_rates(platform.constraint_table(), &[platform.flow_request(route)])
             [0]
     };
-    let direct =
-        msort_topology::route::route(&platform.topology, Endpoint::gpu(a), Endpoint::gpu(b))
-            .expect("platforms are connected");
+    let direct = platform
+        .route(Endpoint::gpu(a), Endpoint::gpu(b))
+        .expect("platforms are connected");
     let mut best_rate = rate_of(&direct);
     let mut best = direct;
     if multi_hop {

@@ -237,12 +237,13 @@ pub struct GpuSystem<'p, K: SortKey> {
     reclaim_ops: bool,
     /// Per stream: index of the next not-yet-started op in `order`.
     streams: Vec<StreamQueue>,
-    /// Shortest paths already computed, keyed by endpoint pair. A sort
-    /// enqueues thousands of copies over a handful of distinct pairs;
-    /// routing each once is enough while the fabric's health generation
-    /// (`route_cache_gen`) is unchanged — any link state change flushes
-    /// the cache. The flag records whether the route is a detour from the
-    /// pristine-fabric default (i.e. it routes around unhealthy links).
+    /// Routes resolved over a faulted fabric, keyed by endpoint pair;
+    /// empty until the first fault fires (pristine routes are the
+    /// platform's). Resolving each pair once is enough while the fabric's
+    /// health generation (`route_cache_gen`) is unchanged — any link state
+    /// change flushes the cache. The flag records whether the route is a
+    /// detour from the pristine-fabric default (i.e. it routes around
+    /// unhealthy links).
     route_cache: HashMap<(Endpoint, Endpoint), (Route, bool)>,
     /// Health generation the route cache was built at.
     route_cache_gen: u64,
@@ -517,12 +518,18 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         )
     }
 
-    /// Shortest path between two endpoints, computed once per pair and
-    /// served from the cache afterwards. The cache is flushed whenever the
-    /// fabric's health generation moves (a fault fired or a link was
-    /// restored), so routes never outlive the link states they assumed.
+    /// The route a new copy from `src` to `dst` is planned on. Until the
+    /// first fault fires that is the platform's pristine route, read from
+    /// its table. Afterwards it is the best route over the links that are
+    /// healthy now, resolved once per pair and health generation: the cache
+    /// is flushed whenever the generation moves (a fault fired or a link
+    /// was restored), so routes never outlive the link states they assumed.
     fn cached_route(&mut self, src: Endpoint, dst: Endpoint) -> Route {
+        let no_route = || panic!("no route from {src:?} to {dst:?}");
         let generation = self.flows.health_generation();
+        if generation == 0 {
+            return self.platform().route(src, dst).unwrap_or_else(no_route);
+        }
         if generation != self.route_cache_gen {
             self.route_cache.clear();
             self.route_cache_gen = generation;
@@ -534,33 +541,32 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         // Prefer a currently healthy route. When the fabric has no path at
         // all right now, fall back to the pristine shortest path: the op
         // will wait in `Retrying` until a scheduled restore re-opens one.
-        let pristine = msort_topology::route::route(&self.platform().topology, src, dst);
+        let pristine = self.platform().route(src, dst);
         let route = self
             .resolve_route(src, dst)
             .or_else(|| pristine.clone())
-            .unwrap_or_else(|| panic!("no route from {src:?} to {dst:?}"));
-        let detour = generation != 0 && pristine.as_ref() != Some(&route);
+            .unwrap_or_else(no_route);
+        let detour = pristine.as_ref() != Some(&route);
         self.rerouted += u64::from(detour);
         self.route_cache.insert((src, dst), (route.clone(), detour));
         route
     }
 
-    /// Best route from `src` to `dst` over the *currently healthy* links.
+    /// Best route from `src` to `dst` over the *currently healthy* links;
+    /// only reached once a fault has fired (before that the platform's
+    /// pristine route is the answer and nobody asks).
     ///
-    /// On a pristine fabric this is exactly the default shortest path. Once
-    /// a fault has fired, GPU-to-GPU copies additionally consider relaying
-    /// through each intermediate GPU (the multi-hop extension's routing)
-    /// and pick the candidate with the highest single-flow rate under the
-    /// health-adjusted capacities — so a severed NVLink falls back to the
-    /// best of "another NVLink path" and "through the host".
+    /// GPU-to-GPU copies consider, besides the shortest healthy path,
+    /// relaying through each intermediate GPU (the multi-hop extension's
+    /// routing) and pick the candidate with the highest single-flow rate
+    /// under the health-adjusted capacities — so a severed NVLink falls
+    /// back to the best of "another NVLink path" and "through the host".
     fn resolve_route(&self, src: Endpoint, dst: Endpoint) -> Option<Route> {
+        debug_assert_ne!(self.flows.health_generation(), 0);
         let platform = self.platform();
         let topo = &platform.topology;
         let usable = |l: LinkId| self.flows.link_usable(l);
         let direct = msort_topology::route::route_with(topo, src, dst, usable);
-        if self.flows.health_generation() == 0 {
-            return direct;
-        }
         if !matches!(
             (src, dst),
             (Endpoint::GpuMem { .. }, Endpoint::GpuMem { .. })
@@ -1748,6 +1754,75 @@ mod tests {
             "the retry must take a different route"
         );
         assert_eq!(sys.world().slice(d2, 0, n), &input[..]);
+    }
+
+    /// Routes of the transfer ops whose flow is in flight right now.
+    fn in_flight_routes(sys: &GpuSystem<'_, u32>) -> Vec<Route> {
+        sys.ops
+            .iter()
+            .filter(|op| matches!(op.state, OpState::Running { .. }))
+            .filter_map(|op| match op.kind.as_ref()? {
+                OpKind::Transfer { route, .. } => Some(route.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn restored_link_gets_the_pristine_route_back() {
+        // DELTA's 0--2 NVLink goes down and comes back. The platform's
+        // route table keeps the route over it throughout, so: while the
+        // link is down no copy may be planned or running on that route,
+        // and once it is back (generation != 0, every link up) new copies
+        // get the table's route again without counting as re-routed.
+        let p = Platform::delta_d22x();
+        let mut sys = system(&p);
+        let n: u64 = 1 << 20;
+        let d0 = sys.world_mut().alloc_gpu(0, n);
+        let d2 = sys.world_mut().alloc_gpu(2, n);
+        let topo = &p.topology;
+        let link = topo.link_between(topo.gpu(0), topo.gpu(2)).unwrap();
+        let pristine = p.route(Endpoint::gpu(0), Endpoint::gpu(2)).unwrap();
+        assert!(pristine.hops.iter().any(|h| h.link == link));
+        sys.schedule_faults(
+            &FaultPlan::new()
+                .link_down(SimTime(30_000), link)
+                .link_restore(SimTime(200_000), link),
+        );
+
+        // Planned on the pristine fabric, in flight when the link dies.
+        let s0 = sys.stream();
+        sys.memcpy(s0, d0, 0, d2, 0, n, &[], Phase::Merge);
+        assert_eq!(in_flight_routes(&sys), []);
+        sys.run_until(&[], Some(SimTime(1)));
+        assert_eq!(in_flight_routes(&sys), std::slice::from_ref(&pristine));
+
+        // Down: the interrupted copy is back on a detour, and a copy
+        // enqueued now is planned on one.
+        sys.run_until(&[], Some(SimTime(50_000)));
+        assert_eq!(sys.transfer_retries(), 1);
+        assert_eq!(sys.rerouted_transfers(), 1);
+        let s1 = sys.stream();
+        sys.memcpy(s1, d0, 0, d2, 0, n, &[], Phase::Merge);
+        assert_eq!(sys.rerouted_transfers(), 2);
+        sys.run_until(&[], Some(SimTime(60_000)));
+        let running = in_flight_routes(&sys);
+        assert_eq!(running.len(), 2);
+        for route in &running {
+            assert!(sys.route_usable(route), "{route:?} crosses the dead link");
+            assert_ne!(route, &pristine);
+        }
+
+        // Restored: the fabric is whole but no longer pristine.
+        sys.synchronize();
+        assert!(sys.now() > SimTime(200_000));
+        assert_ne!(sys.flows.health_generation(), 0);
+        assert!(sys.flows.health().unwrap().all_up());
+        sys.memcpy(s0, d0, 0, d2, 0, n, &[], Phase::Merge);
+        sys.run_until(&[], Some(SimTime(sys.now().0 + 1)));
+        assert_eq!(in_flight_routes(&sys), [pristine]);
+        assert_eq!(sys.rerouted_transfers(), 2);
+        sys.synchronize();
     }
 
     #[test]

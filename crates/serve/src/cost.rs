@@ -16,7 +16,8 @@ use msort_topology::{allocate_rates, Endpoint, Platform};
 /// Uncontended single-flow rate (bytes/s) between two endpoints on the
 /// pristine fabric.
 fn single_flow_rate(platform: &Platform, src: Endpoint, dst: Endpoint) -> f64 {
-    let r = msort_topology::route::route(&platform.topology, src, dst)
+    let r = platform
+        .route(src, dst)
         .expect("platform endpoints are connected");
     allocate_rates(platform.constraint_table(), &[platform.flow_request(&r)])[0]
 }

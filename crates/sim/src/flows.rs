@@ -217,7 +217,7 @@ impl<'p> FlowSim<'p> {
         src: msort_topology::Endpoint,
         dst: msort_topology::Endpoint,
     ) -> Option<Route> {
-        msort_topology::route::route(&self.platform.topology, src, dst)
+        self.platform.route(src, dst)
     }
 
     // ---- fault injection --------------------------------------------

@@ -9,7 +9,8 @@
 //!   GPUs, NVSwitch, NICs), links with per-direction and duplex capacities,
 //!   and a builder for custom systems;
 //! * [`route`] — shortest-path routing between host memory and GPU memory
-//!   endpoints;
+//!   endpoints; [`Platform::route`] answers from a table each platform
+//!   fills per source on first use;
 //! * [`constraint`] — translation of a route into the set of capacity
 //!   constraints a transfer consumes (link directions, duplex caps, DRAM
 //!   read/write/aggregate caps);
@@ -31,8 +32,7 @@
 //!
 //! // A single NVLink-fed copy stream on the AC922 sustains 72 GB/s.
 //! let ac922 = Platform::ibm_ac922();
-//! let route = msort_topology::route::route(
-//!     &ac922.topology, Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
+//! let route = ac922.route(Endpoint::HOST0, Endpoint::gpu(0)).unwrap();
 //! let rates = allocate_rates(ac922.constraint_table(), &[ac922.flow_request(&route)]);
 //! assert!((rates[0] / 1e9 - 72.0).abs() < 0.5);
 //! ```

@@ -18,7 +18,7 @@
 
 use crate::constraint::{ConstraintId, ConstraintTable, ConstraintVec};
 use crate::platforms::Platform;
-use crate::route::{route, Endpoint};
+use crate::route::Endpoint;
 use std::borrow::Borrow;
 use std::cell::OnceCell;
 
@@ -71,7 +71,9 @@ pub fn score_gpu_set(platform: &Platform, table: &ConstraintTable, gpus: &[usize
 
 /// The weighted constraints of one flow of the gang's traffic pattern.
 fn flow_constraints(platform: &Platform, src: Endpoint, dst: Endpoint) -> ConstraintVec {
-    let r = route(&platform.topology, src, dst).expect("platform endpoints are connected");
+    let r = platform
+        .route(src, dst)
+        .expect("platform endpoints are connected");
     platform.flow_request(&r).constraints
 }
 

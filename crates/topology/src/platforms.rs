@@ -41,8 +41,9 @@
 
 use crate::constraint::{ConstraintKind, ConstraintTable};
 use crate::graph::{gbps, GpuModel, LinkKind, MemSpec, NodeId, Topology, TopologyBuilder};
-use crate::route::{Endpoint, Route};
+use crate::route::{Endpoint, Route, RouteTable};
 use crate::FlowRequest;
+use std::sync::OnceLock;
 
 /// Which system a [`Platform`] models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -294,6 +295,9 @@ pub struct Platform {
     /// Node layout when this platform is a multi-node cluster.
     pub cluster: Option<ClusterLayout>,
     table: ConstraintTable,
+    /// Pristine routes, filled by [`Platform::route`]; building a platform
+    /// costs nothing for them.
+    routes: OnceLock<RouteTable>,
 }
 
 impl Platform {
@@ -334,6 +338,7 @@ impl Platform {
             host_p2p,
             cluster,
             table,
+            routes: OnceLock::new(),
         }
     }
 
@@ -376,6 +381,20 @@ impl Platform {
     #[must_use]
     pub fn constraint_table(&self) -> &ConstraintTable {
         &self.table
+    }
+
+    /// The cheapest route between two endpoints on the pristine fabric:
+    /// what [`route::route`](crate::route::route) computes on
+    /// [`Platform::topology`], answered from a per-source shortest-path
+    /// tree that is built the first time the source is asked for.
+    ///
+    /// Returns `None` when the endpoints are disconnected or the platform
+    /// has no such socket or GPU.
+    #[must_use]
+    pub fn route(&self, src: Endpoint, dst: Endpoint) -> Option<Route> {
+        self.routes
+            .get_or_init(|| RouteTable::new(&self.topology))
+            .route(&self.topology, src, dst)
     }
 
     /// Build the allocator request for one transfer along `route`, applying
@@ -748,6 +767,25 @@ mod tests {
             &[p.flow_request(&r0), p.flow_request(&r2)],
         );
         assert!(((rates[0] + rates[1]) - gbps(49.0)).abs() < gbps(0.5));
+    }
+
+    #[test]
+    fn route_to_a_socket_the_platform_lacks_is_none() {
+        let p = Platform::ibm_ac922();
+        assert!(p.route(Endpoint::host(9), Endpoint::gpu(0)).is_none());
+        assert!(p.route(Endpoint::gpu(0), Endpoint::host(2)).is_none());
+        assert!(p.route(Endpoint::gpu(0), Endpoint::host(1)).is_some());
+    }
+
+    #[test]
+    fn route_to_a_gpu_the_platform_lacks_is_none() {
+        let p = Platform::dgx_a100();
+        assert!(p.route(Endpoint::gpu(64), Endpoint::HOST0).is_none());
+        assert!(p
+            .route(Endpoint::gpu(usize::MAX), Endpoint::HOST0)
+            .is_none());
+        assert!(p.route(Endpoint::HOST0, Endpoint::gpu(8)).is_none());
+        assert!(p.route(Endpoint::HOST0, Endpoint::gpu(7)).is_some());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! PCIe, direct paths over host-traversing ones).
 
 use crate::graph::{LinkId, NodeId, NodeKind, Topology};
+use std::sync::OnceLock;
 
 /// One end of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,16 +133,29 @@ pub fn route_with(
 ) -> Option<Route> {
     let src_node = src.node(topo);
     let dst_node = dst.node(topo);
-    if src_node == dst_node {
-        return Some(Route {
-            src,
-            dst,
-            hops: Vec::new(),
-        });
-    }
+    let prev = predecessors(topo, src_node, Some(dst_node), usable);
+    let hops = walk_back(&prev, src_node, dst_node)?;
+    Some(Route { src, dst, hops })
+}
 
-    // Dijkstra over hop costs. Node count is tiny (≤ ~20), so a linear-scan
-    // priority selection is simpler and plenty fast.
+/// Dijkstra over hop costs from `src_node`: every reached node's final hop
+/// on its cheapest path. Stops as soon as `target` is selected, or runs to
+/// exhaustion for `None`. Hop costs are positive, so a selected node's
+/// predecessor chain never changes afterwards: stopping early and running
+/// on give the same path to `target`.
+///
+/// Selection is a linear scan that takes the lowest-index node among equal
+/// distances, and relaxation is strict `<`. That visit order *is* the
+/// equal-cost tie-break, and [`RouteTable`] must reproduce it, which is why
+/// the scan stays where a heap would be asymptotically faster. Hot paths
+/// pay for it once per source per [`Platform`](crate::Platform), not per
+/// call: the largest cluster topologies have 137 nodes.
+fn predecessors(
+    topo: &Topology,
+    src_node: NodeId,
+    target: Option<NodeId>,
+    usable: impl Fn(LinkId) -> bool,
+) -> Vec<Option<Hop>> {
     let n = topo.nodes().len();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<Hop>> = vec![None; n];
@@ -158,7 +172,7 @@ pub fn route_with(
             }
         }
         let Some(u) = current else { break };
-        if u == dst_node.0 {
+        if target == Some(NodeId(u)) {
             break;
         }
         done[u] = true;
@@ -183,19 +197,89 @@ pub fn route_with(
             }
         }
     }
+    prev
+}
 
-    if dist[dst_node.0].is_infinite() {
-        return None;
-    }
-    let mut hops = Vec::new();
+/// The hops from `src_node` to `dst_node` along `prev`, or `None` when the
+/// scan never reached `dst_node`. Empty when the two are the same node.
+fn walk_back(prev: &[Option<Hop>], src_node: NodeId, dst_node: NodeId) -> Option<Vec<Hop>> {
+    // Count first: every transfer op keeps its route for as long as it
+    // lives, so the vector is allocated at exactly its length.
+    let mut len = 0;
     let mut cursor = dst_node;
     while cursor != src_node {
-        let hop = prev[cursor.0].expect("reached node has a predecessor");
+        cursor = prev[cursor.0]?.from;
+        len += 1;
+    }
+    let mut hops = Vec::with_capacity(len);
+    let mut cursor = dst_node;
+    for _ in 0..len {
+        let hop = prev[cursor.0].expect("counted above");
         hops.push(hop);
         cursor = hop.from;
     }
     hops.reverse();
-    Some(Route { src, dst, hops })
+    Some(hops)
+}
+
+/// The pristine-fabric routes of one topology: per source endpoint (sockets,
+/// then GPUs) the full predecessor tree of [`route`]'s scan, built when that
+/// source is first asked for. A route is a pure function of the topology, so
+/// [`Platform`](crate::Platform) owns one table and every layer above reads
+/// it instead of re-running the scan per call.
+#[derive(Debug, Clone)]
+pub(crate) struct RouteTable {
+    /// Node of every endpoint: sockets in index order, then GPUs.
+    nodes: Vec<NodeId>,
+    sockets: usize,
+    /// Parallel to `nodes`.
+    trees: Vec<OnceLock<Vec<Option<Hop>>>>,
+}
+
+impl RouteTable {
+    /// An empty table for `topo`, whose socket and GPU indices must be
+    /// dense ([`Topology::validate`]). Runs no scan.
+    pub(crate) fn new(topo: &Topology) -> Self {
+        let mut sockets = Vec::new();
+        let mut gpus = Vec::new();
+        for (i, node) in topo.nodes().iter().enumerate() {
+            match node.kind {
+                NodeKind::Cpu { socket, .. } => sockets.push((socket, NodeId(i))),
+                NodeKind::Gpu { index, .. } => gpus.push((index, NodeId(i))),
+                _ => {}
+            }
+        }
+        sockets.sort_unstable();
+        gpus.sort_unstable();
+        let nodes: Vec<NodeId> = sockets.iter().chain(&gpus).map(|&(_, id)| id).collect();
+        Self {
+            trees: vec![OnceLock::new(); nodes.len()],
+            nodes,
+            sockets: sockets.len(),
+        }
+    }
+
+    /// Position of `endpoint` in `nodes`, or `None` when the topology has
+    /// no such socket or GPU.
+    fn slot(&self, endpoint: Endpoint) -> Option<usize> {
+        match endpoint {
+            Endpoint::HostMem { socket } => (socket < self.sockets).then_some(socket),
+            Endpoint::GpuMem { index } => {
+                (index < self.nodes.len() - self.sockets).then(|| self.sockets + index)
+            }
+        }
+    }
+
+    /// What [`route`]`(topo, src, dst)` returns, for the `topo` this table
+    /// was built for; `None` also for an endpoint `topo` does not have.
+    pub(crate) fn route(&self, topo: &Topology, src: Endpoint, dst: Endpoint) -> Option<Route> {
+        let from = self.slot(src)?;
+        let src_node = self.nodes[from];
+        let dst_node = self.nodes[self.slot(dst)?];
+        let tree = self.trees[from].get_or_init(|| predecessors(topo, src_node, None, |_| true));
+        let hops = walk_back(tree, src_node, dst_node)?;
+        Some(Route { src, dst, hops })
+    }
 }
 
 /// Find a route that relays through intermediate GPU `via` — the multi-hop

@@ -13,7 +13,7 @@ use multi_gpu_sort::topology::Route;
 const GIB4: u64 = 4 << 30;
 
 fn route(p: &Platform, src: Endpoint, dst: Endpoint) -> Route {
-    multi_gpu_sort::topology::route::route(&p.topology, src, dst).expect("connected")
+    p.route(src, dst).expect("connected")
 }
 
 fn show(p: &Platform, label: &str, routes: &[Route]) {
