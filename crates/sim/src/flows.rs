@@ -635,16 +635,39 @@ impl<'p> FlowSim<'p> {
         used
     }
 
-    /// Capacity conservation: no allocation may load a constraint beyond
-    /// its capacity (up to float summation error).
+    /// Capacity conservation and max-min optimality: no allocation may load
+    /// a constraint beyond its capacity (up to float summation error), and
+    /// no flow's rate can be raised — each sits at its rate cap or crosses a
+    /// saturated constraint, at the tolerance of
+    /// `topology/tests/allocator_props.rs` (twice the allocator's own
+    /// saturation epsilon).
     fn check_capacity(&self) {
         let table = self.constraint_table();
-        for (c, &used) in table.constraints().iter().zip(&self.constraint_load()) {
+        let used = self.constraint_load();
+        for (c, &used) in table.constraints().iter().zip(&used) {
             assert!(
                 used <= c.capacity * (1.0 + 1e-9) + 1e-6,
                 "allocation overloads {:?}: {used} B/s used of {} B/s",
                 c.kind,
                 c.capacity
+            );
+        }
+        for f in &self.active {
+            let capped = f
+                .request
+                .rate_cap
+                .is_some_and(|cap| f.rate >= cap * (1.0 - 1e-9));
+            let blocked = f.request.constraints.iter().any(|&(c, w)| {
+                let cap = table.capacity(c);
+                w > 0.0 && used[c.0] >= cap - 2.0 * (cap * 1e-9).max(1e-6)
+            });
+            assert!(
+                capped || blocked,
+                "flow {} (rate {} B/s, cap {:?}) could still be raised: \
+                 no saturated constraint on its route",
+                f.seq,
+                f.rate,
+                f.request.rate_cap
             );
         }
     }

@@ -2,12 +2,16 @@
 //! original engine preserved in `tests/reference/mod.rs`, which keeps
 //! every flow ever started and rescans them all.
 //!
-//! Randomized staggered-flow schedules on all four platforms drive both
-//! engines through identical action sequences — starts (including
-//! zero-byte flows), full advances to the next completion, partial and
-//! zero-length advances, and compactions of the reference engine's flow
-//! list (the engine itself holds only what is in flight, so it has
-//! nothing to compact) — and after every step the test demands
+//! Randomized staggered-flow schedules on all four platforms and a
+//! two-node DGX cluster (NIC-crossing routes, the largest constraint table)
+//! drive both engines through identical action sequences — route starts
+//! (including zero-byte flows), rate-capped host-flow requests shaped like
+//! the ones `GpuSystem` starts for CPU work (so capped and multi-round
+//! allocations meet the reference loop directly), full advances to the
+//! next completion, partial and zero-length advances, and compactions of
+//! the reference engine's flow list (the engine itself holds only what is
+//! in flight, so it has nothing to compact) — and after every step the
+//! test demands
 //! **bit-identical** state: same `now()` (integer nanoseconds, so `==` is
 //! bit equality), same completion events in the same order, per-flow
 //! rates equal down to the last mantissa bit (`f64::to_bits`), and every
@@ -21,9 +25,11 @@
 #[allow(dead_code)]
 mod reference;
 
+use msort_cluster::dgx_a100_cluster;
 use msort_sim::flows::{FlowId, FlowSim};
 use msort_sim::{SimDuration, SimTime};
-use msort_topology::{Endpoint, Platform, Route};
+use msort_topology::constraint::ConstraintKind;
+use msort_topology::{gbps, Endpoint, Fabric, FlowRequest, Platform, Route};
 use reference::{RefFlowId, ReferenceFlowSim};
 
 /// splitmix64: tiny, seedable, and good enough to scramble action choices.
@@ -66,6 +72,33 @@ fn routable_pairs(p: &Platform) -> Vec<Route> {
     routes
 }
 
+/// The request `GpuSystem::start_op` builds for a host flow on `socket`:
+/// the read and write caps at weight 1/2 (half the traffic goes each way),
+/// the combined cap once at weight 1, and a per-flow rate cap.
+fn host_flow_request(p: &Platform, socket: usize, rate_cap: f64) -> FlowRequest {
+    let table = p.constraint_table();
+    let here = Endpoint::HostMem { socket };
+    let route = Route {
+        src: here,
+        dst: here,
+        hops: Vec::new(),
+    };
+    let mut constraints = table.route_constraints(&p.topology, &route);
+    let mut seen_combined = false;
+    constraints.retain_mut(|(id, weight)| match table.constraints()[id.0].kind {
+        ConstraintKind::MemRead { .. } | ConstraintKind::MemWrite { .. } => {
+            *weight = 0.5;
+            true
+        }
+        ConstraintKind::MemCombined { .. } => !std::mem::replace(&mut seen_combined, true),
+        _ => true,
+    });
+    FlowRequest {
+        constraints,
+        rate_cap: Some(rate_cap),
+    }
+}
+
 /// Both engines plus the bookkeeping that maps their ids onto shared
 /// creation indices (the new engine's ids are stable; the reference
 /// engine's shift on compaction).
@@ -92,9 +125,19 @@ impl<'p> Pair<'p> {
     }
 
     fn start(&mut self, route: &Route, bytes: u64) {
-        let creation = self.done.len();
         let id_new = self.new.start(route, bytes);
         let id_ref = self.reference.start(route, bytes);
+        self.started(id_new, id_ref, bytes);
+    }
+
+    fn start_request(&mut self, request: FlowRequest, bytes: u64) {
+        let id_new = self.new.start_request(request.clone(), bytes);
+        let id_ref = self.reference.start_request(request, bytes);
+        self.started(id_new, id_ref, bytes);
+    }
+
+    fn started(&mut self, id_new: FlowId, id_ref: RefFlowId, bytes: u64) {
+        let creation = self.done.len();
         assert_eq!(id_ref.0, self.ref_order.len());
         self.new_ids.push(id_new);
         self.ref_order.push(creation);
@@ -174,17 +217,19 @@ fn drive(platform: &Platform, seed: u64, steps: usize) {
     assert!(!routes.is_empty());
     let mut rng = Rng(seed);
     let mut pair = Pair::new(platform);
+    // Flow sizes: mixed, occasionally zero bytes.
+    let bytes = |rng: &mut Rng| match rng.below(8) {
+        0 => 0,
+        1 => 1 + rng.below(4096),
+        2..=4 => 1 + rng.below(1 << 20),
+        _ => 1 + rng.below(1 << 30),
+    };
     for _ in 0..steps {
-        match rng.below(10) {
-            // Start a flow: mixed sizes, occasionally zero bytes.
+        match rng.below(11) {
+            // Start a flow along a route.
             0..=3 => {
                 let route = &routes[rng.below(routes.len() as u64) as usize];
-                let bytes = match rng.below(8) {
-                    0 => 0,
-                    1 => 1 + rng.below(4096),
-                    2..=4 => 1 + rng.below(1 << 20),
-                    _ => 1 + rng.below(1 << 30),
-                };
+                let bytes = bytes(&mut rng);
                 pair.start(route, bytes);
             }
             // Advance exactly to the next completion.
@@ -207,7 +252,14 @@ fn drive(platform: &Platform, seed: u64, steps: usize) {
                 pair.advance_to(now);
             }
             // Retire completed flows in the reference engine.
-            _ => pair.compact(),
+            9 => pair.compact(),
+            // Start a rate-capped host flow on a random socket.
+            _ => {
+                let socket = rng.below(platform.topology.cpu_count() as u64) as usize;
+                let cap = gbps((1 + rng.below(40)) as f64);
+                let bytes = bytes(&mut rng);
+                pair.start_request(host_flow_request(platform, socket, cap), bytes);
+            }
         }
     }
     // Drain event by event (not run_to_idle: every completion is compared).
@@ -225,6 +277,7 @@ fn engines_agree_on_randomized_schedules() {
         Platform::ibm_ac922(),
         Platform::delta_d22x(),
         Platform::dgx_a100(),
+        dgx_a100_cluster(2, Fabric::IbHdr),
     ];
     for (pi, p) in platforms.iter().enumerate() {
         for seed in 0..24u64 {

@@ -12,6 +12,10 @@
 //! paper's contention effects (GPU pairs sharing a PCIe switch each get half
 //! the switch's rate; four P2P streams sharing the X-Bus collapse to a
 //! fraction of direct NVLink throughput) without simulating packets.
+//!
+//! A round costs what is still filling: the unfrozen flows and the
+//! constraints they load, not the whole flow set and constraint table (see
+//! [`RateAllocator`] for why that leaves the rates bit-identical).
 
 use crate::constraint::{ConstraintTable, ConstraintVec};
 
@@ -46,27 +50,38 @@ impl FlowRequest {
 
 /// Reusable progressive-filling allocator owning its scratch state.
 ///
-/// The allocation loop needs three per-call scratch vectors (per-constraint
-/// unfrozen weight, per-constraint remaining capacity, per-flow frozen
-/// flags). The free function [`allocate_rates`] allocates them afresh on
-/// every call, which is fine for one-shot use but shows up hard in the
-/// event loop of `msort-sim`, where every flow start and completion
-/// re-allocates. A `RateAllocator` keeps the scratch between calls, so a
-/// steady-state re-allocation performs no heap allocation at all, and takes
-/// flows by reference (through an index accessor) instead of requiring a
-/// contiguous cloned `Vec<FlowRequest>`.
+/// The free function [`allocate_rates`] builds fresh scratch on every call,
+/// which is fine for one-shot use but shows up hard in the event loop of
+/// `msort-sim`, where every flow start and completion re-allocates. A
+/// `RateAllocator` keeps its scratch between calls, so a steady-state
+/// re-allocation performs no heap allocation at all, and takes flows by
+/// reference (through an index accessor) instead of requiring a contiguous
+/// cloned `Vec<FlowRequest>`.
 ///
-/// [`RateAllocator::allocate_with`] is arithmetic-for-arithmetic identical
-/// to the original free-function loop: same iteration order, same float
-/// operation order, bit-identical results.
+/// Each filling round visits only the flows still filling and the
+/// constraints they load; the only whole-table work is one `remaining`
+/// initialisation per call. The rates are bit-identical to the original
+/// loop (which visited every flow and every constraint each round) because
+/// every float operation keeps its operands and its order: per-constraint
+/// weight sums and `remaining` decrements run in flow order, then
+/// constraint-list order, and the increment is a min, which no scan order
+/// changes.
 #[derive(Debug, Default)]
 pub struct RateAllocator {
-    /// Per-constraint total unfrozen weight (rebuilt each filling round).
+    /// Per-constraint total weight of the flows still filling; all zero
+    /// between rounds (each round zeroes exactly the entries it summed), so
+    /// a zero weight at a summation step marks a constraint not yet in
+    /// `loaded` this round.
     weight: Vec<f64>,
     /// Per-constraint remaining capacity.
     remaining: Vec<f64>,
-    /// Per-flow frozen flag.
-    frozen: Vec<bool>,
+    /// The constraints the flows still filling load, in first-load order.
+    /// A constraint whose running sum is still zero at a later entry (after
+    /// zero-weight entries) is listed again; the duplicate finds its weight
+    /// already zeroed.
+    loaded: Vec<usize>,
+    /// The flows still filling, in input order.
+    live: Vec<usize>,
 }
 
 impl RateAllocator {
@@ -102,83 +117,71 @@ impl RateAllocator {
         self.remaining.clear();
         self.remaining
             .extend(table.constraints().iter().map(|c| c.capacity));
-        self.frozen.clear();
-        self.frozen.resize(n, false);
         self.weight.resize(self.remaining.len(), 0.0);
+        self.live.clear();
+        self.live.extend(0..n);
 
         loop {
-            // Total unfrozen weight per constraint.
-            self.weight.fill(0.0);
-            for f in 0..n {
-                if self.frozen[f] {
-                    continue;
-                }
-                for &(c, w) in &flow_at(f).constraints {
+            // Weight per constraint of the flows still filling, the
+            // constraints they load, and their tightest cap headroom.
+            let mut delta = f64::INFINITY;
+            for &f in &self.live {
+                let flow = flow_at(f);
+                for &(c, w) in &flow.constraints {
+                    if self.weight[c.0] == 0.0 {
+                        self.loaded.push(c.0);
+                    }
                     self.weight[c.0] += w;
+                }
+                if let Some(cap) = flow.rate_cap {
+                    delta = delta.min(cap - rates[f]);
                 }
             }
 
-            // The uniform rate increment every unfrozen flow can still take.
-            let mut delta = f64::INFINITY;
-            for (&rem, &w) in self.remaining.iter().zip(self.weight.iter()) {
+            // The uniform rate increment every filling flow can still take;
+            // the same pass leaves `weight` all zero for the next round (or
+            // call).
+            for &c in &self.loaded {
+                let w = self.weight[c];
                 if w > 0.0 {
-                    delta = delta.min(rem / w);
+                    delta = delta.min(self.remaining[c] / w);
                 }
+                self.weight[c] = 0.0;
             }
-            for (f, rate) in rates.iter().enumerate() {
-                if self.frozen[f] {
-                    continue;
-                }
-                if let Some(cap) = flow_at(f).rate_cap {
-                    delta = delta.min(cap - rate);
-                }
-            }
+            self.loaded.clear();
             if !delta.is_finite() {
                 // Remaining flows are unconstrained.
-                for (f, rate) in rates.iter_mut().enumerate() {
-                    if !self.frozen[f] {
-                        *rate = f64::INFINITY;
-                    }
+                for &f in &self.live {
+                    rates[f] = f64::INFINITY;
                 }
                 return;
             }
             let delta = delta.max(0.0);
 
             // Apply the increment and its consumption.
-            for (f, rate) in rates.iter_mut().enumerate() {
-                if self.frozen[f] {
-                    continue;
-                }
-                *rate += delta;
+            for &f in &self.live {
+                rates[f] += delta;
                 for &(c, w) in &flow_at(f).constraints {
                     self.remaining[c.0] = (self.remaining[c.0] - delta * w).max(0.0);
                 }
             }
 
             // Freeze flows at their cap or on a saturated constraint.
-            let mut progressed = false;
-            for (f, &rate) in rates.iter().enumerate() {
-                if self.frozen[f] {
-                    continue;
-                }
+            let filling = self.live.len();
+            let remaining = &self.remaining;
+            self.live.retain(|&f| {
                 let flow = flow_at(f);
                 let capped = flow
                     .rate_cap
-                    .is_some_and(|cap| rate >= cap - f64::EPSILON * cap.abs());
+                    .is_some_and(|cap| rates[f] >= cap - f64::EPSILON * cap.abs());
                 let saturated = flow.constraints.iter().any(|&(c, w)| {
-                    w > 0.0 && self.remaining[c.0] <= saturation_epsilon(table.capacity(c))
+                    w > 0.0 && remaining[c.0] <= saturation_epsilon(table.capacity(c))
                 });
-                if capped || saturated {
-                    self.frozen[f] = true;
-                    progressed = true;
-                }
-            }
-            if self.frozen.iter().all(|&f| f) {
-                return;
-            }
-            if !progressed {
-                // Numerical corner: nothing froze but delta was ~0. Stop;
-                // the rates are already max-min.
+                !(capped || saturated)
+            });
+            // Stop once every flow froze, or in the numerical corner where
+            // nothing froze because delta was ~0: the rates are max-min.
+            if self.live.is_empty() || self.live.len() == filling {
                 return;
             }
         }
@@ -207,6 +210,7 @@ mod tests {
     use super::*;
     use crate::constraint::ConstraintTable;
     use crate::graph::{gbps, GpuModel, LinkKind, MemSpec, TopologyBuilder};
+    use crate::platforms::{append_paper_node, CpuModel, Fabric, Platform, PlatformId};
     use crate::route::{route, Endpoint};
 
     /// CPU0 with one PCIe link to each of two GPUs and a duplex cap.
@@ -329,5 +333,90 @@ mod tests {
         let (_t, table) = topo_shared_mem();
         let rates = allocate_rates(&table, &[FlowRequest::new(Vec::new()).with_cap(gbps(5.0))]);
         assert!((rates[0] - gbps(5.0)).abs() < 1e6);
+    }
+
+    /// An eight-node DGX A100 cluster on HDR InfiniBand, wired the way
+    /// `msort_cluster::cluster_of` wires it (that crate depends on this one,
+    /// so unit tests here cannot call it).
+    fn dgx_cluster() -> Platform {
+        let fabric = Fabric::IbHdr;
+        let mut b = TopologyBuilder::new();
+        let sockets: Vec<_> = (0..8)
+            .map(|node| append_paper_node(&mut b, PlatformId::DgxA100, node))
+            .collect();
+        let switch = b.nic("switch");
+        for (node, node_sockets) in sockets.iter().enumerate() {
+            for (s, &socket) in node_sockets.iter().enumerate() {
+                let nic = b.nic(format!("Node {node} NIC {s}"));
+                b.link(socket, nic, fabric.link_kind(), fabric.effective_per_dir());
+                b.link(nic, switch, fabric.link_kind(), fabric.effective_per_dir());
+            }
+        }
+        Platform::custom(b.build(), CpuModel::Custom)
+    }
+
+    fn requests(p: &Platform, pairs: &[(Endpoint, Endpoint)]) -> Vec<FlowRequest> {
+        pairs
+            .iter()
+            .map(|&(src, dst)| p.flow_request(&p.route(src, dst).unwrap()))
+            .collect()
+    }
+
+    /// `plain` plus what makes filling take several rounds and exercises
+    /// every per-entry path: a cap far below any fair share, a duplicated
+    /// entry, a zero-weight entry, and a flow that loads nothing.
+    fn multi_round(plain: &[FlowRequest]) -> Vec<FlowRequest> {
+        let mut flows = plain.to_vec();
+        flows[0].rate_cap = Some(gbps(1.0));
+        let first = flows[1].constraints.as_slice()[0];
+        flows[1].constraints.push(first);
+        let other = flows[3].constraints.as_slice()[0].0;
+        flows[2].constraints.push((other, 0.0));
+        flows.push(FlowRequest::new(Vec::new()));
+        flows
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_allocator() {
+        let dgx = Platform::dgx_a100();
+        let cluster = dgx_cluster();
+        let both_ways = |a: Endpoint, b: Endpoint| [(a, b), (b, a)];
+        let host: Vec<_> = (0..8)
+            .flat_map(|g| both_ways(Endpoint::HOST0, Endpoint::gpu(g)))
+            .collect();
+        // Node-0 GPU g and a GPU on node g % 7 + 1.
+        let cross: Vec<_> = (0..8)
+            .flat_map(|g| both_ways(Endpoint::gpu(g), Endpoint::gpu(8 * (g % 7 + 1) + g)))
+            .collect();
+        let dgx_plain = requests(&dgx, &host);
+        let cluster_plain = requests(&cluster, &cross);
+        let single = requests(&dgx, &host[..1]);
+        let dgx_multi = multi_round(&dgx_plain);
+        let cluster_multi = multi_round(&cluster_plain);
+        let calls = [
+            (&dgx, &dgx_multi),
+            (&cluster, &cluster_plain),
+            (&dgx, &single),
+            (&cluster, &cluster_multi),
+            (&dgx, &dgx_plain),
+        ];
+
+        let mut shared = RateAllocator::new();
+        let mut rates = Vec::new();
+        for _ in 0..3 {
+            for &(p, flows) in &calls {
+                let table = p.constraint_table();
+                shared.allocate_with(table, flows.len(), |i| &flows[i], &mut rates);
+                let fresh = allocate_rates(table, flows);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rates), bits(&fresh), "{} flows", flows.len());
+                if flows.last().unwrap().constraints.is_empty() {
+                    // Multi-round: the capped flow froze first, others rose past it.
+                    assert_eq!(rates[0], gbps(1.0));
+                    assert!(rates[1..].iter().any(|&r| r.is_finite() && r > gbps(1.0)));
+                    assert_eq!(*rates.last().unwrap(), f64::INFINITY);
+                }
+            }
+        }
     }
 }
