@@ -7,9 +7,9 @@
 //!   algorithm family behind Thrust/CUB `sort` and the Polychroniou & Ross
 //!   CPU LSB radix sort used as one of the paper's CPU baselines.
 //! * [`onesweep`] — OneSweep-style single-pass radix sort (one global
-//!   histogram pass over all digit positions, chained-lookback scatter,
-//!   software write combining); the kernel the device-sort dispatch now
-//!   routes Thrust/CUB-family sorts to.
+//!   histogram pass over all digit positions, chained-lookback scatter);
+//!   the kernel the device-sort dispatch now routes Thrust/CUB-family
+//!   sorts to.
 //! * [`msb_radix`] — recursive in-place most-significant-digit radix sort,
 //!   the family behind Stehle & Jacobsen's GPU sort.
 //! * [`mergesort`] — bottom-up merge sort with a merge-path style

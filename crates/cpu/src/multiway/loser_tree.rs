@@ -7,8 +7,21 @@
 //! that leaf to the root. This is the structure behind
 //! `gnu_parallel::multiway_merge` (paper Section 5.3), which beats heap-based
 //! merging (`2·log k` comparisons) on memory-bandwidth-bound merges.
+//!
+//! Every node holds one [`RadixImage::Word`]: the head's radix image in the
+//! high half and a 32-bit tag in the low half. The tag is the run index,
+//! with an `EXHAUSTED` bit set once the run is empty; an exhausted run's
+//! image is the maximal one, and the padding leaves that round `k` up to a
+//! power of two are exhausted from the start. Word order is therefore the merge
+//! order — smaller image first, then a live run before an exhausted one,
+//! then the lower run index (stability) — and a replay step is one `max`
+//! kept at the node and one `min` carried up, with no branch on the keys.
 
+use msort_data::keys::RadixImage;
 use msort_data::SortKey;
+
+/// Tag bit of a run with no head left.
+const EXHAUSTED: u32 = 1 << 31;
 
 /// Merge cursor over `k` sorted runs.
 ///
@@ -22,13 +35,11 @@ use msort_data::SortKey;
 /// assert_eq!(merged, vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
 /// ```
 pub struct LoserTree<'a, K: SortKey> {
-    /// The input runs.
+    /// The unconsumed tail of each input run.
     runs: Vec<&'a [K]>,
-    /// Per-run cursor (next unconsumed index).
-    cursors: Vec<usize>,
-    /// Internal nodes: index of the losing *run* at each node; `tree[0]`
+    /// Internal nodes `1..leaves`: the losing word at each node; `tree[0]`
     /// holds the overall winner.
-    tree: Vec<usize>,
+    tree: Vec<<K::Radix as RadixImage>::Word>,
     /// Number of leaves (k rounded up to a power of two).
     leaves: usize,
     /// Remaining elements across all runs.
@@ -37,20 +48,35 @@ pub struct LoserTree<'a, K: SortKey> {
 
 impl<'a, K: SortKey> LoserTree<'a, K> {
     /// Build a loser tree over `runs`; `O(k)` time.
+    ///
+    /// # Panics
+    /// Panics if there are `2³¹` runs or more (the tag's run-index bits).
     #[must_use]
     pub fn new(runs: &[&'a [K]]) -> Self {
-        let k = runs.len().max(1);
-        let leaves = k.next_power_of_two();
-        let remaining = runs.iter().map(|r| r.len()).sum();
-        let mut this = Self {
+        assert!(
+            runs.len() < EXHAUSTED as usize,
+            "a loser tree merges fewer than 2^31 runs"
+        );
+        let leaves = runs.len().max(1).next_power_of_two();
+        // Play the tournament bottom-up over the virtual complete binary
+        // tree: `winners[i]` is node i's winner, `tree[i]` keeps its loser.
+        let mut winners = vec![head_word::<K>(None, 0); 2 * leaves];
+        for leaf in 0..leaves {
+            winners[leaves + leaf] = head_word(runs.get(leaf).copied(), leaf);
+        }
+        let mut tree = vec![winners[1]; leaves];
+        for node in (1..leaves).rev() {
+            let (l, r) = (winners[2 * node], winners[2 * node + 1]);
+            winners[node] = l.min(r);
+            tree[node] = l.max(r);
+        }
+        tree[0] = winners[1];
+        Self {
             runs: runs.to_vec(),
-            cursors: vec![0; runs.len()],
-            tree: vec![usize::MAX; leaves],
+            tree,
             leaves,
-            remaining,
-        };
-        this.rebuild();
-        this
+            remaining: runs.iter().map(|r| r.len()).sum(),
+        }
     }
 
     /// Number of keys not yet popped.
@@ -66,79 +92,35 @@ impl<'a, K: SortKey> LoserTree<'a, K> {
         if self.remaining == 0 {
             return None;
         }
-        let winner = self.tree[0];
-        let key = self.runs[winner][self.cursors[winner]];
-        self.cursors[winner] += 1;
         self.remaining -= 1;
-        if self.remaining > 0 {
-            self.replay(winner);
-        }
-        Some(key)
-    }
-
-    /// Current head key of run `r`, if not exhausted.
-    #[inline]
-    fn head(&self, r: usize) -> Option<K> {
-        if r < self.runs.len() {
-            self.runs[r].get(self.cursors[r]).copied()
-        } else {
-            None
-        }
-    }
-
-    /// `true` if run `a`'s head beats (sorts before) run `b`'s head.
-    /// Exhausted runs always lose; ties go to the lower run index (stability).
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(ka), Some(kb)) => {
-                let (ia, ib) = (ka.to_radix(), kb.to_radix());
-                ia < ib || (ia == ib && a < b)
-            }
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
-    /// Rebuild the whole tree from scratch (`O(k)` comparisons).
-    fn rebuild(&mut self) {
-        // Play the tournament bottom-up: winners[i] for each node of the
-        // virtual complete binary tree; tree[i] stores the loser.
-        let mut winners = vec![usize::MAX; 2 * self.leaves];
-        for leaf in 0..self.leaves {
-            winners[self.leaves + leaf] = leaf;
-        }
-        for node in (1..self.leaves).rev() {
-            let (l, r) = (winners[2 * node], winners[2 * node + 1]);
-            if self.beats(l, r) {
-                winners[node] = l;
-                self.tree[node] = r;
-            } else {
-                winners[node] = r;
-                self.tree[node] = l;
-            }
-        }
-        self.tree[0] = winners[1.min(self.tree.len() - 1)];
-        if self.leaves == 1 {
-            self.tree[0] = 0;
-        }
-    }
-
-    /// Replay the path from run `r`'s leaf to the root after its head
-    /// changed (`⌈log₂ k⌉` comparisons).
-    #[inline]
-    fn replay(&mut self, r: usize) {
-        let mut winner = r;
+        // The winner is live while keys remain: its tag is its run index.
+        let r = K::Radix::unpack(self.tree[0]).1 as usize;
+        let (&key, rest) = self.runs[r]
+            .split_first()
+            .expect("a live winner has a head");
+        self.runs[r] = rest;
+        // Replay r's leaf-to-root path with its new head.
+        let mut up = head_word(Some(rest), r);
         let mut node = (self.leaves + r) / 2;
         while node >= 1 {
-            let loser = self.tree[node];
-            if self.beats(loser, winner) {
-                self.tree[node] = winner;
-                winner = loser;
-            }
+            let held = self.tree[node];
+            self.tree[node] = held.max(up);
+            up = held.min(up);
             node /= 2;
         }
-        self.tree[0] = winner;
+        self.tree[0] = up;
+        Some(key)
+    }
+}
+
+/// The word of run `r` whose unconsumed tail is `run`: its head's image
+/// tagged with `r`, or the maximal image tagged exhausted when `run` is
+/// empty or absent (a padding leaf).
+#[inline]
+fn head_word<K: SortKey>(run: Option<&[K]>, r: usize) -> <K::Radix as RadixImage>::Word {
+    match run.and_then(<[K]>::first) {
+        Some(key) => key.to_radix().pack(r as u32),
+        None => K::Radix::max_value().pack(EXHAUSTED | r as u32),
     }
 }
 
@@ -193,6 +175,22 @@ mod tests {
         // and must drain fully.
         let rest: Vec<u32> = std::iter::from_fn(|| tree.pop()).collect();
         assert_eq!(rest.len(), 3);
+    }
+
+    #[test]
+    fn maximal_images_beat_exhausted_leaves() {
+        // Three runs end in the maximal image next to empty runs and a
+        // padding leaf: only the tag's exhausted bit orders those heads.
+        let out = drain(&[
+            &[u32::MAX][..],
+            &[][..],
+            &[1u32, u32::MAX][..],
+            &[][..],
+            &[u32::MAX, u32::MAX][..],
+        ]);
+        assert_eq!(out, vec![1, u32::MAX, u32::MAX, u32::MAX, u32::MAX]);
+        let out = drain(&[&[][..], &[u64::MAX][..], &[0u64][..]]);
+        assert_eq!(out, vec![0, u64::MAX]);
     }
 
     #[test]

@@ -347,7 +347,7 @@ unsafe fn scatter<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &
 /// `Send` raw-pointer wrapper for disjoint-region scatters. Accessed only
 /// through [`SendPtr::write`] / explicit `copy_nonoverlapping` so closures
 /// capture the wrapper, not the raw pointer (edition-2021 closures capture
-/// individual fields). Shared with [`crate::sample`].
+/// individual fields).
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 

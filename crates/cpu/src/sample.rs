@@ -22,14 +22,16 @@
 //!   bounding bucket imbalance without sacrificing the sorted-concatenation
 //!   property (bucket `i` keys still compare `<=` bucket `i+1` keys).
 //!
-//! The scatter reuses the OneSweep machinery's shape: fixed-size tiles
-//! (never a function of the worker count), per-tile histograms, a serial
-//! per-(tile, bucket) offset resolution, and a parallel scatter through
-//! [`SendPtr`] into disjoint destination ranges. Output bytes are the
+//! The partition cuts the input into fixed-size tiles (never a function of
+//! the worker count). Each tile, in parallel, searches every key's bucket
+//! once, keeps the ids in a tile-sized buffer, counts them, and scatters
+//! itself stably into its own range of the scratch buffer. Bucket `b` of
+//! the output is then tile 0's `b`-segment, tile 1's, and so on: one copy
+//! per (tile, bucket) segment puts everything in place, so no scratch
+//! proportional to the input beyond `aux` is needed. Output bytes are the
 //! stable partition of the input — unique — so every thread count
 //! produces identical bytes.
 
-use crate::onesweep::SendPtr;
 use msort_data::keys::RadixImage;
 use msort_data::SortKey;
 
@@ -133,96 +135,73 @@ pub fn partition_by_splitters<K: SortKey>(
     let aux = &mut aux[..n];
     let tiles = n.div_ceil(TILE);
 
-    // Per-tile histograms (parallel; totals are tile-order invariant).
+    // Each tile partitions itself stably into its own range of `aux`,
+    // leaving its per-bucket counts in its row of `tile_counts`.
     let mut tile_counts = vec![0usize; tiles * buckets];
-    let run_parallel = threads > 1 && tiles > 1;
-    if run_parallel {
-        let src: &[K] = data;
+    let rows = tile_counts.chunks_mut(buckets);
+    let parts = data.chunks(TILE).zip(aux.chunks_mut(TILE)).zip(rows);
+    if threads > 1 && tiles > 1 {
         let decoded = &decoded;
         crate::pool::scope(|scope| {
-            for (t, counts) in tile_counts.chunks_mut(buckets).enumerate() {
-                scope.spawn(move || tile_histogram(src, t, decoded, counts));
+            for (t, ((src, dst), counts)) in parts.enumerate() {
+                scope.spawn(move || {
+                    partition_tile(src, t * TILE, dst, decoded, &mut vec![0; src.len()], counts);
+                });
             }
         });
     } else {
-        for (t, counts) in tile_counts.chunks_mut(buckets).enumerate() {
-            tile_histogram(data, t, &decoded, counts);
+        let mut ids = vec![0; n.min(TILE)];
+        for (t, ((src, dst), counts)) in parts.enumerate() {
+            partition_tile(src, t * TILE, dst, &decoded, &mut ids, counts);
         }
     }
 
-    // Bucket boundaries and per-(tile, bucket) scatter offsets, resolved
-    // serially in fixed tile order — the stable-partition assignment.
+    // Bucket b is tile 0's b-segment, then tile 1's, ...: copy each
+    // (tile, bucket) segment to its global place in tile order.
     let mut boundaries = vec![0usize; buckets + 1];
+    let mut starts = vec![0usize; tiles];
+    let mut out = 0;
     for b in 0..buckets {
-        let total: usize = (0..tiles).map(|t| tile_counts[t * buckets + b]).sum();
-        boundaries[b + 1] = boundaries[b] + total;
-    }
-    let mut offsets = vec![0usize; tiles * buckets];
-    for b in 0..buckets {
-        let mut acc = boundaries[b];
-        for t in 0..tiles {
-            offsets[t * buckets + b] = acc;
-            acc += tile_counts[t * buckets + b];
+        for (t, start) in starts.iter_mut().enumerate() {
+            let len = tile_counts[t * buckets + b];
+            let src = t * TILE + *start;
+            data[out..out + len].copy_from_slice(&aux[src..src + len]);
+            *start += len;
+            out += len;
         }
+        boundaries[b + 1] = out;
     }
-
-    // Scatter into `aux` (disjoint (tile, bucket) ranges), then copy back.
-    let dst = SendPtr(aux.as_mut_ptr());
-    if run_parallel {
-        let src: &[K] = data;
-        let decoded = &decoded;
-        crate::pool::scope(|scope| {
-            for (t, offs) in offsets.chunks_mut(buckets).enumerate() {
-                // SAFETY: `offs[b]` walks `[offsets[t][b], offsets[t][b] +
-                // tile_counts[t][b])` — pairwise disjoint across
-                // (tile, bucket) by the prefix construction and in bounds
-                // of the length-n destination.
-                scope.spawn(move || unsafe { tile_scatter(src, t, decoded, dst, offs) });
-            }
-        });
-    } else {
-        for (t, offs) in offsets.chunks_mut(buckets).enumerate() {
-            // SAFETY: same disjoint-range argument as the parallel branch.
-            unsafe { tile_scatter(data, t, &decoded, dst, offs) };
-        }
-    }
-    data.copy_from_slice(aux);
     boundaries
 }
 
-/// Count tile `t`'s keys per bucket into `counts`.
-fn tile_histogram<K: SortKey>(
-    data: &[K],
-    t: usize,
+/// Stably partition the tile `src` (whose first key sits at chunk-local
+/// position `base`) into `dst`, bucket by bucket, and leave its per-bucket
+/// key counts in `counts`. Each key's bucket is searched once and kept in
+/// `ids` (at least `src.len()` long) for the scatter.
+fn partition_tile<K: SortKey>(
+    src: &[K],
+    base: usize,
+    dst: &mut [K],
     decoded: &[(K::Radix, u64)],
+    ids: &mut [u32],
     counts: &mut [usize],
 ) {
-    let n = data.len();
-    let tile = &data[t * TILE..((t + 1) * TILE).min(n)];
-    for (i, key) in tile.iter().enumerate() {
-        counts[bucket_of_decoded(key.to_radix(), (t * TILE + i) as u64, decoded)] += 1;
+    let ids = &mut ids[..src.len()];
+    for (i, (key, id)) in src.iter().zip(ids.iter_mut()).enumerate() {
+        let b = bucket_of_decoded(key.to_radix(), (base + i) as u64, decoded);
+        counts[b] += 1;
+        *id = b as u32;
     }
-}
-
-/// Scatter tile `t`'s keys to their bucket slots, advancing `offs`.
-///
-/// # Safety
-/// For every bucket `b`, the range `offs[b]` walks must be in bounds of
-/// the destination and written by no other tile.
-unsafe fn tile_scatter<K: SortKey>(
-    data: &[K],
-    t: usize,
-    decoded: &[(K::Radix, u64)],
-    dst: SendPtr<K>,
-    offs: &mut [usize],
-) {
-    let n = data.len();
-    let tile = &data[t * TILE..((t + 1) * TILE).min(n)];
-    for (i, &key) in tile.iter().enumerate() {
-        let b = bucket_of_decoded(key.to_radix(), (t * TILE + i) as u64, decoded);
-        // SAFETY: per the function contract the slot is exclusively ours.
-        unsafe { dst.write(offs[b], key) };
-        offs[b] += 1;
+    let mut offs: Vec<usize> = counts
+        .iter()
+        .scan(0, |acc, &c| {
+            *acc += c;
+            Some(*acc - c)
+        })
+        .collect();
+    for (&key, &b) in src.iter().zip(ids.iter()) {
+        dst[offs[b as usize]] = key;
+        offs[b as usize] += 1;
     }
 }
 

@@ -133,10 +133,23 @@ pub trait RadixImage: Copy + Send + Sync + Ord + Debug + 'static {
 
     /// Widen the image to a `u64` (zero-extending).
     fn to_u64(self) -> u64;
+
+    /// An unsigned integer twice the image's width holding the image in its
+    /// high half and a 32-bit tag in its low half (`u64` for 32-bit images,
+    /// `u128` for 64-bit ones). Word order is image order, ties broken by
+    /// tag: the single comparison a loser-tree node makes.
+    type Word: Copy + Send + Sync + Ord + Debug + 'static;
+
+    /// Pack the image and `tag` into one [`RadixImage::Word`].
+    fn pack(self, tag: u32) -> Self::Word;
+
+    /// Split a word back into its image and tag.
+    fn unpack(word: Self::Word) -> (Self, u32);
 }
 
 impl RadixImage for u32 {
     const BITS: u32 = 32;
+    type Word = u64;
 
     #[inline]
     fn digit(self, shift: u32, width: u32) -> usize {
@@ -162,10 +175,21 @@ impl RadixImage for u32 {
     fn to_u64(self) -> u64 {
         u64::from(self)
     }
+
+    #[inline]
+    fn pack(self, tag: u32) -> u64 {
+        u64::from(self) << 32 | u64::from(tag)
+    }
+
+    #[inline]
+    fn unpack(word: u64) -> (Self, u32) {
+        ((word >> 32) as u32, word as u32)
+    }
 }
 
 impl RadixImage for u64 {
     const BITS: u32 = 64;
+    type Word = u128;
 
     #[inline]
     fn digit(self, shift: u32, width: u32) -> usize {
@@ -190,6 +214,16 @@ impl RadixImage for u64 {
     #[inline]
     fn to_u64(self) -> u64 {
         self
+    }
+
+    #[inline]
+    fn pack(self, tag: u32) -> u128 {
+        u128::from(self) << 32 | u128::from(tag)
+    }
+
+    #[inline]
+    fn unpack(word: u128) -> (Self, u32) {
+        ((word >> 32) as u64, word as u32)
     }
 }
 
@@ -394,6 +428,16 @@ mod tests {
         let w: u64 = 0xFF00_0000_0000_00EE;
         assert_eq!(w.digit(0, 8), 0xEE);
         assert_eq!(w.digit(56, 8), 0xFF);
+    }
+
+    #[test]
+    fn packed_words_order_by_image_then_tag() {
+        assert!(5u32.pack(u32::MAX) < 6u32.pack(0));
+        assert!(u32::MAX.pack(3) < u32::MAX.pack(1 << 31));
+        assert_eq!(u32::unpack(0xDEAD_BEEFu32.pack(7)), (0xDEAD_BEEF, 7));
+        assert!(5u64.pack(u32::MAX) < 6u64.pack(0));
+        assert!(u64::MAX.pack(3) < u64::MAX.pack(1 << 31));
+        assert_eq!(u64::unpack(u64::MAX.pack(u32::MAX)), (u64::MAX, u32::MAX));
     }
 
     #[test]

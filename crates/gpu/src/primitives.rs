@@ -104,9 +104,9 @@ pub fn device_merge_into<K: SortKey>(src: &[K], mid: usize, dst: &mut [K]) {
 /// Stably partition `data` into `splitters.len() + 1` contiguous buckets
 /// (sample sort's local scatter pass), using `aux` as the scatter target.
 /// Returns the bucket boundaries (a `buckets + 1` prefix-sum vector).
-/// Above [`PARALLEL_MIN_KEYS`] the histogram and scatter passes tile
-/// across the pool (fixed 32 Ki-key tiles, so the output never depends on
-/// its width); below it the sequential path wins on dispatch overhead.
+/// Above [`PARALLEL_MIN_KEYS`] the per-tile partitions run across the pool
+/// (fixed 32 Ki-key tiles, so the output never depends on its width);
+/// below it the sequential path wins on dispatch overhead.
 pub fn device_partition<K: SortKey>(
     data: &mut [K],
     aux: &mut [K],

@@ -19,6 +19,13 @@
 //! match the predicted histogram, and the k-way merge must equal
 //! `sort_unstable` bit-for-bit at every pool width.
 //!
+//! The loser tree orders one packed (image, run) word per node and the
+//! partition scatters each 32 Ki-key tile on its own before copying its
+//! bucket segments into place, so both carry their own edges: run counts
+//! either side of a power of two, maximal-image heads beside exhausted
+//! runs, `Pair` payloads that expose any unstable tie, and inputs of
+//! exactly two tiles and one key more with 64 buckets.
+//!
 //! Offline environment: deterministic seeded loops over the in-tree [`Rng`]
 //! stand in for `proptest`, as in `tests/properties.rs`.
 
@@ -26,10 +33,10 @@ use multi_gpu_sort::cpu::multiway::{parallel_multiway_merge_with, ParallelMergeC
 use multi_gpu_sort::cpu::{
     bucket_counts, bucket_of, lsb_radix_sort, merge_path_sort, multiway_merge, onesweep_sort,
     onesweep_sort_with_aux, parallel_onesweep_sort, parallel_onesweep_sort_with_aux,
-    partition_by_splitters, select_splitters,
+    partition_by_splitters, select_splitters, LoserTree,
 };
 use multi_gpu_sort::data::keys::RadixImage;
-use multi_gpu_sort::data::Rng;
+use multi_gpu_sort::data::{Pair, Rng};
 use multi_gpu_sort::gpu::primitives::device_sort_with;
 use multi_gpu_sort::prelude::*;
 
@@ -364,16 +371,52 @@ fn splitter_partition_edge_cases() {
     check_splitter_partition(&dup, 8, "all-duplicate");
     let straddle: Vec<u32> = generate(Distribution::Uniform, (1 << 15) + 17, 47);
     check_splitter_partition(&straddle, 3, "tile straddle");
+    // Exactly two 32 Ki-key tiles and one key past them, 64 buckets: every
+    // bucket gathers one segment per tile, in tile order.
+    for n in [2 << 15, (2 << 15) + 1] {
+        let input: Vec<u32> = generate(Distribution::Uniform, n, 48);
+        check_splitter_partition(&input, 64, &format!("u32 n={n} 64 buckets"));
+    }
+    // Duplicate-heavy keys whose payload is the input position: the
+    // expected partition compares payloads too, so any reordering within
+    // a bucket — inside a tile or across tiles — is a mismatch.
+    for (n, buckets) in [(5_000, 8), (2 << 15, 64), ((2 << 15) + 1, 8)] {
+        let keys: Vec<u32> = generate(
+            Distribution::ZipfDuplicates {
+                skew_permille: 1200,
+            },
+            n,
+            49,
+        );
+        let input: Vec<Pair<u32>> = (0u32..).zip(keys).map(|(i, k)| Pair::new(k, i)).collect();
+        check_splitter_partition(&input, buckets, &format!("Pair<u32> n={n}"));
+    }
 }
 
 // ---- k-way merge vs. the standard library (PR 7). ----
+
+/// Run counts either side of the loser tree's power-of-two leaf counts,
+/// tried before the random draws.
+const EDGE_RUN_COUNTS: [usize; 16] = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65, 70];
 
 #[test]
 fn kway_merge_matches_std_at_every_pool_width() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(7000 + seed);
-        let k = rng.usize_in(1..9);
-        let mut runs: Vec<Vec<u64>> = (0..k).map(|_| random_vec_u64(&mut rng, 3000)).collect();
+        let k = EDGE_RUN_COUNTS
+            .get(seed as usize)
+            .copied()
+            .unwrap_or_else(|| rng.usize_in(1..71));
+        let max_len = 24_000 / k;
+        // Odd runs draw from 64 values, so equal keys meet across runs.
+        let mut runs: Vec<Vec<u64>> = (0..k)
+            .map(|r| {
+                let v = random_vec_u64(&mut rng, max_len);
+                v.into_iter()
+                    .map(|x| if r % 2 == 1 { x % 64 } else { x })
+                    .collect()
+            })
+            .collect();
         let mut all: Vec<u64> = Vec::new();
         for r in &mut runs {
             r.sort_unstable();
@@ -384,7 +427,7 @@ fn kway_merge_matches_std_at_every_pool_width() {
 
         let mut sequential = vec![0u64; all.len()];
         multiway_merge(&views, &mut sequential);
-        assert_eq!(sequential, all, "seed {seed}: loser tree vs std");
+        assert_eq!(sequential, all, "seed {seed} k={k}: loser tree vs std");
 
         // Pool widths 1/2/4, with the sequential cutoff forced off so the
         // parallel split path actually runs: all byte-identical.
@@ -407,31 +450,53 @@ fn kway_merge_matches_std_at_every_pool_width() {
 fn kway_merge_duplicate_and_skewed_runs() {
     // Runs of wildly different lengths plus heavy duplication: the
     // multisequence split must still carve identical output at every
-    // width.
-    let runs: Vec<Vec<u32>> = vec![
-        generate(
-            Distribution::ZipfDuplicates {
-                skew_permille: 1400,
-            },
-            50_000,
-            3,
-        ),
-        vec![5u32; 10_000],
+    // width. Empty runs come first and runs ending in the type's maximal
+    // image after them: an empty run's leaf ties those heads on image, so
+    // only the tag's exhausted bit keeps it from winning.
+    check_skewed_merge::<u32>(u32::MAX);
+    check_skewed_merge::<u64>(u64::MAX);
+    check_skewed_merge::<f32>(f32::from_bits(0x7fff_ffff));
+    check_skewed_merge::<f64>(f64::from_bits(0x7fff_ffff_ffff_ffff));
+}
+
+/// Merge skewed, duplicate-heavy and empty runs plus runs ending in `max`
+/// (a key with the maximal radix image) at every pool width; radix images
+/// are compared, as NaN keys are not equal to themselves.
+fn check_skewed_merge<K: SortKey>(max: K) {
+    assert_eq!(max.to_radix(), <K::Radix as RadixImage>::max_value());
+    let zipf = Distribution::ZipfDuplicates {
+        skew_permille: 1400,
+    };
+    let runs: Vec<Vec<K>> = vec![
+        Vec::new(),
+        Vec::new(),
+        vec![max],
+        generate(zipf, 50_000, 3),
+        generate(Distribution::Constant, 10_000, 9),
         generate(Distribution::Uniform, 100, 4),
         Vec::new(),
         generate(Distribution::ReverseSorted, 20_000, 5),
+        vec![max; 3],
+        generate(Distribution::Uniform, 5, 6)
+            .into_iter()
+            .chain([max])
+            .collect(),
     ]
     .into_iter()
     .map(|mut r| {
-        r.sort_unstable();
+        r.sort_unstable_by_key(|k| k.to_radix());
         r
     })
     .collect();
-    let views: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
-    let mut all: Vec<u32> = runs.iter().flatten().copied().collect();
+    let image = |keys: &[K]| -> Vec<K::Radix> { keys.iter().map(|k| k.to_radix()).collect() };
+    let views: Vec<&[K]> = runs.iter().map(Vec::as_slice).collect();
+    let mut all: Vec<K::Radix> = runs.iter().flat_map(|r| image(r)).collect();
     all.sort_unstable();
+    let mut sequential = vec![max; all.len()];
+    multiway_merge(&views, &mut sequential);
+    assert_eq!(image(&sequential), all, "{:?} sequential", K::DATA_TYPE);
     for threads in [1usize, 2, 4] {
-        let mut out = vec![0u32; all.len()];
+        let mut out = vec![max; all.len()];
         parallel_multiway_merge_with(
             &views,
             &mut out,
@@ -440,6 +505,60 @@ fn kway_merge_duplicate_and_skewed_runs() {
                 sequential_threshold: 0,
             },
         );
-        assert_eq!(out, all, "threads={threads}");
+        assert_eq!(image(&out), all, "{:?} threads={threads}", K::DATA_TYPE);
+    }
+}
+
+#[test]
+fn kway_merge_of_pairs_is_stable() {
+    check_stable_pair_merge::<u32>(0);
+    check_stable_pair_merge::<u64>(40);
+}
+
+/// Merge runs of `Pair<K>`s whose keys take 32 values (shifted left by
+/// `shift` bits) and whose payload is (run, position): the unique stable
+/// result is a stable sort of the runs' concatenation — equal keys by run,
+/// then by position in the run. The sequential merge, the parallel one at
+/// every pool width and a drained `LoserTree` must all produce it.
+fn check_stable_pair_merge<K: SortKey + PartialEq>(shift: u32) {
+    for seed in 0..CASES / 4 {
+        let mut rng = Rng::seed_from_u64(8000 + seed);
+        let k = EDGE_RUN_COUNTS[rng.usize_in(0..EDGE_RUN_COUNTS.len())];
+        let runs: Vec<Vec<Pair<K>>> = (0..k as u32)
+            .map(|r| {
+                let mut keys: Vec<K::Radix> = (0..rng.usize_in(0..2000))
+                    .map(|_| K::Radix::from_u64_trunc((rng.u64() % 32) << shift))
+                    .collect();
+                keys.sort_unstable();
+                (0u32..)
+                    .zip(keys)
+                    .map(|(pos, image)| Pair::new(K::from_radix(image), r << 20 | pos))
+                    .collect()
+            })
+            .collect();
+        let mut all: Vec<Pair<K>> = runs.iter().flatten().copied().collect();
+        all.sort_by_key(|p| p.to_radix());
+        let views: Vec<&[Pair<K>]> = runs.iter().map(Vec::as_slice).collect();
+        let what = format!("{:?} seed {seed} k={k}", K::DATA_TYPE);
+        let blank = vec![Pair::new(K::from_radix(K::Radix::zero()), u32::MAX); all.len()];
+
+        let mut sequential = blank.clone();
+        multiway_merge(&views, &mut sequential);
+        assert_eq!(sequential, all, "{what}: multiway_merge is not stable");
+        let mut tree = LoserTree::new(&views);
+        let drained: Vec<Pair<K>> = std::iter::from_fn(|| tree.pop()).collect();
+        assert_eq!(drained, sequential, "{what}: LoserTree::pop");
+        for threads in [1usize, 2, 4] {
+            let mut out = blank.clone();
+            parallel_multiway_merge_with(
+                &views,
+                &mut out,
+                ParallelMergeConfig {
+                    threads,
+                    sequential_threshold: 0,
+                },
+            );
+            assert_eq!(out, all, "{what} threads={threads}: not stable");
+        }
     }
 }
