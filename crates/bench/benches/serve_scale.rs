@@ -80,9 +80,9 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Bound on the peak resident set after the million-job run, in MB of
-/// 1024 kB: half-way between the ~860 MB the run takes and the 1 806 MB it
-/// took while `FlowSim` kept a slot for every flow ever started.
-const PEAK_RSS_MAX_MB: u64 = 1_300;
+/// 1024 kB: half-way between the ~534 MB the run takes and the 861 MB it
+/// took while `GpuSystem` kept an op queue for every stream ever created.
+const PEAK_RSS_MAX_MB: u64 = 700;
 
 fn main() {
     let dgx = Platform::dgx_a100();

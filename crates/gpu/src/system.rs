@@ -5,8 +5,9 @@
 //! 1. create streams with [`GpuSystem::stream`];
 //! 2. enqueue operations — each returns an [`OpId`] that doubles as an
 //!    event other operations can wait on;
-//! 3. operations on one stream run in FIFO order; across streams they run
-//!    concurrently unless ordered by waits;
+//! 3. operations on one stream run in FIFO order — each op implicitly
+//!    waits on the op enqueued before it on its stream; across streams they
+//!    run concurrently unless ordered by waits;
 //! 4. [`GpuSystem::synchronize`] drives the simulation until every queue
 //!    drains, advancing the simulated clock; afterwards the host code can
 //!    inspect buffer contents (e.g. for pivot selection) and enqueue the
@@ -26,8 +27,7 @@ use msort_data::SortKey;
 use msort_sim::{CostModel, FaultPlan, FlowId, FlowSim, GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::{Endpoint, FlowRequest, LinkId, Platform, Route};
 use msort_trace::{groups, Recorder, TrackId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// How many times one transfer may be interrupted by link failures before
 /// the run is declared unrecoverable.
@@ -164,33 +164,32 @@ impl<K> Effect<K> {
     }
 }
 
-enum OpState {
-    Pending,
-    Running {
-        /// Completion time for fixed-duration ops; `None` while a fluid
-        /// flow (tracked in `GpuSystem::flow_op`) carries the op.
-        ends: Option<SimTime>,
-    },
+/// What a started, unfinished op completes (or resumes) on.
+#[derive(Clone, Copy, PartialEq)]
+enum Wake {
+    /// A fixed-duration op (or an empty transfer) completes at this time.
+    At(SimTime),
+    /// A fluid flow carries the op; it completes when the flow finishes.
+    Flow(FlowId),
     /// A transfer interrupted by a link failure (or blocked on a fully
-    /// unroutable fabric), waiting until `at` to re-resolve its route and
-    /// re-issue its remaining bytes.
-    Retrying {
-        at: SimTime,
-    },
-    Done,
+    /// unroutable fabric) re-resolves its route and re-issues its
+    /// remaining bytes at this time.
+    Retry(SimTime),
 }
 
 struct Op<K> {
     stream: StreamId,
     name: &'static str,
     kind: Option<OpKind<K>>,
-    state: OpState,
     phase: Phase,
+    /// `None` while the op is pending.
     started: Option<SimTime>,
+    /// `Some` once the op is done.
     finished: Option<SimTime>,
-    /// Not-yet-fired waits (incoming dependency edges). Readiness is a
-    /// counter decrement at each dependency's completion, not a rescan of
-    /// a wait list — O(edges) total instead of O(ops · edges).
+    /// Not-yet-fired waits (incoming dependency edges), the previous op on
+    /// the op's stream among them. Readiness is a counter decrement at each
+    /// dependency's completion, not a rescan of a wait list — O(edges)
+    /// total instead of O(ops · edges).
     blockers: u32,
     /// Ops waiting on this one (outgoing dependency edges, absolute
     /// indices); drained when this op completes.
@@ -217,26 +216,19 @@ pub struct GpuSystem<'p, K: SortKey> {
     /// front ops are popped, so a long-running service retains only the
     /// live window instead of every op ever enqueued.
     ops: VecDeque<Op<K>>,
-    /// Absolute index of `ops[0]`; ops below it are reclaimed (and Done).
+    /// Absolute index of `ops[0]`; ops below it are reclaimed (and done).
     ops_base: usize,
-    /// Event min-heap over fixed-duration completions: `(ends, op)`.
-    /// Lazily invalidated — an entry is live only while the op is still
-    /// `Running` with exactly that end time.
-    timers: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Event min-heap over retry wakeups: `(at, op)`, lazily invalidated
-    /// like `timers`.
-    retry_heap: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Owning op of every in-flight flow (transfers and host flows), so
-    /// flow completions and interruptions resolve in O(1) instead of a
-    /// scan over all ops.
-    flow_op: HashMap<FlowId, usize>,
-    /// Streams whose head may have become startable since the last
-    /// [`GpuSystem::start_ready_ops`] pass (deduplicated via
-    /// `StreamQueue::dirty`).
-    dirty_streams: Vec<usize>,
+    /// Per stream: the last op enqueued on it (absolute index). The next op
+    /// on the stream waits on it, which is all FIFO order takes.
+    streams: Vec<Option<usize>>,
+    /// Pending ops whose waits have all fired; started by the next
+    /// [`GpuSystem::start_ready_ops`] pass.
+    ready: Vec<usize>,
+    /// Every started, unfinished op with what it completes on. The hardware
+    /// holds a handful of these (a few hundred on the largest cluster), so
+    /// the event loop scans the list instead of keeping indexes over it.
+    in_flight: Vec<(usize, Wake)>,
     reclaim_ops: bool,
-    /// Per stream: index of the next not-yet-started op in `order`.
-    streams: Vec<StreamQueue>,
     /// Routes resolved over a faulted fabric, keyed by endpoint pair;
     /// empty until the first fault fires (pristine routes are the
     /// platform's). Resolving each pair once is enough while the fabric's
@@ -261,13 +253,6 @@ pub struct GpuSystem<'p, K: SortKey> {
     rec_stream_tracks: Vec<TrackId>,
 }
 
-struct StreamQueue {
-    ops: Vec<OpId>,
-    next: usize,
-    /// `true` while the stream sits in `dirty_streams`.
-    dirty: bool,
-}
-
 impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// Create a system over `platform` at the given fidelity.
     #[must_use]
@@ -278,12 +263,10 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             world: World::new(&platform.topology, fidelity),
             ops: VecDeque::new(),
             ops_base: 0,
-            timers: BinaryHeap::new(),
-            retry_heap: BinaryHeap::new(),
-            flow_op: HashMap::new(),
-            dirty_streams: Vec::new(),
-            reclaim_ops: false,
             streams: Vec::new(),
+            ready: Vec::new(),
+            in_flight: Vec::new(),
+            reclaim_ops: false,
             route_cache: HashMap::new(),
             route_cache_gen: 0,
             rerouted: 0,
@@ -361,11 +344,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// Create a new stream.
     pub fn stream(&mut self) -> StreamId {
         let id = StreamId(self.streams.len());
-        self.streams.push(StreamQueue {
-            ops: Vec::new(),
-            next: 0,
-            dirty: false,
-        });
+        self.streams.push(None);
         id
     }
 
@@ -389,17 +368,9 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     }
 
     /// `true` once the op at absolute index `idx` has completed (reclaimed
-    /// ops are Done by construction).
+    /// ops are done by construction).
     fn op_done_idx(&self, idx: usize) -> bool {
-        idx < self.ops_base || matches!(self.op(idx).state, OpState::Done)
-    }
-
-    /// Queue `stream` for the next [`GpuSystem::start_ready_ops`] pass.
-    fn mark_dirty(&mut self, stream: usize) {
-        if !self.streams[stream].dirty {
-            self.streams[stream].dirty = true;
-            self.dirty_streams.push(stream);
-        }
+        idx < self.ops_base || self.op(idx).finished.is_some()
     }
 
     /// When an operation started and finished (after `synchronize`).
@@ -540,7 +511,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         }
         // Prefer a currently healthy route. When the fabric has no path at
         // all right now, fall back to the pristine shortest path: the op
-        // will wait in `Retrying` until a scheduled restore re-opens one.
+        // will retry until a scheduled restore re-opens one.
         let pristine = self.platform().route(src, dst);
         let route = self
             .resolve_route(src, dst)
@@ -896,7 +867,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
 
     /// Drive the simulation until any op in `until_any` completes or the
     /// clock reaches `deadline`, whichever comes first. An op that is
-    /// already `Done` returns immediately; with an empty `until_any` the
+    /// already done returns immediately; with an empty `until_any` the
     /// clock advances to the deadline, processing every event (including
     /// scheduled faults) on the way.
     ///
@@ -923,12 +894,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         self.op_done_idx(op.0)
     }
 
-    /// `true` when every enqueued op has completed.
-    #[must_use]
-    pub fn idle(&self) -> bool {
-        self.ops.iter().all(|o| matches!(o.state, OpState::Done))
-    }
-
     fn run_inner(&mut self, stop_ops: Option<&[OpId]>, deadline: Option<SimTime>) -> SimTime {
         loop {
             self.reissue_due_retries();
@@ -941,15 +906,16 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             if deadline.is_some_and(|d| self.flows.now() >= d) {
                 return self.flows.now();
             }
-            // Next event: earliest fixed completion, flow completion, or
-            // pending retry — each from its index (heap tops are validated
-            // and stale entries dropped, never scanned).
-            let mut next: Option<SimTime> = self.next_timer();
-            if let Some(t) = self.next_retry() {
-                if next.is_none_or(|n| t < n) {
-                    next = Some(t);
-                }
-            }
+            // Next event: the earliest fixed completion or retry in flight,
+            // or the earliest flow completion.
+            let mut next = self
+                .in_flight
+                .iter()
+                .filter_map(|&(_, wake)| match wake {
+                    Wake::At(t) | Wake::Retry(t) => Some(t),
+                    Wake::Flow(_) => None,
+                })
+                .min();
             if let Some((t, _)) = self.flows.next_completion() {
                 if next.is_none_or(|n| t < n) {
                     next = Some(t);
@@ -972,7 +938,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                     .ops
                     .iter()
                     .enumerate()
-                    .filter(|(_, o)| !matches!(o.state, OpState::Done))
+                    .filter(|(_, o)| o.finished.is_none())
                     .map(|(i, _)| self.ops_base + i)
                     .collect();
                 if stop_ops.is_some() {
@@ -1004,35 +970,29 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             // Transfers whose flow a link failure truncated go into backoff
             // before completing anything (their flows are *not* finished).
             self.handle_interrupted_flows();
-            // Complete flow-backed ops.
+            // Complete flow-backed ops, in the order the flows finished.
             for fid in finished_flows {
-                let idx = self
-                    .flow_op
-                    .remove(&fid)
-                    .expect("finished flow belongs to an op");
+                let (idx, _) = self.in_flight.swap_remove(self.flow_slot(fid));
                 self.complete_op(idx, t);
             }
-            // Complete fixed ops due now — pop the timer heap, which yields
-            // due entries in (end, index) order: the same order as the old
-            // ascending-index scan, because equal-time entries sort by
-            // index and earlier-ending ones were completed in earlier
-            // iterations.
-            while let Some(&Reverse((e, idx))) = self.timers.peek() {
-                if e > t {
-                    break;
+            // Then the fixed ops due now, in (end, index) order: ops ending
+            // together apply their effects in the order they were enqueued.
+            let mut due = Vec::new();
+            self.in_flight.retain(|&(idx, wake)| match wake {
+                Wake::At(end) if end <= t => {
+                    due.push((end, idx));
+                    false
                 }
-                self.timers.pop();
-                if idx >= self.ops_base
-                    && matches!(self.op(idx).state,
-                                OpState::Running { ends: Some(end), .. } if end == e)
-                {
-                    self.complete_op(idx, t);
-                }
+                _ => true,
+            });
+            due.sort_unstable();
+            for (_, idx) in due {
+                self.complete_op(idx, t);
             }
             // With reclamation on, drop the completed prefix of the op ring
             // (spans for those ops are gone — see `set_op_reclaim`).
             if self.reclaim_ops {
-                while matches!(self.ops.front(), Some(o) if matches!(o.state, OpState::Done)) {
+                while matches!(self.ops.front(), Some(o) if o.finished.is_some()) {
                     self.ops.pop_front();
                     self.ops_base += 1;
                 }
@@ -1040,32 +1000,12 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         }
     }
 
-    /// Earliest live fixed-completion time; pops stale heap entries (op
-    /// completed earlier, relaunched with a different end, or reclaimed).
-    fn next_timer(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((e, idx))) = self.timers.peek() {
-            let live = idx >= self.ops_base
-                && matches!(self.op(idx).state,
-                            OpState::Running { ends: Some(end), .. } if end == e);
-            if live {
-                return Some(e);
-            }
-            self.timers.pop();
-        }
-        None
-    }
-
-    /// Earliest live retry wakeup; pops stale entries like `next_timer`.
-    fn next_retry(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((at, idx))) = self.retry_heap.peek() {
-            let live = idx >= self.ops_base
-                && matches!(self.op(idx).state, OpState::Retrying { at: a } if a == at);
-            if live {
-                return Some(at);
-            }
-            self.retry_heap.pop();
-        }
-        None
+    /// Position in `in_flight` of the op the flow `fid` carries.
+    fn flow_slot(&self, fid: FlowId) -> usize {
+        self.in_flight
+            .iter()
+            .position(|&(_, wake)| wake == Wake::Flow(fid))
+            .expect("every flow in flight carries an op")
     }
 
     /// Put every op whose flow was truncated by a link failure into
@@ -1074,10 +1014,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     fn handle_interrupted_flows(&mut self) {
         let now = self.flows.now();
         for (fid, remaining) in self.flows.take_interrupted() {
-            let idx = self
-                .flow_op
-                .remove(&fid)
-                .expect("interrupted flow belongs to an op");
+            let pos = self.flow_slot(fid);
+            let idx = self.in_flight[pos].0;
             let attempts = {
                 let op = self.op_mut(idx);
                 op.attempts += 1;
@@ -1092,38 +1030,30 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 );
             }
             let backoff = SimDuration(RETRY_BACKOFF.0 << (attempts - 1));
-            let at = now + backoff;
-            let op = self.op_mut(idx);
-            op.pending_bytes = Some(remaining);
-            op.state = OpState::Retrying { at };
-            self.retry_heap.push(Reverse((at, idx)));
+            self.op_mut(idx).pending_bytes = Some(remaining);
+            self.in_flight[pos].1 = Wake::Retry(now + backoff);
             self.retries += 1;
         }
     }
 
-    /// Re-issue every retrying transfer whose backoff has expired. Due
-    /// entries are collected before any launch: a re-issue that finds the
-    /// fabric still unroutable re-parks at the *same* next-fault instant,
-    /// and draining the heap while launching would spin on it forever.
-    /// One attempt per op per pass matches the old single scan.
+    /// Re-issue every retrying transfer whose backoff has expired, in
+    /// (at, index) order. Due entries are collected before any launch: a
+    /// re-issue that finds the fabric still unroutable re-parks at the
+    /// *same* next-fault instant, and must wait for the next pass.
     fn reissue_due_retries(&mut self) {
         let now = self.flows.now();
-        let mut due = Vec::new();
-        while let Some(&Reverse((at, idx))) = self.retry_heap.peek() {
-            if at > now {
-                break;
-            }
-            self.retry_heap.pop();
-            // Lazy invalidation: stale entries (op since relaunched,
-            // completed, or reclaimed) are dropped here.
-            if idx >= self.ops_base
-                && matches!(self.op(idx).state, OpState::Retrying { at: a } if a == at)
-            {
-                due.push(idx);
-            }
-        }
-        for idx in due {
-            self.launch_transfer(idx);
+        let mut due: Vec<(SimTime, usize, usize)> = self
+            .in_flight
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, &(idx, wake))| match wake {
+                Wake::Retry(at) if at <= now => Some((at, idx, pos)),
+                _ => None,
+            })
+            .collect();
+        due.sort_unstable();
+        for (_, idx, pos) in due {
+            self.in_flight[pos].1 = self.launch_transfer(idx);
         }
     }
 
@@ -1134,19 +1064,21 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             OpKind::Fixed { effect, .. } => effect.name(),
             OpKind::HostFlow { effect, .. } => effect.name(),
         };
-        let id = OpId(self.ops_base + self.ops.len());
-        // Register the dependency edges now: each unfinished wait gets a
-        // subscriber entry pointing back at this op, and the blocker count
-        // is what readiness checks against (O(1) per completion instead of
+        let id = self.ops_base + self.ops.len();
+        // Register the dependency edges now — the explicit waits plus the
+        // previous op on the stream: each unfinished wait gets a subscriber
+        // entry pointing back at this op, and the blocker count is what
+        // readiness checks against (O(1) per completion instead of
         // rescanning the wait list). A wait on this op itself or a
         // not-yet-enqueued op can never fire — count it as a permanent
         // blocker so `synchronize` reports the deadlock.
+        let prev = self.streams[stream.0].replace(id);
         let mut blockers = 0u32;
-        for w in waits {
-            if w.0 >= id.0 {
+        for w in waits.iter().map(|w| w.0).chain(prev) {
+            if w >= id {
                 blockers += 1;
-            } else if !self.op_done_idx(w.0) {
-                self.op_mut(w.0).subs.push(id.0);
+            } else if !self.op_done_idx(w) {
+                self.op_mut(w).subs.push(id);
                 blockers += 1;
             }
         }
@@ -1154,7 +1086,6 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             stream,
             name,
             kind: Some(kind),
-            state: OpState::Pending,
             phase,
             started: None,
             finished: None,
@@ -1164,81 +1095,40 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             attempts: 0,
             pending_bytes: None,
         });
-        self.streams[stream.0].ops.push(id);
-        self.mark_dirty(stream.0);
-        id
+        if blockers == 0 {
+            self.ready.push(id);
+        }
+        OpId(id)
     }
 
     fn start_ready_ops(&mut self) {
-        // Only streams touched since the last pass can have a newly
-        // startable head: a stream goes dirty when an op is enqueued on it,
-        // when its running head completes, or when a blocker of one of its
-        // ops fires. Starting an op never *unblocks* another within the
-        // same instant (zero-duration completions go through the outer
-        // event loop), so one pass over the dirty set suffices. Sorted for
-        // determinism: the old code visited streams in index order.
-        if self.dirty_streams.is_empty() {
-            return;
+        // Starting an op never readies another within the same instant
+        // (zero-duration completions go through the outer event loop), so
+        // one pass suffices. A stream holds at most one ready op — its
+        // successors wait on it — so stream order is a total order here.
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.sort_unstable_by_key(|&idx| self.op(idx).stream.0);
+        for &idx in &ready {
+            self.start_op(idx);
         }
-        let mut work = std::mem::take(&mut self.dirty_streams);
-        work.sort_unstable();
-        for &s in &work {
-            self.streams[s].dirty = false;
-            // Skip completed ops at the queue head.
-            while let Some(&op_id) = self.streams[s].ops.get(self.streams[s].next) {
-                if self.op_done_idx(op_id.0) {
-                    self.streams[s].next += 1;
-                } else {
-                    break;
-                }
-            }
-            // Under op reclamation, drop the consumed queue prefix too —
-            // amortized O(1) per op (each drain removes at least half the
-            // queue), keeping per-stream memory at the live window.
-            if self.reclaim_ops {
-                let q = &mut self.streams[s];
-                if q.next >= 64 && q.next * 2 >= q.ops.len() {
-                    q.ops.drain(..q.next);
-                    q.next = 0;
-                }
-            }
-            // A stream runs one op at a time (CUDA stream semantics): the
-            // head may start only when Pending and its waits fired.
-            let Some(&op_id) = self.streams[s].ops.get(self.streams[s].next) else {
-                continue;
-            };
-            let op = self.op(op_id.0);
-            if matches!(op.state, OpState::Pending) && op.blockers == 0 {
-                self.start_op(op_id);
-            }
-        }
-        // Hand the buffer back without dropping dirties pushed mid-loop.
-        work.clear();
-        work.append(&mut self.dirty_streams);
-        self.dirty_streams = work;
+        ready.clear();
+        self.ready = ready;
     }
 
-    fn start_op(&mut self, id: OpId) {
+    fn start_op(&mut self, idx: usize) {
         let now = self.flows.now();
-        self.op_mut(id.0).started = Some(now);
+        self.op_mut(idx).started = Some(now);
         // Copies stage their source bytes now (see `Op::staged`).
         if let Some(OpKind::Transfer { src, len, .. } | OpKind::LocalCopy { src, len, .. }) =
-            &self.op(id.0).kind
+            &self.op(idx).kind
         {
             let snapshot = self.world.slice(src.0, src.1, *len).to_vec();
-            self.op_mut(id.0).staged = Some(snapshot);
+            self.op_mut(idx).staged = Some(snapshot);
         }
-        if matches!(self.op(id.0).kind, Some(OpKind::Transfer { .. })) {
-            self.launch_transfer(id.0);
-            return;
-        }
-        let kind = self.op(id.0).kind.as_ref().expect("op has a kind");
-        let state = match kind {
-            OpKind::Transfer { .. } => unreachable!("transfers launch above"),
+        let wake = match self.op(idx).kind.as_ref().expect("op has a kind") {
+            OpKind::Transfer { .. } => self.launch_transfer(idx),
             OpKind::LocalCopy { duration, .. } | OpKind::Fixed { duration, .. } => {
-                OpState::Running {
-                    ends: Some(now + *duration),
-                }
+                Wake::At(now + *duration)
             }
             OpKind::HostFlow {
                 socket,
@@ -1277,23 +1167,18 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                     constraints,
                     rate_cap: Some(*rate_cap),
                 };
-                let flow = self.flows.start_request(request, *bytes);
-                self.flow_op.insert(flow, id.0);
-                OpState::Running { ends: None }
+                Wake::Flow(self.flows.start_request(request, *bytes))
             }
         };
-        if let OpState::Running { ends: Some(e), .. } = state {
-            self.timers.push(Reverse((e, id.0)));
-        }
-        self.op_mut(id.0).state = state;
+        self.in_flight.push((idx, wake));
     }
 
     /// Start (or re-start after an interruption) the flow backing a
-    /// transfer op. If the op's planned route crosses a failed link, the
-    /// route is re-resolved over the healthy fabric first; if no path
-    /// exists at all, the op parks in `Retrying` until the next scheduled
-    /// fault event (a restore may re-open one).
-    fn launch_transfer(&mut self, idx: usize) {
+    /// transfer op, and return what the op now completes on. If the op's
+    /// planned route crosses a failed link, the route is re-resolved over
+    /// the healthy fabric first; if no path exists at all, the op retries
+    /// at the next scheduled fault event (a restore may re-open one).
+    fn launch_transfer(&mut self, idx: usize) -> Wake {
         let now = self.flows.now();
         let (route, len) = match self.op(idx).kind.as_ref().expect("op has a kind") {
             OpKind::Transfer { route, len, .. } => (route.clone(), *len),
@@ -1304,9 +1189,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             .pending_bytes
             .unwrap_or(len * K::DATA_TYPE.key_bytes());
         if bytes == 0 {
-            self.op_mut(idx).state = OpState::Running { ends: Some(now) };
-            self.timers.push(Reverse((now, idx)));
-            return;
+            return Wake::At(now);
         }
         let route = if self.flows.route_usable(&route) {
             route
@@ -1327,33 +1210,27 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                         .map_or_else(String::new, |h| h.describe(&self.platform().topology))
                 );
             };
-            self.op_mut(idx).state = OpState::Retrying { at };
-            self.retry_heap.push(Reverse((at, idx)));
-            return;
+            return Wake::Retry(at);
         };
-        let flow = self.flows.start(&route, bytes);
-        self.flow_op.insert(flow, idx);
-        self.op_mut(idx).state = OpState::Running { ends: None };
+        Wake::Flow(self.flows.start(&route, bytes))
     }
 
     fn complete_op(&mut self, idx: usize, t: SimTime) {
         {
             let op = self.op_mut(idx);
-            op.state = OpState::Done;
+            debug_assert!(op.started.is_some(), "op {idx} completes before it started");
+            debug_assert!(op.finished.is_none(), "op {idx} completes twice");
+            debug_assert_eq!(op.blockers, 0, "op {idx} completes with waits unfired");
             op.finished = Some(t);
         }
-        // Wake the dependents: each subscriber loses a blocker; a stream
-        // whose op may now be startable (this op's own successor, or a
-        // subscriber that just became unblocked) goes on the dirty list.
-        let stream = self.op(idx).stream.0;
-        self.mark_dirty(stream);
+        // Wake the dependents (the next op on this op's stream among them):
+        // each subscriber loses a blocker, and one left with none is ready.
         let subs = std::mem::take(&mut self.op_mut(idx).subs);
         for sub in subs {
             let op = self.op_mut(sub);
             op.blockers -= 1;
             if op.blockers == 0 {
-                let s = op.stream.0;
-                self.mark_dirty(s);
+                self.ready.push(sub);
             }
         }
         if self.recorder.is_enabled() {
@@ -1546,6 +1423,28 @@ mod tests {
         let (s2, _) = sys.op_span(op2).unwrap();
         assert!(s1 < s2);
         assert!(e1 <= s2, "op2 must not start before op1 completes");
+    }
+
+    #[test]
+    fn equal_time_completions_apply_in_enqueue_order() {
+        // Two equal device-local copies into one buffer end at the same
+        // instant. The one on the lower stream starts first, but the one
+        // enqueued later completes last, so its bytes are what `d` holds.
+        let p = Platform::dgx_a100();
+        let mut sys = system(&p);
+        let n: u64 = 1 << 10;
+        let a = sys.world_mut().alloc_gpu(0, n);
+        let b = sys.world_mut().alloc_gpu(0, n);
+        let d = sys.world_mut().alloc_gpu(0, n);
+        sys.world.data_mut(a).fill(1);
+        sys.world.data_mut(b).fill(2);
+        let s_lo = sys.stream();
+        let s_hi = sys.stream();
+        let first = sys.memcpy(s_hi, a, 0, d, 0, n, &[], Phase::Merge);
+        let second = sys.memcpy(s_lo, b, 0, d, 0, n, &[], Phase::Merge);
+        sys.synchronize();
+        assert_eq!(sys.op_span(first), sys.op_span(second));
+        assert!(sys.world().slice(d, 0, n).iter().all(|&k| k == 2));
     }
 
     #[test]
@@ -1758,10 +1657,10 @@ mod tests {
 
     /// Routes of the transfer ops whose flow is in flight right now.
     fn in_flight_routes(sys: &GpuSystem<'_, u32>) -> Vec<Route> {
-        sys.ops
+        sys.in_flight
             .iter()
-            .filter(|op| matches!(op.state, OpState::Running { .. }))
-            .filter_map(|op| match op.kind.as_ref()? {
+            .filter(|&&(_, wake)| !matches!(wake, Wake::Retry(_)))
+            .filter_map(|&(idx, _)| match sys.op(idx).kind.as_ref()? {
                 OpKind::Transfer { route, .. } => Some(route.clone()),
                 _ => None,
             })

@@ -540,8 +540,9 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
     }
 
     /// Job and GPU conservation, checked at every fixpoint of the loop in
-    /// debug builds: every offered job is in exactly one place, and the
-    /// tallies agree with the lease flags and the running set.
+    /// debug builds: every offered job is in exactly one place, the
+    /// tallies agree with the lease flags and the running set, and every
+    /// unleased GPU has all its device memory back.
     fn check_conservation(&self) {
         assert_eq!(
             self.next_seq as usize,
@@ -558,6 +559,17 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
         );
         let gangs: usize = self.running.iter().map(|r| r.gang.len()).sum();
         assert_eq!(t.leased, gangs, "leased slots = running gangs");
+        let world = self.sys.world();
+        let topo = &self.sys.platform().topology;
+        for (i, &gpu) in self.fleet.gpus.iter().enumerate() {
+            if !self.fleet.leased[i] {
+                assert_eq!(
+                    world.gpu_free_bytes(gpu),
+                    topo.gpu_memory_bytes(gpu),
+                    "unleased GPU {gpu} still holds device memory"
+                );
+            }
+        }
     }
 
     fn tenant_index(&mut self, id: TenantId) -> usize {

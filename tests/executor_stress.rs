@@ -10,8 +10,9 @@ use multi_gpu_sort::gpu::{GpuSystem, OpId, Phase};
 use multi_gpu_sort::prelude::*;
 
 /// Random DAGs of copies and delays across random streams with random
-/// backward waits: the executor must terminate, keep the clock
-/// monotonic, and run every op exactly once.
+/// backward waits: the executor must terminate, run every op exactly once,
+/// start no op before its waits finished, and run each stream in FIFO
+/// order.
 #[test]
 fn random_dags_terminate() {
     for seed in 0..32u64 {
@@ -31,6 +32,7 @@ fn random_dags_terminate() {
         let streams: Vec<_> = (0..6).map(|_| sys.stream()).collect();
 
         let mut issued = Vec::new();
+        let mut wait_lists = Vec::new();
         for (i, &(s, g, len)) in ops.iter().enumerate() {
             // Waits reference only *earlier* ops (guaranteed acyclic).
             let waits: Vec<_> = issued
@@ -53,14 +55,30 @@ fn random_dags_terminate() {
                 sys.memcpy(streams[s], devs[g], 0, host, len, len, &waits, Phase::DtoH)
             };
             issued.push(op);
+            wait_lists.push(waits);
         }
         let end = sys.synchronize();
         assert!(end > SimTime::ZERO, "seed {seed}");
-        // Every op ran, and no op finished before it started or before any
-        // of its dependencies finished.
-        for &op in &issued {
+        // Every op ran, no op finished before it started, and no op started
+        // before any of its waits or the previous op on its stream finished.
+        let mut stream_last = [None; 6];
+        for (i, (&op, waits)) in issued.iter().zip(&wait_lists).enumerate() {
             let (start, finish) = sys.op_span(op).expect("op completed");
             assert!(finish >= start, "seed {seed}");
+            for &w in waits {
+                let (_, w_finish) = sys.op_span(w).expect("wait completed");
+                assert!(
+                    start >= w_finish,
+                    "seed {seed}: op {i} starts before a wait"
+                );
+            }
+            let s = ops[i].0;
+            if let Some(prev_finish) = stream_last[s].replace(finish) {
+                assert!(
+                    start >= prev_finish,
+                    "seed {seed}: op {i} overtakes its stream"
+                );
+            }
         }
     }
 }
