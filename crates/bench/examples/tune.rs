@@ -1,8 +1,8 @@
 //! One-off tuning probes (not shipped in CI) behind the size-dispatch
 //! constants: `primitives::PARALLEL_MIN_KEYS` (seq vs parallel onesweep, copy
-//! vs par_copy) and `onesweep`'s small-sort crossover (radix passes vs
-//! comparison sort).
-use msort_data::{generate, Distribution};
+//! vs par_copy) and `onesweep`'s device-sort size ladder (comparison sort vs
+//! 8-bit LSD vs OneSweep passes, per key width).
+use msort_data::{generate, Distribution, Pair, SortKey};
 use std::time::Instant;
 
 fn med(mut v: Vec<f64>) -> f64 {
@@ -83,36 +83,69 @@ fn parallel_floor_probe(threads: usize) {
     }
 }
 
-const SMALL_SIZES: [usize; 10] = [32, 64, 128, 256, 512, 1024, 1536, 2048, 4096, 8192];
+const SMALL_SIZES: [usize; 16] = [
+    64,
+    128,
+    256,
+    512,
+    1024,
+    1536,
+    2048,
+    4096,
+    8192,
+    1 << 14,
+    1 << 15,
+    1 << 16,
+    1 << 17,
+    1 << 18,
+    1 << 19,
+    1 << 20,
+];
 
 /// Seconds per call of `work(data, scratch)` on a fresh copy of `input`, the
 /// copy included (callers subtract the cost of an empty `work`).
-fn on_fresh_copy(input: &[u32], mut work: impl FnMut(&mut [u32], &mut [u32])) -> f64 {
+fn on_fresh_copy<K: SortKey>(input: &[K], mut work: impl FnMut(&mut [K], &mut [K])) -> f64 {
     let mut data = input.to_vec();
-    let mut scratch = vec![0u32; input.len()];
-    time_per_call((1 << 21) / input.len(), || {
+    let mut scratch = input.to_vec();
+    time_per_call(((1 << 21) / input.len()).max(1), || {
         data.copy_from_slice(input);
         work(&mut data, &mut scratch);
-        std::hint::black_box(data[0]);
+        std::hint::black_box(&data[0]);
     })
 }
 
-/// OneSweep vs a comparison sort on the radix image. `onesweep_sort_with_aux`
-/// is itself that comparison sort up to its private crossover; to re-tune the
-/// crossover, build once with `SMALL_SORT_MAX_KEYS = 1` in
-/// `msort_cpu::onesweep` so the OneSweep column is the radix passes at every
-/// size.
+/// The device-sort size ladder's three rungs on uniform keys, in ns per key:
+/// a stable comparison sort on the radix image (`stable`, the ladder's
+/// bottom rung; `unstable` shows what giving up stability would buy), the
+/// 8-bit LSD kernel (`lsd8`), and `onesweep_sort_with_aux` (`device`),
+/// which *is* the ladder below its top rung. To see the raw OneSweep passes
+/// at every size, build once with the two ladder tests at the top of
+/// `msort_cpu::onesweep::onesweep_sort_with_aux` cut out.
 fn small_sort_probe() {
-    println!("small sorts, u32 uniform:");
+    ladder_rows::<u32>();
+    ladder_rows::<u64>();
+    ladder_rows::<Pair<u32>>();
+}
+
+fn ladder_rows<K: SortKey>() {
+    println!("small sorts, {:?} uniform, ns/key:", K::DATA_TYPE);
     for n in SMALL_SIZES {
-        let input: Vec<u32> = generate(Distribution::Uniform, n, 7);
+        let input: Vec<K> = generate(Distribution::Uniform, n, 7);
         let copy = on_fresh_copy(&input, |_, _| {});
-        let cmp = on_fresh_copy(&input, |d, _| d.sort_unstable_by_key(|k| *k)) - copy;
-        let onesweep = on_fresh_copy(&input, msort_cpu::onesweep_sort_with_aux) - copy;
+        let per_key = |t: f64| (t - copy) * 1e9 / n as f64;
+        let stable = per_key(on_fresh_copy(&input, |d, _| {
+            d.sort_by_key(|k| k.to_radix())
+        }));
+        let unstable = per_key(on_fresh_copy(&input, |d, _| {
+            d.sort_unstable_by_key(|k| k.to_radix());
+        }));
+        let lsd8 = per_key(on_fresh_copy(
+            &input,
+            msort_cpu::lsb_radix::lsb_radix_sort_with_aux,
+        ));
+        let device = per_key(on_fresh_copy(&input, msort_cpu::onesweep_sort_with_aux));
         println!(
-            "n={n:5}: comparison {:6.2} us, onesweep {:6.2} us",
-            cmp * 1e6,
-            onesweep * 1e6,
+            "n={n:8}: stable {stable:6.2}, unstable {unstable:6.2}, lsd8 {lsd8:6.2}, device {device:6.2}"
         );
     }
 }

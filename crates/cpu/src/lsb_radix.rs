@@ -18,53 +18,60 @@ pub const DIGIT_BITS: u32 = 8;
 /// Number of buckets per pass.
 pub const BUCKETS: usize = 1 << DIGIT_BITS;
 
+/// Passes needed by the widest (64-bit) radix image.
+const MAX_PASSES: usize = 64 / DIGIT_BITS as usize;
+
 /// Sort `data` in place using LSB radix sort with a caller-provided auxiliary
 /// buffer of the same length (mirrors `thrust::sort`'s pre-allocated
 /// temporary storage; Section 5.1 of the paper stresses avoiding dynamic
 /// allocation in the hot path).
 ///
 /// # Panics
-/// Panics if `aux.len() != data.len()`.
+/// Panics if `aux.len() != data.len()`, or if `data` holds more than
+/// `u32::MAX` keys (the histograms are `u32` counters on the stack).
 pub fn lsb_radix_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
     assert_eq!(
         data.len(),
         aux.len(),
         "auxiliary buffer must match input length"
     );
-    if data.len() <= 1 {
+    let n = u32::try_from(data.len()).expect("LSB radix sort counts keys in u32");
+    if n <= 1 {
         return;
     }
 
     let passes = (K::Radix::BITS / DIGIT_BITS) as usize;
     // One histogram per pass, all filled in a single scan over the input.
-    let mut hists = vec![[0usize; BUCKETS]; passes];
+    let mut hists = [[0u32; BUCKETS]; MAX_PASSES];
     for key in data.iter() {
         let img = key.to_radix();
-        for (p, hist) in hists.iter_mut().enumerate() {
+        for (p, hist) in hists[..passes].iter_mut().enumerate() {
             hist[img.digit(p as u32 * DIGIT_BITS, DIGIT_BITS)] += 1;
         }
     }
 
     // Ping-pong between `data` and `aux`; track which buffer currently holds
     // the keys so we can skip trivial passes without copying.
+    let first = data[0].to_radix();
     let mut in_data = true;
-    for (p, hist) in hists.iter().enumerate() {
+    for (p, hist) in hists[..passes].iter().enumerate() {
         let shift = p as u32 * DIGIT_BITS;
-        // A pass is trivial when one bucket holds everything.
-        if hist.contains(&data.len()) {
+        // A pass is trivial when one bucket holds everything; if one does,
+        // it is the bucket of every key, the first included.
+        if hist[first.digit(shift, DIGIT_BITS)] == n {
             continue;
         }
-        let mut offsets = [0usize; BUCKETS];
-        let mut acc = 0usize;
+        let mut offsets = [0u32; BUCKETS];
+        let mut acc = 0u32;
         for (o, &c) in offsets.iter_mut().zip(hist.iter()) {
             *o = acc;
             acc += c;
         }
         let (src, dst): (&mut [K], &mut [K]) = if in_data { (data, aux) } else { (aux, data) };
         for &key in src.iter() {
-            let d = key.to_radix().digit(shift, DIGIT_BITS);
-            dst[offsets[d]] = key;
-            offsets[d] += 1;
+            let slot = &mut offsets[key.to_radix().digit(shift, DIGIT_BITS)];
+            dst[*slot as usize] = key;
+            *slot += 1;
         }
         in_data = !in_data;
     }

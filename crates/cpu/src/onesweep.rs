@@ -30,9 +30,17 @@
 //! in-tile order), and stable LSD radix output is unique — so the sequential
 //! kernel, the parallel kernel, and [`crate::lsb_radix`] all produce
 //! bit-identical outputs for every `MSORT_POOL_THREADS` setting. That is the
-//! property `tests/golden.rs` pins at pool widths 1 and 2. Inputs too small to
-//! amortise the histogram set-up skip the passes for a comparison sort on
-//! the radix image, which yields the same bytes (see `SMALL_SORT_MAX_KEYS`).
+//! property `tests/golden.rs` pins at pool widths 1 and 2.
+//!
+//! Small-input path: [`onesweep_sort_with_aux`] runs a size ladder. Inputs
+//! too small to amortise any histogram — up to a floor per radix-image
+//! width (`COMPARISON_MAX_32`, `COMPARISON_MAX_64`, whose docs hold the
+//! probe numbers) — take a stable comparison sort on the radix image;
+//! mid-sized inputs, up to the parallel floor, take the 8-bit LSD kernel
+//! ([`crate::lsb_radix`]), whose 256 stack counters per pass cost less than
+//! OneSweep's 2 048; the rest take the passes above. Every rung is a stable
+//! sort by radix image, so the rung an input takes never shows in the
+//! output bytes, `Pair` payloads among equal keys included.
 
 use msort_data::keys::{RadixImage, SortKey};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -57,31 +65,62 @@ const TILE: usize = 1 << 15;
 /// and would pay the lookback state setup for nothing.
 const PARALLEL_FLOOR: usize = 2 * TILE;
 
-/// At or below this many keys [`onesweep_sort_with_aux`] (and so the parallel
-/// entry's fallback) sorts by radix image with a comparison sort instead:
-/// the radix passes first allocate and zero `4 × RADIX_BUCKETS` counters
-/// (64 KiB) and prefix-scan three of them, which no small input amortises.
-/// The dispatch depends only on the input size, and both paths produce the
-/// same bytes (`to_radix` is a bijection, so the sorted sequence is unique).
+/// At or below this many keys with a 32-bit image (`u32`, `i32`, `f32`,
+/// `Pair` of those), [`onesweep_sort_with_aux`] takes a stable comparison
+/// sort on the image; above it, up to [`PARALLEL_FLOOR`], the 8-bit LSD
+/// kernel ([`crate::lsb_radix::lsb_radix_sort_with_aux`]); above that, the
+/// OneSweep passes.
 ///
-/// Rule: the largest power of two at which the comparison sort still wins.
-/// Probe numbers from `cargo run -p msort-bench --release --example tune`
-/// on the 2-core CI container (u32 uniform, the comparison sort's worst
-/// case), built with this constant at 1 so the `onesweep` column is the
-/// radix passes at every size:
+/// Rule for the comparison floors: the largest power of two at which the
+/// comparison sort still wins, from `cargo run -p msort-bench --release
+/// --example tune` on the 2-core CI container, uniform keys, ns per key,
+/// median of 7, built with the ladder cut out so that `device` is the
+/// OneSweep passes:
 ///
 /// ```text
-/// n=   64: comparison   0.39 us, onesweep   5.11 us
-/// n=  512: comparison   3.81 us, onesweep   7.75 us
-/// n= 1024: comparison   8.44 us, onesweep  10.50 us
-/// n= 1536: comparison  13.81 us, onesweep  14.25 us
-/// n= 2048: comparison  19.77 us, onesweep  16.56 us
-/// n= 8192: comparison  87.11 us, onesweep  64.41 us
+/// n=     128: stable  10.04, unstable   8.79, lsd8  13.52, device  67.42
+/// n=     256: stable  13.59, unstable  11.58, lsd8   9.91, device  37.62
+/// n=     512: stable  12.44, unstable  11.10, lsd8  12.29, device  28.28
+/// n=    1024: stable  16.76, unstable  15.53, lsd8   9.19, device  17.34
+/// n=    2048: stable  16.02, unstable  14.28, lsd8   9.46, device  13.09
+/// n=    8192: stable  22.38, unstable  12.74, lsd8   7.88, device   9.75
+/// n=   65536: stable  26.97, unstable  20.45, lsd8   8.30, device  15.29
+/// n=  262144: stable  39.11, unstable  21.98, lsd8  11.58, device  15.18
+/// n=  524288: stable  27.60, unstable  31.23, lsd8  24.21, device  22.27
 /// ```
 ///
-/// The two tie at 1.5 Ki keys and the radix passes win from 2 Ki up.
-/// `tests/kernel_props.rs` straddles this value by name.
-const SMALL_SORT_MAX_KEYS: usize = 1 << 10;
+/// Between 128 and 512 keys the two are within a few ns per key of each
+/// other either way, so the floor was settled in place, on `perf
+/// --workload serve_overload --seconds 4` (whose device sorts are 512 and
+/// 2 048 keys), alternating eight pairs per comparison: a floor of 256
+/// beats 1 Ki by 4.0 % in median `wall_s` (7 of 8 pairs) and ties 128
+/// (−0.6 %, 4 of 8).
+/// LSD8 keeps beating the OneSweep passes up to 256 Ki keys on one core,
+/// but from [`PARALLEL_FLOOR`] (64 Ki) up a pool of two or more workers
+/// sorts with the parallel OneSweep kernel, so the top rung starts there at
+/// every pool width.
+const COMPARISON_MAX_32: usize = 1 << 8;
+
+/// [`COMPARISON_MAX_32`] for 64-bit images (`u64`, `i64`, `f64`, `Pair` of
+/// those). Same rule and probe:
+///
+/// ```text
+/// n=     512: stable  14.72, unstable  11.73, lsd8  20.96, device  49.39
+/// n=    2048: stable  17.24, unstable  13.29, lsd8  18.44, device  27.98
+/// n=    4096: stable  20.29, unstable  19.18, lsd8  21.46, device  26.27
+/// n=    8192: stable  22.79, unstable  16.65, lsd8  26.97, device  29.56
+/// n=   32768: stable  30.19, unstable  21.62, lsd8  19.88, device  29.08
+/// n=   65536: stable  32.49, unstable  23.36, lsd8  20.63, device  29.04
+/// Kv64:
+/// n=    4096: stable  29.50, unstable  21.60, lsd8  29.86, device  36.75
+/// n=    8192: stable  48.40, unstable  33.56, lsd8  26.72, device  31.23
+/// ```
+///
+/// Eight digit passes make LSD8 two to three times slower than a
+/// comparison sort below 1 Ki keys. The stable sort ties with LSD8 at
+/// 4 Ki keys and is 1.5 to 2 times slower from 8 Ki up, so the floor is
+/// 4 Ki.
+const COMPARISON_MAX_64: usize = 1 << 12;
 
 /// Number of digit passes needed to cover `R::BITS` at [`RADIX_BITS`] per
 /// pass (the last pass covers the remaining high bits).
@@ -101,7 +140,9 @@ pub fn onesweep_sort<K: SortKey>(data: &mut [K]) {
 }
 
 /// Sort `data` in place with the sequential OneSweep kernel using a
-/// caller-provided auxiliary buffer (`aux.len() >= data.len()`).
+/// caller-provided auxiliary buffer (`aux.len() >= data.len()`). Inputs of
+/// at most 64 Ki keys take the size ladder in the module docs instead; the
+/// bytes written are the same.
 ///
 /// # Panics
 /// Panics if `aux.len() < data.len()`.
@@ -111,13 +152,20 @@ pub fn onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
         aux.len() >= n,
         "auxiliary buffer must cover the input length"
     );
-    if n <= SMALL_SORT_MAX_KEYS {
-        // `to_radix` is a bijection, so sorting by radix image yields the
-        // same unique sequence as the stable LSD passes below.
-        data.sort_unstable_by_key(|k| k.to_radix());
+    let aux = &mut aux[..n];
+    let comparison_max = if K::Radix::BITS == 32 {
+        COMPARISON_MAX_32
+    } else {
+        COMPARISON_MAX_64
+    };
+    if n <= comparison_max {
+        data.sort_by_key(|k| k.to_radix());
         return;
     }
-    let aux = &mut aux[..n];
+    if n <= PARALLEL_FLOOR {
+        crate::lsb_radix::lsb_radix_sort_with_aux(data, aux);
+        return;
+    }
 
     // One global histogram pass: bucket totals of every digit position.
     let passes = pass_count::<K::Radix>();
@@ -381,26 +429,40 @@ mod tests {
         }
     }
 
+    /// Above the size ladder, so the OneSweep passes themselves run.
+    const PASSES_N: usize = PARALLEL_FLOOR + 20_000;
+
     #[test]
     fn sorts_across_distributions() {
         for dist in Distribution::paper_set() {
-            check::<u32>(dist, 50_000, 42);
+            check::<u32>(dist, PASSES_N, 42);
         }
     }
 
     #[test]
     fn sorts_all_key_types() {
-        check::<u32>(Distribution::Uniform, 20_000, 1);
-        check::<i32>(Distribution::Uniform, 20_000, 2);
-        check::<f32>(Distribution::Normal, 20_000, 3);
-        check::<u64>(Distribution::Uniform, 20_000, 4);
-        check::<i64>(Distribution::Uniform, 20_000, 5);
-        check::<f64>(Distribution::Normal, 20_000, 6);
+        check::<u32>(Distribution::Uniform, PASSES_N, 1);
+        check::<i32>(Distribution::Uniform, PASSES_N, 2);
+        check::<f32>(Distribution::Normal, PASSES_N, 3);
+        check::<u64>(Distribution::Uniform, PASSES_N, 4);
+        check::<i64>(Distribution::Uniform, PASSES_N, 5);
+        check::<f64>(Distribution::Normal, PASSES_N, 6);
     }
 
     #[test]
     fn handles_edge_sizes() {
-        for n in [0, 1, 2, 255, 256, 257, PARALLEL_FLOOR - 1, PARALLEL_FLOOR] {
+        for n in [
+            0,
+            1,
+            2,
+            255,
+            256,
+            257,
+            PARALLEL_FLOOR - 1,
+            PARALLEL_FLOOR,
+            PARALLEL_FLOOR + 1,
+            PARALLEL_FLOOR + 2,
+        ] {
             check::<u32>(Distribution::Uniform, n, 7);
         }
     }
@@ -433,7 +495,7 @@ mod tests {
 
     #[test]
     fn constant_input_skips_all_passes() {
-        check::<u32>(Distribution::Constant, 10_000, 11);
+        check::<u32>(Distribution::Constant, PASSES_N, 11);
         check::<u64>(Distribution::Constant, 200_000, 12);
     }
 
@@ -448,7 +510,7 @@ mod tests {
 
     #[test]
     fn with_aux_accepts_oversized_scratch() {
-        let input: Vec<u32> = generate(Distribution::Uniform, 30_000, 13);
+        let input: Vec<u32> = generate(Distribution::Uniform, PASSES_N, 13);
         let mut a = input.clone();
         let mut b = input;
         let mut aux = vec![0u32; a.len() + 77];

@@ -46,7 +46,7 @@ use crate::queue::{IndexedQueue, QueuePolicy, QueueView};
 use crate::report::{push_step, JobOutcome, RejectReason, RejectedJob, ServiceReport};
 use crate::workload::Workload;
 use msort_core::{Algorithm, DriverStep, RunConfig, SortDriver};
-use msort_data::{generate_into, is_sorted, same_multiset, SortKey};
+use msort_data::{generate_into, validate_sort, SortKey};
 use msort_gpu::{Fidelity, GpuSystem, OpId};
 use msort_sim::{GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::Platform;
@@ -972,8 +972,7 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
     /// Validate, release, and record a completed job.
     fn finish(&mut self, mut r: Running<K>) {
         let output = r.driver.take_output();
-        let validated =
-            r.driver.validated() && is_sorted(&output) && same_multiset(&r.input, &output);
+        let validated = r.driver.validated() && validate_sort(&r.input, &output).is_valid();
         r.driver.release(&mut self.sys);
         self.set_leased(&r.gang, false);
         if self.recorder.is_enabled() {

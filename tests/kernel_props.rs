@@ -26,12 +26,17 @@
 //! runs, `Pair` payloads that expose any unstable tie, and inputs of
 //! exactly two tiles and one key more with 64 buckets.
 //!
+//! The device-sort size ladder (comparison sort, 8-bit LSD, OneSweep
+//! passes, with bounds per key width) is held to a stable sort by radix
+//! image on both sides of every bound, for every scalar key type and for
+//! `Pair` keys whose payload is the input position.
+//!
 //! Offline environment: deterministic seeded loops over the in-tree [`Rng`]
 //! stand in for `proptest`, as in `tests/properties.rs`.
 
 use multi_gpu_sort::cpu::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
 use multi_gpu_sort::cpu::{
-    bucket_counts, bucket_of, lsb_radix_sort, merge_path_sort, multiway_merge, onesweep_sort,
+    bucket_counts, bucket_of, merge_path_sort, multiway_merge, onesweep_sort,
     onesweep_sort_with_aux, parallel_onesweep_sort, parallel_onesweep_sort_with_aux,
     partition_by_splitters, select_splitters, LoserTree,
 };
@@ -41,6 +46,20 @@ use multi_gpu_sort::gpu::primitives::device_sort_with;
 use multi_gpu_sort::prelude::*;
 
 const CASES: u64 = 32;
+
+/// `msort_cpu::onesweep`'s private size-ladder bounds, mirrored: the
+/// comparison-sort floor per radix-image width, and the parallel floor, the
+/// top of the 8-bit LSD rung for both widths. Longer inputs run the
+/// OneSweep passes.
+const COMPARISON_MAX_32: usize = 1 << 8;
+const COMPARISON_MAX_64: usize = 1 << 12;
+const PARALLEL_FLOOR: usize = 1 << 16;
+
+/// A random length just above the device-sort ladder, so that
+/// `onesweep_sort` runs its passes.
+fn passes_len(rng: &mut Rng) -> usize {
+    PARALLEL_FLOOR + 1 + rng.usize_in(0..3000)
+}
 
 fn random_vec_u32(rng: &mut Rng, max_len: usize) -> Vec<u32> {
     let len = rng.usize_in(0..max_len);
@@ -56,7 +75,7 @@ fn random_vec_u64(rng: &mut Rng, max_len: usize) -> Vec<u64> {
 fn onesweep_matches_std_u32() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(seed);
-        let v = random_vec_u32(&mut rng, 3000);
+        let v: Vec<u32> = (0..passes_len(&mut rng)).map(|_| rng.u32()).collect();
         let mut expected = v.clone();
         expected.sort_unstable();
         let mut got = v.clone();
@@ -69,7 +88,7 @@ fn onesweep_matches_std_u32() {
 fn onesweep_matches_std_u64() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(seed);
-        let v = random_vec_u64(&mut rng, 3000);
+        let v: Vec<u64> = (0..passes_len(&mut rng)).map(|_| rng.u64()).collect();
         let mut expected = v.clone();
         expected.sort_unstable();
         let mut got = v.clone();
@@ -81,7 +100,7 @@ fn onesweep_matches_std_u64() {
 #[test]
 fn onesweep_matches_std_across_distributions() {
     for dist in Distribution::paper_set() {
-        let v: Vec<u32> = generate(dist, 50_000, 23);
+        let v: Vec<u32> = generate(dist, PARALLEL_FLOOR + 20_000, 23);
         let mut expected = v.clone();
         expected.sort_unstable();
         let mut got = v;
@@ -93,8 +112,9 @@ fn onesweep_matches_std_across_distributions() {
 #[test]
 fn onesweep_edge_cases() {
     // Lengths around the kernel's internal boundaries: empty, singleton,
-    // one short of / exactly at / one past small powers of two, and a
-    // couple of lengths that straddle 32 Ki-key scatter tiles.
+    // one short of / exactly at / one past small powers of two, and
+    // lengths that straddle 32 Ki-key scatter tiles, below the ladder's
+    // top (8-bit LSD) and above it (the OneSweep passes).
     for len in [
         0usize,
         1,
@@ -106,6 +126,8 @@ fn onesweep_edge_cases() {
         (1 << 15) - 1,
         (1 << 15) + 5,
         (1 << 16) + 1,
+        (3 << 15) - 1,
+        (3 << 15) + 5,
     ] {
         let mut rng = Rng::seed_from_u64(len as u64);
         let v: Vec<u32> = (0..len).map(|_| rng.u32()).collect();
@@ -117,16 +139,17 @@ fn onesweep_edge_cases() {
     }
     // All-duplicate input exercises the constant-digit pass skip on every
     // pass at once.
-    let mut dup = vec![0xDEAD_BEEFu32; 10_000];
+    let mut dup = vec![0xDEAD_BEEFu32; PARALLEL_FLOOR + 10_000];
     onesweep_sort(&mut dup);
     assert!(dup.iter().all(|&k| k == 0xDEAD_BEEF));
     // Already-sorted and reverse-sorted inputs.
-    let mut sorted: Vec<u64> = (0..20_000u64).collect();
+    let len = (PARALLEL_FLOOR + 20_000) as u64;
+    let mut sorted: Vec<u64> = (0..len).collect();
     onesweep_sort(&mut sorted);
     assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    let mut rev: Vec<u64> = (0..20_000u64).rev().collect();
+    let mut rev: Vec<u64> = (0..len).rev().collect();
     onesweep_sort(&mut rev);
-    assert_eq!(rev, (0..20_000u64).collect::<Vec<_>>());
+    assert_eq!(rev, (0..len).collect::<Vec<_>>());
 }
 
 #[test]
@@ -163,23 +186,62 @@ fn parallel_onesweep_with_aux_bit_identical() {
     }
 }
 
-/// Every entry that can reach OneSweep's small-input path, against the
-/// sequential LSB radix sort, on sizes around the crossover (mirrors
-/// `msort_cpu::onesweep`'s private `SMALL_SORT_MAX_KEYS`). `specials` are the
-/// type's awkward values, drawn at random to make one more input pattern.
-/// Radix images are compared, not keys: `NaN != NaN` and `-0.0 == 0.0`.
-fn check_small_sort_path<K: SortKey>(specials: &[K]) {
-    const CROSSOVER: usize = 1 << 10;
+/// n = 0, 1, 2 and both sides of every ladder bound for `K`'s image width,
+/// paired with how many input patterns to run there: the top bound's
+/// inputs are 64 Ki keys, so it gets one pattern (the most awkward one).
+fn ladder_sizes<K: SortKey>() -> Vec<(usize, usize)> {
+    let comparison_max = if K::Radix::BITS == 32 {
+        COMPARISON_MAX_32
+    } else {
+        COMPARISON_MAX_64
+    };
+    let mut sizes: Vec<(usize, usize)> = [0, 1, 2, comparison_max, comparison_max + 1]
+        .map(|n| (n, usize::MAX))
+        .to_vec();
+    sizes.extend([(PARALLEL_FLOOR, 1), (PARALLEL_FLOOR + 1, 1)]);
+    sizes
+}
+
+/// Every entry that reaches the device-sort ladder, on `input`, against a
+/// stable sort by radix image. `bytes` is what must match: the image for
+/// scalar keys (`NaN != NaN` and `-0.0 == 0.0`, so keys are not compared),
+/// the image and the payload for `Pair`s. The Thrust/CUB dispatch, whose
+/// rungs are all stable, must match `bytes`; every algorithm must match
+/// the images.
+fn check_ladder<K: SortKey>(input: &[K], what: &str, bytes: impl Fn(&K) -> (u64, u32)) {
     let image = |keys: &[K]| -> Vec<u64> { keys.iter().map(|k| k.to_radix().to_u64()).collect() };
-    for n in [
-        0,
-        1,
-        2,
-        CROSSOVER - 1,
-        CROSSOVER,
-        CROSSOVER + 1,
-        2 * CROSSOVER,
-    ] {
+    let mut oracle = input.to_vec();
+    oracle.sort_by_key(|k| k.to_radix());
+    let expected: Vec<(u64, u32)> = oracle.iter().map(&bytes).collect();
+    let got_bytes = |keys: &[K]| -> Vec<(u64, u32)> { keys.iter().map(&bytes).collect() };
+    let mut aux = input.to_vec();
+
+    let mut got = input.to_vec();
+    onesweep_sort_with_aux(&mut got, &mut aux);
+    assert_eq!(got_bytes(&got), expected, "sequential, {what}");
+
+    let mut got = input.to_vec();
+    parallel_onesweep_sort_with_aux(&mut got, &mut aux, 2);
+    assert_eq!(got_bytes(&got), expected, "parallel, {what}");
+
+    for threads in [1, 2] {
+        for algo in GpuSortAlgo::all() {
+            let mut got = input.to_vec();
+            device_sort_with(algo, &mut got, &mut aux, threads);
+            let what = format!("{algo:?} width {threads}, {what}");
+            if matches!(algo, GpuSortAlgo::ThrustLike | GpuSortAlgo::CubLike) {
+                assert_eq!(got_bytes(&got), expected, "{what}");
+            } else {
+                assert_eq!(image(&got), image(&oracle), "{what}");
+            }
+        }
+    }
+}
+
+/// Scalar keys across the ladder: four distributions and one input drawn
+/// from the type's awkward values (`specials`).
+fn check_scalar_ladder<K: SortKey>(specials: &[K]) {
+    for (n, patterns) in ladder_sizes::<K>() {
         let mut rng = Rng::seed_from_u64(n as u64);
         let mut inputs: Vec<Vec<K>> = [
             Distribution::Uniform,
@@ -195,37 +257,48 @@ fn check_small_sort_path<K: SortKey>(specials: &[K]) {
                 .map(|_| specials[rng.usize_in(0..specials.len())])
                 .collect(),
         );
-        for (pattern, input) in inputs.iter().enumerate() {
-            let mut oracle = input.clone();
-            lsb_radix_sort(&mut oracle);
-            let expected = image(&oracle);
+        for (pattern, input) in inputs.iter().enumerate().rev().take(patterns) {
             let what = format!("{:?} n={n} pattern {pattern}", K::DATA_TYPE);
-            let mut aux = input.clone();
+            check_ladder(input, &what, |k| (k.to_radix().to_u64(), 0));
+        }
+    }
+}
 
-            let mut got = input.clone();
-            onesweep_sort_with_aux(&mut got, &mut aux);
-            assert_eq!(image(&got), expected, "sequential, {what}");
-
-            let mut got = input.clone();
-            parallel_onesweep_sort_with_aux(&mut got, &mut aux, 2);
-            assert_eq!(image(&got), expected, "parallel, {what}");
-
-            for algo in GpuSortAlgo::all() {
-                let mut got = input.clone();
-                device_sort_with(algo, &mut got, &mut aux, 2);
-                assert_eq!(image(&got), expected, "{algo:?}, {what}");
-            }
+/// `Pair` keys across the ladder: duplicate-heavy keys (Zipf, and eight
+/// distinct keys), payload = input position, so an unstable rung shows as
+/// payloads out of order among equal keys.
+fn check_pair_ladder<K: SortKey>() {
+    for (n, patterns) in ladder_sizes::<Pair<K>>() {
+        let zipf: Vec<K> = generate(
+            Distribution::ZipfDuplicates {
+                skew_permille: 1500,
+            },
+            n,
+            43,
+        );
+        let eight: Vec<K> = generate::<K>(Distribution::Uniform, n, 44)
+            .into_iter()
+            .map(|k| K::from_radix(K::Radix::from_u64_trunc(k.to_radix().to_u64() % 8)))
+            .collect();
+        for (pattern, keys) in [zipf, eight].into_iter().enumerate().rev().take(patterns) {
+            let input: Vec<Pair<K>> = keys
+                .into_iter()
+                .zip(0u32..)
+                .map(|(k, v)| Pair::new(k, v))
+                .collect();
+            let what = format!("{:?} n={n} pattern {pattern}", <Pair<K>>::DATA_TYPE);
+            check_ladder(&input, &what, |p| (p.to_radix().to_u64(), p.value));
         }
     }
 }
 
 #[test]
-fn small_sort_path_matches_lsb_radix_for_every_key_type() {
-    check_small_sort_path(&[0u32, 1, u32::MAX, u32::MAX - 1, 1 << 31]);
-    check_small_sort_path(&[0u64, 1, u64::MAX, 1 << 63, 1 << 32]);
-    check_small_sort_path(&[0i32, -1, 1, i32::MIN, i32::MAX]);
-    check_small_sort_path(&[0i64, -1, 1, i64::MIN, i64::MAX]);
-    check_small_sort_path(&[
+fn device_sort_ladder_matches_a_stable_sort_for_every_key_type() {
+    check_scalar_ladder(&[0u32, 1, u32::MAX, u32::MAX - 1, 1 << 31]);
+    check_scalar_ladder(&[0u64, 1, u64::MAX, 1 << 63, 1 << 32]);
+    check_scalar_ladder(&[0i32, -1, 1, i32::MIN, i32::MAX]);
+    check_scalar_ladder(&[0i64, -1, 1, i64::MIN, i64::MAX]);
+    check_scalar_ladder(&[
         0.0f32,
         -0.0,
         f32::NAN,
@@ -238,7 +311,7 @@ fn small_sort_path_matches_lsb_radix_for_every_key_type() {
         f32::MIN_POSITIVE,
         -1.5,
     ]);
-    check_small_sort_path(&[
+    check_scalar_ladder(&[
         0.0f64,
         -0.0,
         f64::NAN,
@@ -251,6 +324,12 @@ fn small_sort_path_matches_lsb_radix_for_every_key_type() {
         f64::MIN_POSITIVE,
         -1.5,
     ]);
+}
+
+#[test]
+fn device_sort_ladder_is_stable_for_pairs() {
+    check_pair_ladder::<u32>();
+    check_pair_ladder::<u64>();
 }
 
 #[test]
