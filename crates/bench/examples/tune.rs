@@ -1,7 +1,11 @@
 //! One-off tuning probes (not shipped in CI) behind the size-dispatch
 //! constants: `primitives::PARALLEL_MIN_KEYS` (seq vs parallel onesweep, copy
 //! vs par_copy) and `onesweep`'s device-sort size ladder (comparison sort vs
-//! 8-bit LSD vs OneSweep passes, per key width).
+//! 8-bit LSD vs OneSweep passes, per key width), plus the cost of input
+//! generation per distribution (the Zipf sampler's guide table).
+//!
+//! `cargo run --release --example tune [-- parallel|small|generate]` runs
+//! the named probe, or all three.
 use msort_data::{generate, Distribution, Pair, SortKey};
 use std::time::Instant;
 
@@ -26,8 +30,17 @@ fn time_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let threads = msort_cpu::pool::threads();
     println!("pool threads = {threads}");
-    parallel_floor_probe(threads);
-    small_sort_probe();
+    let only = std::env::args().nth(1);
+    let run = |probe: &str| only.is_none() || only.as_deref() == Some(probe);
+    if run("parallel") {
+        parallel_floor_probe(threads);
+    }
+    if run("small") {
+        small_sort_probe();
+    }
+    if run("generate") {
+        generate_probe();
+    }
 }
 
 fn parallel_floor_probe(threads: usize) {
@@ -147,5 +160,47 @@ fn ladder_rows<K: SortKey>() {
         println!(
             "n={n:8}: stable {stable:6.2}, unstable {unstable:6.2}, lsd8 {lsd8:6.2}, device {device:6.2}"
         );
+    }
+}
+
+const DISTRIBUTIONS: [Distribution; 7] = [
+    Distribution::Uniform,
+    Distribution::Normal,
+    Distribution::Sorted,
+    Distribution::ReverseSorted,
+    Distribution::NearlySorted,
+    Distribution::ZipfDuplicates { skew_permille: 800 },
+    Distribution::Constant,
+];
+
+/// `generate` per distribution and size, in ns per key and µs per call,
+/// best of 7 rounds of at least 1 Mi keys each. Each call allocates its
+/// output and, for Zipf, finds the sampler's tables memoised from the
+/// previous call.
+fn generate_probe() {
+    generate_rows::<u32>();
+    generate_rows::<u64>();
+}
+
+fn generate_rows<K: SortKey>() {
+    println!("generate, {:?}, ns/key (us/call):", K::DATA_TYPE);
+    for dist in DISTRIBUTIONS {
+        let row: Vec<String> = [64usize, 1 << 10, 1 << 16, 1 << 22]
+            .iter()
+            .map(|&n| {
+                let reps = ((1 << 20) / n).max(1);
+                let best = (0..7)
+                    .map(|_| {
+                        let t = Instant::now();
+                        for seed in 0..reps {
+                            std::hint::black_box(generate::<K>(dist, n, seed as u64));
+                        }
+                        t.elapsed().as_secs_f64() / reps as f64
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                format!("n={n}: {:.2} ({:.1})", best * 1e9 / n as f64, best * 1e6)
+            })
+            .collect();
+        println!("  {:16} {}", dist.label(), row.join(", "));
     }
 }

@@ -22,9 +22,10 @@ pub enum Distribution {
     /// swaps (the paper's "nearly-sorted"); we use 1% of positions perturbed
     /// within a window of 100.
     NearlySorted,
-    /// Zipf-like duplicate-heavy distribution with the given skew `s × 100`
-    /// (stored as integer permille to keep `Eq`-ish semantics and hashing
-    /// simple); many duplicates make leftmost-pivot selection matter.
+    /// Zipf-like duplicate-heavy distribution over 1024 distinct values,
+    /// with skew `s` stored as integer permille, `s × 1000` (to keep
+    /// `Eq`-ish semantics and hashing simple); many duplicates make
+    /// leftmost-pivot selection matter.
     ZipfDuplicates {
         /// Skew parameter multiplied by 1000 (e.g. `1200` means `s = 1.2`).
         skew_permille: u32,

@@ -9,6 +9,7 @@
 use crate::dist::Distribution;
 use crate::keys::{RadixImage, SortKey};
 use crate::rng::Rng;
+use std::cell::RefCell;
 
 /// A seeded generator for one distribution.
 ///
@@ -75,18 +76,16 @@ impl DataGenerator {
                 perturb(&mut out[start..], &mut rng);
             }
             Distribution::ZipfDuplicates { skew_permille } => {
-                let skew = f64::from(skew_permille) / 1000.0;
-                let zipf = ZipfSampler::new(1024, skew);
-                for _ in 0..n {
-                    let rank = zipf.sample(&mut rng);
-                    // Spread the 1024 distinct values over the full domain so
-                    // pivots still land at interesting positions.
-                    let img = value_at_fraction::<K>((rank as f64 + 0.5) / 1024.0);
-                    out.push(K::from_radix(img));
-                }
+                with_zipf(skew_permille, |zipf| {
+                    let images = zipf.images::<K::Radix>();
+                    for _ in 0..n {
+                        let img = images[zipf.rank(rng.f64())];
+                        out.push(K::from_radix(K::Radix::from_u64_trunc(img)));
+                    }
+                });
             }
             Distribution::Constant => {
-                let img = value_at_fraction::<K>(0.5);
+                let img = value_at_fraction::<K::Radix>(0.5);
                 out.resize(start + n, K::from_radix(img));
             }
         }
@@ -117,7 +116,7 @@ fn normal_image<K: SortKey>(rng: &mut Rng) -> K::Radix {
     let u2: f64 = rng.f64();
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     let frac = (0.5 + z / 20.0).clamp(0.0, 1.0);
-    value_at_fraction::<K>(frac)
+    value_at_fraction::<K::Radix>(frac)
 }
 
 /// Sorted uniform sample: draw i.i.d. uniforms and sort the image values.
@@ -145,9 +144,9 @@ fn perturb<K: SortKey>(data: &mut [K], rng: &mut Rng) {
 }
 
 /// Map a fraction in `[0, 1]` onto the radix image domain.
-fn value_at_fraction<K: SortKey>(frac: f64) -> K::Radix {
-    let max = K::Radix::max_value().to_u64() as f64;
-    K::Radix::from_u64_trunc((frac.clamp(0.0, 1.0) * max) as u64)
+fn value_at_fraction<R: RadixImage>(frac: f64) -> R {
+    let max = R::max_value().to_u64() as f64;
+    R::from_u64_trunc((frac.clamp(0.0, 1.0) * max) as u64)
 }
 
 fn image_from_u64<K: SortKey>(v: u64) -> K::Radix {
@@ -159,17 +158,70 @@ fn image_from_u64<K: SortKey>(v: u64) -> K::Radix {
     }
 }
 
-/// Simple zipf sampler over ranks `0..n` using precomputed cumulative
-/// weights (n is small — 1024 — so table lookup via binary search is fine).
+/// Distinct values of a Zipf input: ranks `0..ZIPF_RANKS`, spread evenly
+/// over the key domain so that pivots still land at interesting positions.
+const ZIPF_RANKS: usize = 1024;
+
+/// Guide-table entries, one per value of a draw's top 12 bits.
+const ZIPF_GUIDE: usize = 1 << 12;
+
+thread_local! {
+    /// The sampler of the last skew generated on this thread, so that a run
+    /// of small generates builds its tables once.
+    static ZIPF_MEMO: RefCell<Option<ZipfSampler>> = const { RefCell::new(None) };
+}
+
+/// Run `f` with the sampler for `skew_permille`, building it only when the
+/// thread's memo holds another skew.
+fn with_zipf<R>(skew_permille: u32, f: impl FnOnce(&ZipfSampler) -> R) -> R {
+    ZIPF_MEMO.with_borrow_mut(|memo| {
+        if memo
+            .as_ref()
+            .is_some_and(|z| z.skew_permille != skew_permille)
+        {
+            *memo = None;
+        }
+        f(memo.get_or_insert_with(|| ZipfSampler::new(skew_permille)))
+    })
+}
+
+/// Zipf sampler over ranks `0..ZIPF_RANKS` by inversion: a draw `u` in
+/// `[0, 1)` picks the first rank whose cumulative weight reaches `u`.
+///
+/// A guide table (Chen & Asau's method) replaces the binary search over the
+/// CDF with one probe: the draw's top 12 bits index an entry holding the
+/// first rank whose CDF reaches the bucket's lower edge, and a short forward
+/// scan finishes. That is the rank the binary search finds, from the same
+/// single `rng.f64()`, and a per-width table maps it to the same image
+/// `value_at_fraction` computes, so every key is unchanged to the bit
+/// (`crates/data/tests/zipf_oracle.rs` holds it to that search). Built once
+/// per skew and thread ([`with_zipf`]).
+///
+/// `crates/bench/examples/tune.rs generate`, u32 at skew 800 on a 2-core
+/// host, ns per key, binary search (its CDF built on every call) → guide
+/// table: 425–448 → 9.5–10.5 at 64 keys (27–29 → 0.6–0.7 µs a call),
+/// 100–106 → 8.8–9.7 at 1 Ki, 85–88 → 8.8–10.2 at 64 Ki, 77–79 → 9.8–10.2
+/// at 4 Mi. Uniform u32 keys cost 2–3.
 struct ZipfSampler {
+    skew_permille: u32,
+    /// `cdf[i]`: the probability of a rank ≤ `i`. The last entry is exactly
+    /// 1.0 (the total divided by itself), above every draw, which ends
+    /// every scan.
     cdf: Vec<f64>,
+    /// `guide[b]`: the first rank whose `cdf` reaches `b / ZIPF_GUIDE`.
+    guide: Vec<u16>,
+    /// Rank `r`'s radix image, the middle of its `1 / ZIPF_RANKS` slice of
+    /// the domain, for 32-bit and for 64-bit images.
+    images_32: Vec<u64>,
+    images_64: Vec<u64>,
 }
 
 impl ZipfSampler {
-    fn new(n: usize, skew: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n);
+    fn new(skew_permille: u32) -> Self {
+        let skew = f64::from(skew_permille) / 1000.0;
+        let mut cdf = Vec::with_capacity(ZIPF_RANKS);
         let mut acc = 0.0;
-        for k in 1..=n {
+        for k in 1..=ZIPF_RANKS {
             acc += 1.0 / (k as f64).powf(skew);
             cdf.push(acc);
         }
@@ -177,17 +229,49 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= total;
         }
-        Self { cdf }
+        let mut guide = Vec::with_capacity(ZIPF_GUIDE);
+        let mut rank = 0;
+        for b in 0..ZIPF_GUIDE {
+            let edge = b as f64 / ZIPF_GUIDE as f64;
+            while cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(u16::try_from(rank).expect("ranks fit in u16"));
+        }
+        let images = |image: fn(f64) -> u64| -> Vec<u64> {
+            (0..ZIPF_RANKS)
+                .map(|r| image((r as f64 + 0.5) / ZIPF_RANKS as f64))
+                .collect()
+        };
+        Self {
+            skew_permille,
+            cdf,
+            guide,
+            images_32: images(|f| value_at_fraction::<u32>(f).to_u64()),
+            images_64: images(value_at_fraction::<u64>),
+        }
     }
 
-    fn sample(&self, rng: &mut Rng) -> usize {
-        let u: f64 = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.cdf.len() - 1),
+    /// Every rank's image for `R`'s width, widened to `u64`.
+    fn images<R: RadixImage>(&self) -> &[u64] {
+        if R::BITS == 32 {
+            &self.images_32
+        } else {
+            &self.images_64
         }
+    }
+
+    /// The first rank whose `cdf` reaches `u`, for `u` in `[0, 1)`.
+    fn rank(&self, u: f64) -> usize {
+        // Scaling by a power of two is exact, so `u` lies in bucket `b`, at
+        // or above `b / ZIPF_GUIDE`; for a draw of `Rng::f64` (a multiple of
+        // 2^-53) `b` is its top 12 bits.
+        let b = (u * ZIPF_GUIDE as f64) as usize;
+        let mut rank = usize::from(self.guide[b]);
+        while self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 }
 
@@ -248,6 +332,34 @@ mod tests {
         assert!(inside > 9_900, "only {inside} inside the band");
     }
 
+    /// Draws equal to a CDF value or a bucket edge, and their neighbours:
+    /// random draws almost never tie, so only here does the scan's strict
+    /// `<` meet a tie. The rank must be the binary search's.
+    #[test]
+    fn zipf_rank_matches_the_binary_search_at_ties() {
+        for skew_permille in [0, 800, 1500, 3000, 100_000] {
+            let zipf = ZipfSampler::new(skew_permille);
+            let search = |u: f64| match zipf
+                .cdf
+                .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
+            {
+                Ok(i) | Err(i) => i.min(ZIPF_RANKS - 1),
+            };
+            let edges = (0..ZIPF_GUIDE).map(|b| b as f64 / ZIPF_GUIDE as f64);
+            for at in zipf.cdf.iter().copied().chain(edges) {
+                for u in [
+                    at,
+                    f64::from_bits(at.to_bits() + 1),
+                    f64::from_bits(at.to_bits().saturating_sub(1)),
+                ] {
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(zipf.rank(u), search(u), "skew {skew_permille}, u = {u}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn zipf_has_many_duplicates() {
         let v: Vec<u32> = generate(
@@ -281,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_floats_are_finite_spread() {
+    fn normal_floats_are_finite() {
         let v: Vec<f64> = generate(Distribution::Normal, 1000, 9);
         assert!(v.iter().all(|x| x.is_finite()));
     }

@@ -7,7 +7,7 @@
 //!
 //! | Modeled primitive | Functional implementation |
 //! |---|---|
-//! | Thrust (LSB radix, decoupled lookback) | [`msort_cpu::onesweep`] (single-pass histogram, chained-lookback scatter; at most 1 Ki keys: comparison sort on the radix image, same bytes) with caller-provided auxiliary buffer |
+//! | Thrust (LSB radix, decoupled lookback) | [`msort_cpu::onesweep`] (single-pass histogram, chained-lookback scatter above 64 Ki keys; below it a size ladder, every rung stable, same bytes: a comparison sort on the radix image up to 256 keys for 32-bit images and 4 Ki for 64-bit ones, then 8-bit LSD radix) with caller-provided auxiliary buffer |
 //! | CUB (same kernel family as Thrust) | [`msort_cpu::onesweep`] |
 //! | Stehle & Jacobsen (MSB radix) | [`msort_cpu::msb_radix`] (in-place cycle chasing) |
 //! | ModernGPU (merge sort) | [`msort_cpu::mergesort`] (merge-path splits) |
