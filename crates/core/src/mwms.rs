@@ -9,9 +9,10 @@
 //! 1. chunks sort locally (same phase 1 as P2P/RP sort);
 //! 2. `⌈log₂ g⌉` merge levels: at each level, runs pair up; the loser's
 //!    run ships whole to the winner's GPU, which concatenates both runs
-//!    into a fresh buffer and merges them with the zero-copy
-//!    `gpu_merge_into` path ([`msort_cpu::mergesort::parallel_merge_into`]
-//!    under the hood). An odd run gets a bye to the next level;
+//!    into a fresh buffer and merges the two runs with
+//!    `gpu_multiway_merge` (merge-path,
+//!    [`msort_cpu::mergesort::parallel_merge_into`], under the hood). An
+//!    odd run gets a bye to the next level;
 //! 3. the final run (all `n` keys, on one GPU) copies back to the host in
 //!    one DtoH transfer.
 //!
@@ -196,7 +197,8 @@ impl<K: SortKey> MwmsDriver<K> {
             let run = self.runs[i];
             let dst = self.st.alloc_gpu(sys, self.st.order[run.slot], run.len);
             let stream = self.st.compute[run.slot];
-            wait.push(sys.gpu_merge_into(stream, run.buf, mid, run.len, dst, &[]));
+            let runs = vec![(run.buf, 0, mid), (run.buf, mid, run.len - mid)];
+            wait.push(sys.gpu_multiway_merge(stream, runs, dst, &[]));
             self.to_free.push(run.buf);
             self.runs[i].buf = dst;
         }

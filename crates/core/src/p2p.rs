@@ -426,11 +426,10 @@ fn enqueue_group<K: SortKey>(
             continue;
         }
         let mid = kept as u64 * scale;
-        let mo = sys.gpu_merge_into(
+        let aux = bufs[gi].aux;
+        let mo = sys.gpu_multiway_merge(
             compute[gi],
-            bufs[gi].aux,
-            mid,
-            chunk,
+            vec![(aux, 0, mid), (aux, mid, chunk - mid)],
             bufs[gi].primary,
             &recv_deps[c],
         );

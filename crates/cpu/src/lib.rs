@@ -7,13 +7,18 @@
 //!   algorithm family behind Thrust/CUB `sort` and the Polychroniou & Ross
 //!   CPU LSB radix sort used as one of the paper's CPU baselines.
 //! * [`onesweep`] — OneSweep-style single-pass radix sort (one global
-//!   histogram pass over all digit positions, chained-lookback scatter);
-//!   the kernel the device-sort dispatch now routes Thrust/CUB-family
-//!   sorts to.
+//!   histogram pass over all digit positions, chained-lookback scatter)
+//!   behind a size ladder of stable sorts; the bytes of every simulated
+//!   sort op, device or host, whatever family's cost timed it
+//!   (`msort_gpu::primitives::device_sort`).
 //! * [`msb_radix`] — recursive in-place most-significant-digit radix sort,
-//!   the family behind Stehle & Jacobsen's GPU sort.
-//! * [`mergesort`] — bottom-up merge sort with a merge-path style
-//!   equal-split merge, the family behind the ModernGPU merge sort.
+//!   the family of Stehle & Jacobsen's GPU sort. No simulated op runs it;
+//!   it stays as a CPU kernel that the `kernels` benchmark times.
+//! * [`mergesort`] — the merge-path two-run merge (`merge_into`,
+//!   `parallel_merge_into`, `merge_path_split`) that every simulated
+//!   two-run merge op runs, and bottom-up `merge_path_sort`, the family of
+//!   the ModernGPU merge sort, which like [`msb_radix`] stays only as a
+//!   benchmarked CPU kernel.
 //! * [`paradis`] — PARADIS (Cho et al., VLDB 2015): the parallel in-place
 //!   radix sort the paper uses as the state-of-the-art CPU baseline.
 //! * [`multiway`] — loser-tree k-way merging and a gnu_parallel-style
@@ -53,7 +58,7 @@ pub mod sample;
 pub mod stream;
 
 pub use lsb_radix::lsb_radix_sort;
-pub use mergesort::{merge_path_sort, parallel_merge_into, parallel_merge_path_sort};
+pub use mergesort::{merge_path_sort, parallel_merge_into};
 pub use msb_radix::msb_radix_sort;
 pub use multiway::{multiway_merge, parallel_multiway_merge, LoserTree};
 pub use onesweep::{

@@ -47,41 +47,6 @@ pub fn merge_path_sort<K: SortKey>(data: &mut [K]) {
     }
 }
 
-/// [`merge_path_sort`] parallelized over the shared worker pool: one
-/// locally-sorted chunk per thread, then a parallel multiway merge into
-/// `aux` (`aux.len() >= data.len()`) and a copy back.
-///
-/// Both phases are stable under the radix-image order, and the multiway
-/// merge resolves ties by run index, so the output is identical to the
-/// sequential [`merge_path_sort`] for every key type.
-pub fn parallel_merge_path_sort<K: SortKey>(data: &mut [K], aux: &mut [K], threads: usize) {
-    let n = data.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 || n < 1 << 14 {
-        merge_path_sort(data);
-        return;
-    }
-    let chunk_len = n.div_ceil(threads);
-    crate::pool::scope(|scope| {
-        for chunk in data.chunks_mut(chunk_len) {
-            scope.spawn(move || merge_path_sort(chunk));
-        }
-    });
-    let merged = &mut aux[..n];
-    {
-        let runs: Vec<&[K]> = data.chunks(chunk_len).collect();
-        crate::multiway::parallel_multiway_merge_with(
-            &runs,
-            merged,
-            crate::multiway::ParallelMergeConfig {
-                threads,
-                sequential_threshold: 0,
-            },
-        );
-    }
-    data.copy_from_slice(merged);
-}
-
 /// [`merge_into`] parallelized over the shared worker pool: the output is
 /// split into one part per thread along merge-path diagonals; each worker
 /// merges its disjoint input windows into its disjoint output part. The
@@ -267,29 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_path_sort_matches_sequential_exactly() {
-        for dist in Distribution::paper_set() {
-            let input: Vec<u64> = generate(dist, 70_000, 33);
-            let mut seq = input.clone();
-            let mut par = input.clone();
-            merge_path_sort(&mut seq);
-            let mut aux = vec![0u64; par.len()];
-            parallel_merge_path_sort(&mut par, &mut aux, 4);
-            assert_eq!(seq, par, "{dist:?}");
-        }
-    }
-
-    #[test]
     fn parallel_merge_small_inputs_take_sequential_path() {
         let a: Vec<u32> = vec![1, 4, 6];
         let b: Vec<u32> = vec![2, 3, 5];
         let mut out = vec![0u32; 6];
         parallel_merge_into(&a, &b, &mut out, 8);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
-        let mut data = vec![3u32, 1, 2];
-        let mut aux = vec![0u32; 3];
-        parallel_merge_path_sort(&mut data, &mut aux, 8);
-        assert_eq!(data, vec![1, 2, 3]);
     }
 
     #[test]

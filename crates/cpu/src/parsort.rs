@@ -3,9 +3,10 @@
 //! This is the structure of the library primitives the paper benchmarks as
 //! CPU baselines (`gnu_parallel::sort`, TBB `parallel_sort`, parallel
 //! `std::sort`): split the input into one chunk per thread, sort chunks
-//! locally, then merge them with the parallel multiway merge. It doubles as
-//! the reference "CPU sort" for everything in the workspace that needs a
-//! fast host-side sort of real data.
+//! locally, then merge them with the parallel multiway merge. The chunk
+//! sorts are unstable, so `Pair` payloads among equal keys come out in an
+//! order that depends on the thread count; the `cpu-baselines` experiment
+//! times it, and no simulated op runs it.
 
 use crate::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
 use msort_data::SortKey;

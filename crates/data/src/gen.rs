@@ -9,6 +9,7 @@
 use crate::dist::Distribution;
 use crate::keys::{RadixImage, SortKey};
 use crate::rng::Rng;
+use crate::validate::sorted_images;
 use std::cell::RefCell;
 
 /// A seeded generator for one distribution.
@@ -119,13 +120,17 @@ fn normal_image<K: SortKey>(rng: &mut Rng) -> K::Radix {
     value_at_fraction::<K::Radix>(frac)
 }
 
-/// Sorted uniform sample: draw i.i.d. uniforms and sort the image values.
+/// Sorted uniform sample: draw i.i.d. uniforms and sort the image values
+/// (a radix sort for 32-bit images, see [`sorted_images`]).
 fn extend_uniform_sorted<K: SortKey>(n: usize, rng: &mut Rng, out: &mut Vec<K>) {
     let start = out.len();
     for _ in 0..n {
         out.push(K::from_radix(uniform_image::<K>(rng)));
     }
-    out[start..].sort_unstable_by(|a, b| a.total_cmp_key(b));
+    let images = sorted_images(&out[start..]);
+    for (key, img) in out[start..].iter_mut().zip(images) {
+        *key = K::from_radix(img);
+    }
 }
 
 /// Swap ~1% of positions with a partner within a window of 100 slots.

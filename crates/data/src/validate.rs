@@ -96,7 +96,7 @@ pub fn same_multiset<K: SortKey>(a: &[K], b: &[K]) -> bool {
 /// input costs nothing more, and the first pass that moves anything
 /// scatters straight from `keys`. Small inputs, 64-bit images and inputs
 /// too long for `u32` counters are sorted by comparison.
-fn sorted_images<K: SortKey>(keys: &[K]) -> Vec<K::Radix> {
+pub(crate) fn sorted_images<K: SortKey>(keys: &[K]) -> Vec<K::Radix> {
     let n = keys.len();
     let n32 = match u32::try_from(n) {
         Ok(n32) if K::Radix::BITS == 32 && n >= COUNTING_SORT_MIN_KEYS => n32,

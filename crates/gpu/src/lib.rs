@@ -18,9 +18,10 @@
 //!   bandwidth, kernels get durations from the calibrated cost models, and
 //!   each operation's *data effect* (the actual copy/sort/merge) applies at
 //!   its completion time;
-//! * [`primitives`] — the functional implementations behind the four
-//!   modeled device sort algorithms of the paper's Table 2 (LSB radix for
-//!   Thrust/CUB, MSB radix for Stehle, merge-path merge sort for MGPU).
+//! * [`primitives`] — the bytes every sort, merge and partition op writes:
+//!   one stable sort for all four modeled sort algorithms of the paper's
+//!   Table 2 (their cost models set only the duration), and one stable
+//!   merge (merge-path for two runs, the loser tree above).
 //!
 //! The runtime intentionally mirrors the paper's implementation choices:
 //! memory is pre-allocated outside the timed region, every copy uses

@@ -1,25 +1,30 @@
-//! Functional device primitives.
+//! Functional device primitives: the bytes every sort, merge and partition
+//! op writes.
 //!
-//! Each modeled GPU sort algorithm (paper Table 2) is backed by a real
-//! implementation of the same algorithm *family* from `msort-cpu`, so the
-//! simulated run produces genuinely sorted data via genuinely different
-//! code paths:
+//! A modeled kernel is its cost, not its code. The duration of each sort
+//! primitive of paper Table 2 comes from the calibrated cost model
+//! (`msort_sim::calibrate`); the bytes come from one stable sort, whatever
+//! the family, the device, or the CPU-side sort timed as PARADIS:
 //!
-//! | Modeled primitive | Functional implementation |
-//! |---|---|
-//! | Thrust (LSB radix, decoupled lookback) | [`msort_cpu::onesweep`] (single-pass histogram, chained-lookback scatter above 64 Ki keys; below it a size ladder, every rung stable, same bytes: a comparison sort on the radix image up to 256 keys for 32-bit images and 4 Ki for 64-bit ones, then 8-bit LSD radix) with caller-provided auxiliary buffer |
-//! | CUB (same kernel family as Thrust) | [`msort_cpu::onesweep`] |
-//! | Stehle & Jacobsen (MSB radix) | [`msort_cpu::msb_radix`] (in-place cycle chasing) |
-//! | ModernGPU (merge sort) | [`msort_cpu::mergesort`] (merge-path splits) |
+//! | Modeled primitive | Duration | Bytes |
+//! |---|---|---|
+//! | Thrust (LSB radix, decoupled lookback) | `CostModel::gpu_sort`, Table 2's 36 ms | [`device_sort`] |
+//! | CUB (same kernel family as Thrust) | `CostModel::gpu_sort`, 36 ms | [`device_sort`] |
+//! | Stehle & Jacobsen (MSB radix) | `CostModel::gpu_sort`, 57 ms | [`device_sort`] |
+//! | ModernGPU (merge sort) | `CostModel::gpu_sort`, 200 ms | [`device_sort`] |
+//! | PARADIS (CPU) | `CostModel::cpu_paradis` | [`device_sort`] |
 //!
-//! The *duration* of each primitive comes from the calibrated cost model;
-//! the data effect comes from these functions. OneSweep and the classic
-//! LSB radix it replaced are both stable LSD sorts, so this rewiring is
-//! invisible in the output — only the wall clock moves.
+//! [`device_sort`] is a size ladder whose every rung is a stable sort by
+//! radix image ([`msort_cpu::onesweep`]): a comparison sort up to 256 keys
+//! for 32-bit images and 4 Ki for 64-bit ones, then 8-bit LSD radix up to
+//! 64 Ki, then the OneSweep passes, parallel above [`PARALLEL_MIN_KEYS`].
+//! Any correct sort writes the same bytes for scalar keys, because the
+//! radix image is a bijection; stability fixes the order of `Pair`
+//! payloads among equal keys too, so a sort's output never depends on the
+//! family that timed it or on the pool width.
 
-use msort_cpu::{mergesort, msb_radix, paradis};
+use msort_cpu::{mergesort, parallel_multiway_merge};
 use msort_data::SortKey;
-use msort_sim::GpuSortAlgo;
 
 /// Inputs at or above this many physical keys run the parallel kernel
 /// variants; below it the sequential implementations win on dispatch
@@ -39,65 +44,37 @@ use msort_sim::GpuSortAlgo;
 /// parallel win itself needs real cores.
 pub const PARALLEL_MIN_KEYS: usize = 1 << 16;
 
-/// Sort `data` in place with the functional counterpart of `algo`, using
-/// `aux` as scratch where the algorithm requires it (mirroring
-/// `thrust::sort`'s user-provided temporary storage).
-pub fn device_sort<K: SortKey>(algo: GpuSortAlgo, data: &mut [K], aux: &mut [K]) {
-    device_sort_with(algo, data, aux, msort_cpu::pool::threads());
+/// Sort `data` in place, stably by radix image, using `aux` as scratch
+/// (mirroring `thrust::sort`'s user-provided temporary storage).
+pub fn device_sort<K: SortKey>(data: &mut [K], aux: &mut [K]) {
+    device_sort_with(data, aux, msort_cpu::pool::threads());
 }
 
-/// [`device_sort`] with an explicit worker budget. Above
-/// [`PARALLEL_MIN_KEYS`] each algorithm family dispatches to its parallel
-/// counterpart (a real GPU runs these kernels on thousands of threads;
-/// this runtime runs them on the shared worker pool).
-pub fn device_sort_with<K: SortKey>(
-    algo: GpuSortAlgo,
-    data: &mut [K],
-    aux: &mut [K],
-    threads: usize,
-) {
-    let parallel = threads > 1 && data.len() >= PARALLEL_MIN_KEYS;
-    match algo {
-        GpuSortAlgo::ThrustLike | GpuSortAlgo::CubLike => {
-            if parallel {
-                msort_cpu::parallel_onesweep_sort_with_aux(data, aux, threads);
-            } else {
-                msort_cpu::onesweep_sort_with_aux(data, &mut aux[..data.len()]);
-            }
-        }
-        GpuSortAlgo::StehleLike => {
-            if parallel {
-                paradis::paradis_sort_with(
-                    data,
-                    paradis::ParadisConfig {
-                        threads,
-                        ..Default::default()
-                    },
-                );
-            } else {
-                msb_radix::msb_radix_sort(data);
-            }
-        }
-        GpuSortAlgo::MgpuLike => {
-            if parallel {
-                mergesort::parallel_merge_path_sort(data, aux, threads);
-            } else {
-                mergesort::merge_path_sort(data);
-            }
-        }
-    }
+/// [`device_sort`] with an explicit worker budget. From
+/// [`PARALLEL_MIN_KEYS`] up, a budget of two or more runs the parallel
+/// OneSweep kernel (a real GPU runs it on thousands of threads; this
+/// runtime runs it on the shared worker pool). The bytes are the same at
+/// every budget.
+pub fn device_sort_with<K: SortKey>(data: &mut [K], aux: &mut [K], threads: usize) {
+    msort_cpu::parallel_onesweep_sort_with_aux(data, aux, threads);
 }
 
-/// Merge the two sorted runs `src[..mid]` and `src[mid..]` into `dst`
-/// (the `thrust::merge` pattern used by P2P sort's local merges). Large
-/// merges split along merge-path diagonals across the pool, exactly like
-/// the per-block tiles of a real GPU merge kernel.
-pub fn device_merge_into<K: SortKey>(src: &[K], mid: usize, dst: &mut [K]) {
+/// Merge the sorted `runs` into `out` (`out.len()` is their total length),
+/// stably: among equal keys, an earlier run's go first. Two runs (the
+/// `thrust::merge` pattern) merge along merge-path diagonals, split across
+/// the pool from [`PARALLEL_MIN_KEYS`] up like the per-block tiles of a
+/// real GPU merge kernel; more runs take the loser tree's parallel
+/// multiway merge.
+pub fn device_merge<K: SortKey>(runs: &[&[K]], out: &mut [K]) {
+    let [a, b] = runs else {
+        parallel_multiway_merge(runs, out);
+        return;
+    };
     let threads = msort_cpu::pool::threads();
-    if threads > 1 && dst.len() >= PARALLEL_MIN_KEYS {
-        mergesort::parallel_merge_into(&src[..mid], &src[mid..], dst, threads);
+    if threads > 1 && out.len() >= PARALLEL_MIN_KEYS {
+        mergesort::parallel_merge_into(a, b, out, threads);
     } else {
-        mergesort::merge_into(&src[..mid], &src[mid..], dst);
+        mergesort::merge_into(a, b, out);
     }
 }
 
@@ -127,14 +104,12 @@ mod tests {
 
     #[test]
     fn all_primitives_sort() {
-        for algo in GpuSortAlgo::all() {
-            let input: Vec<u32> = generate(Distribution::Uniform, 10_000, 3);
-            let mut data = input.clone();
-            let mut aux = vec![0u32; data.len()];
-            device_sort(algo, &mut data, &mut aux);
-            assert!(is_sorted(&data), "{algo:?}");
-            assert!(same_multiset(&input, &data), "{algo:?}");
-        }
+        let input: Vec<u32> = generate(Distribution::Uniform, 10_000, 3);
+        let mut data = input.clone();
+        let mut aux = vec![0u32; data.len()];
+        device_sort(&mut data, &mut aux);
+        assert!(is_sorted(&data));
+        assert!(same_multiset(&input, &data));
     }
 
     #[test]
@@ -143,7 +118,7 @@ mod tests {
         src[..600].sort_unstable();
         src[600..].sort_unstable();
         let mut dst = vec![0u64; 1000];
-        device_merge_into(&src, 600, &mut dst);
+        device_merge(&[&src[..600], &src[600..]], &mut dst);
         assert!(is_sorted(&dst));
         assert!(same_multiset(&src, &dst));
     }
@@ -152,7 +127,7 @@ mod tests {
     fn aux_longer_than_data_is_fine() {
         let mut data: Vec<u32> = generate(Distribution::ReverseSorted, 100, 5);
         let mut aux = vec![0u32; 200];
-        device_sort(GpuSortAlgo::ThrustLike, &mut data, &mut aux);
+        device_sort(&mut data, &mut aux);
         assert!(is_sorted(&data));
     }
 }

@@ -22,7 +22,6 @@
 
 use crate::buffer::{par_copy, BufId, Fidelity, Location, World};
 use crate::primitives;
-use msort_cpu::multiway::parallel_multiway_merge;
 use msort_data::SortKey;
 use msort_sim::{CostModel, FaultPlan, FlowId, FlowSim, GpuSortAlgo, SimDuration, SimTime};
 use msort_topology::{Endpoint, FlowRequest, LinkId, Platform, Route};
@@ -78,29 +77,16 @@ impl Phase {
     }
 }
 
-/// What an operation does. Durations: `Transfer`/`HostFlow` emerge from the
-/// fluid model; `Fixed` durations are computed when the op starts.
-enum OpKind<K> {
-    /// A copy along `route`; `bytes` is derived from the logical length.
-    Transfer {
-        route: Route,
-        src: (BufId, u64),
-        dst: (BufId, u64),
-        len: u64,
-    },
-    /// A fixed-duration compute task with a data effect.
-    Fixed {
-        duration: SimDuration,
-        effect: Effect<K>,
-    },
-    /// A device- or host-local copy: fixed duration (device memory
-    /// bandwidth, no interconnect involved) with a transfer-style effect.
-    LocalCopy {
-        duration: SimDuration,
-        src: (BufId, u64),
-        dst: (BufId, u64),
-        len: u64,
-    },
+/// How long an operation takes. `Transfer` and `HostFlow` durations emerge
+/// from the fluid model; a `Fixed` duration is known when the op is
+/// enqueued. What the op does to the bytes is its [`Effect`], which never
+/// depends on the timing.
+enum OpKind {
+    /// A kernel, a CPU task, a device- or host-local copy (device memory
+    /// bandwidth, no interconnect involved) or a modeled delay.
+    Fixed(SimDuration),
+    /// A flow of `bytes` along `route`.
+    Transfer { route: Route, bytes: u64 },
     /// A CPU task modeled as a host-memory flow so it *contends with
     /// concurrent transfers for memory bandwidth* (the mechanism behind
     /// the paper's eager-merging slowdown). `bytes` are the total bytes
@@ -109,59 +95,50 @@ enum OpKind<K> {
         socket: usize,
         bytes: u64,
         rate_cap: f64,
-        effect: Effect<K>,
     },
 }
 
-/// The data effect applied at completion time.
+/// What an operation does to the bytes, applied at its completion time.
+/// The sort and merge effects are the same code whichever device, cost
+/// model or algorithm family timed the op, so a family sets a duration and
+/// never an output.
 enum Effect<K> {
     None,
-    DeviceSort {
-        algo: GpuSortAlgo,
+    /// Copy `len` keys. The source is read into `staged` when the op
+    /// starts and written at completion: real DMA streams the data through
+    /// the transfer window, so a source overwritten mid-transfer (the
+    /// 3n-approach's in-place data-transfer swap, Figure 10) must not
+    /// corrupt the outgoing bytes.
+    Copy {
+        src: (BufId, u64),
+        dst: (BufId, u64),
+        len: u64,
+        staged: Vec<K>,
+    },
+    /// Stable sort of `data[range]` by radix image
+    /// ([`primitives::device_sort`]); without `aux` it allocates its own
+    /// scratch.
+    Sort {
         data: BufId,
         range: (u64, u64),
-        aux: BufId,
+        aux: Option<BufId>,
     },
-    DeviceMergeInto {
-        src: BufId,
-        mid: u64,
-        len: u64,
-        dst: BufId,
-    },
-    HostSort {
-        data: BufId,
-    },
-    HostMultiwayMerge {
+    /// Stable merge of the sorted runs `inputs` (buffer, offset, len) into
+    /// `output` from its offset, ties to the earlier run
+    /// ([`primitives::device_merge`]).
+    Merge {
         inputs: Vec<(BufId, u64, u64)>,
         output: (BufId, u64),
-    },
-    DeviceMultiwayMerge {
-        inputs: Vec<(BufId, u64, u64)>,
-        dst: BufId,
     },
     /// Stable splitter partition of `data[range]` into contiguous buckets
     /// (sample sort's local scatter). `splitters` are `(key, position)`
     /// pairs in the global sample order.
-    DevicePartition {
+    Partition {
         data: BufId,
         range: (u64, u64),
         aux: BufId,
         splitters: Vec<(K, u64)>,
     },
-}
-
-impl<K> Effect<K> {
-    fn name(&self) -> &'static str {
-        match self {
-            Effect::None => "delay",
-            Effect::DeviceSort { .. } => "gpu sort",
-            Effect::DeviceMergeInto { .. } => "gpu merge",
-            Effect::HostSort { .. } => "cpu sort",
-            Effect::HostMultiwayMerge { .. } => "cpu multiway merge",
-            Effect::DeviceMultiwayMerge { .. } => "gpu multiway merge",
-            Effect::DevicePartition { .. } => "gpu partition",
-        }
-    }
 }
 
 /// What a started, unfinished op completes (or resumes) on.
@@ -180,7 +157,9 @@ enum Wake {
 struct Op<K> {
     stream: StreamId,
     name: &'static str,
-    kind: Option<OpKind<K>>,
+    kind: OpKind,
+    /// Taken when the op completes.
+    effect: Option<Effect<K>>,
     phase: Phase,
     /// `None` while the op is pending.
     started: Option<SimTime>,
@@ -194,11 +173,6 @@ struct Op<K> {
     /// Ops waiting on this one (outgoing dependency edges, absolute
     /// indices); drained when this op completes.
     subs: Vec<usize>,
-    /// Copies capture their source at start and write at completion —
-    /// real DMA streams the data through the transfer window, so a source
-    /// overwritten mid-transfer (the 3n-approach's in-place data-transfer
-    /// swap, Figure 10) must not corrupt the outgoing bytes.
-    staged: Option<Vec<K>>,
     /// Times this transfer was interrupted by a link failure.
     attempts: u32,
     /// Bytes still undelivered after an interruption; `None` before the
@@ -449,10 +423,16 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     ) -> OpId {
         let src_loc = self.world.location(src);
         let dst_loc = self.world.location(dst);
+        let copy = Effect::Copy {
+            src: (src, src_off),
+            dst: (dst, dst_off),
+            len,
+            staged: Vec::new(),
+        };
+        let bytes = len * K::DATA_TYPE.key_bytes();
         if src_loc == dst_loc {
             // Device-local (or host-local) copy: modeled as a fixed-duration
             // task at the device's copy bandwidth, not an interconnect flow.
-            let bytes = len * K::DATA_TYPE.key_bytes();
             let duration = match src_loc {
                 Location::Gpu { index } => self
                     .cost
@@ -465,28 +445,16 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             return self.push_op(
                 stream,
                 waits,
-                OpKind::LocalCopy {
-                    duration,
-                    src: (src, src_off),
-                    dst: (dst, dst_off),
-                    len,
-                },
+                "local copy",
+                OpKind::Fixed(duration),
+                copy,
                 phase,
             );
         }
 
         let route = self.cached_route(src_loc.endpoint(), dst_loc.endpoint());
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Transfer {
-                route,
-                src: (src, src_off),
-                dst: (dst, dst_off),
-                len,
-            },
-            phase,
-        )
+        let kind = OpKind::Transfer { route, bytes };
+        self.push_op(stream, waits, "copy", kind, copy, phase)
     }
 
     /// The route a new copy from `src` to `dst` is planned on. Until the
@@ -593,24 +561,25 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             self.world.location(dst).endpoint(),
             "route destination must match the destination buffer"
         );
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Transfer {
-                route,
-                src: (src, src_off),
-                dst: (dst, dst_off),
-                len,
-            },
-            phase,
-        )
+        let kind = OpKind::Transfer {
+            route,
+            bytes: len * K::DATA_TYPE.key_bytes(),
+        };
+        let copy = Effect::Copy {
+            src: (src, src_off),
+            dst: (dst, dst_off),
+            len,
+            staged: Vec::new(),
+        };
+        self.push_op(stream, waits, "copy", kind, copy, phase)
     }
 
     /// Enqueue an on-GPU k-way merge: the sorted runs described by
     /// `inputs` (buffer, offset, len — all on the same GPU) merge into
-    /// `dst[..total]`. Modeled as a pairwise merge tree
-    /// (`⌈log₂ k⌉` bandwidth-bound passes), functionally executed with the
-    /// loser tree. Used by the radix-partitioned sort extension.
+    /// `dst[..total]`. Modeled as a pairwise merge tree (`⌈log₂ k⌉`
+    /// bandwidth-bound passes). Two runs are the `thrust::merge` pattern of
+    /// P2P sort's and multiway mergesort's local merges; more runs are the
+    /// radix-partitioned sort's final merge.
     pub fn gpu_multiway_merge(
         &mut self,
         stream: StreamId,
@@ -627,18 +596,17 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         let passes = (inputs.len().max(2) as f64).log2().ceil() as u32;
         let single = self.cost.gpu_merge(model, total * K::DATA_TYPE.key_bytes());
         let duration = SimDuration(single.0 * u64::from(passes.max(1)));
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::DeviceMultiwayMerge { inputs, dst },
-            },
-            Phase::Merge,
-        )
+        let merge = Effect::Merge {
+            inputs,
+            output: (dst, 0),
+        };
+        let kind = OpKind::Fixed(duration);
+        self.push_op(stream, waits, "gpu merge", kind, merge, Phase::Merge)
     }
 
     /// Enqueue an on-GPU sort of `data[range]` with auxiliary buffer `aux`.
+    /// `algo` sets the duration; the bytes are the one stable sort of every
+    /// sort op.
     pub fn gpu_sort(
         &mut self,
         stream: StreamId,
@@ -657,20 +625,13 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         let duration = self
             .cost
             .gpu_sort(model, algo, K::DATA_TYPE, range.1 - range.0);
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::DeviceSort {
-                    algo,
-                    data,
-                    range,
-                    aux,
-                },
-            },
-            Phase::Sort,
-        )
+        let sort = Effect::Sort {
+            data,
+            range,
+            aux: Some(aux),
+        };
+        let kind = OpKind::Fixed(duration);
+        self.push_op(stream, waits, "gpu sort", kind, sort, Phase::Sort)
     }
 
     /// Enqueue an on-GPU splitter partition of `data[range]`: the keys are
@@ -698,18 +659,19 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         let duration = self
             .cost
             .gpu_partition(model, (range.1 - range.0) * K::DATA_TYPE.key_bytes());
+        let partition = Effect::Partition {
+            data,
+            range,
+            aux,
+            splitters,
+        };
+        let kind = OpKind::Fixed(duration);
         self.push_op(
             stream,
             waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::DevicePartition {
-                    data,
-                    range,
-                    aux,
-                    splitters,
-                },
-            },
+            "gpu partition",
+            kind,
+            partition,
             Phase::Partition,
         )
     }
@@ -735,48 +697,20 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         debug_assert_eq!(self.world.location(aux), self.world.location(data));
         let bytes = (range.1 - range.0) * K::DATA_TYPE.key_bytes();
         let duration = SimDuration::from_secs_f64(3.0 * bytes as f64 / self.cost.cpu.merge_bw);
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::DevicePartition {
-                    data,
-                    range,
-                    aux,
-                    splitters,
-                },
-            },
-            Phase::Partition,
-        )
-    }
-
-    /// Enqueue a local pairwise merge: the sorted runs `src[..mid]` and
-    /// `src[mid..len]` merge into `dst[..len]` (the `thrust::merge`
-    /// pattern of P2P sort's merge phase).
-    pub fn gpu_merge_into(
-        &mut self,
-        stream: StreamId,
-        src: BufId,
-        mid: u64,
-        len: u64,
-        dst: BufId,
-        waits: &[OpId],
-    ) -> OpId {
-        let gpu = match self.world.location(src) {
-            Location::Gpu { index } => index,
-            Location::Host { .. } => panic!("gpu_merge_into requires device buffers"),
+        let partition = Effect::Partition {
+            data,
+            range,
+            aux,
+            splitters,
         };
-        let model = self.platform().topology.gpu_model(gpu);
-        let duration = self.cost.gpu_merge(model, len * K::DATA_TYPE.key_bytes());
+        let kind = OpKind::Fixed(duration);
         self.push_op(
             stream,
             waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::DeviceMergeInto { src, mid, len, dst },
-            },
-            Phase::Merge,
+            "cpu partition",
+            kind,
+            partition,
+            Phase::Partition,
         )
     }
 
@@ -789,31 +723,23 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         waits: &[OpId],
         phase: Phase,
     ) -> OpId {
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::None,
-            },
-            phase,
-        )
+        let kind = OpKind::Fixed(duration);
+        self.push_op(stream, waits, "delay", kind, Effect::None, phase)
     }
 
-    /// Enqueue a CPU sort (PARADIS) of an entire host buffer.
+    /// Enqueue a CPU sort of an entire host buffer, timed as PARADIS; the
+    /// bytes are the one stable sort of every sort op.
     pub fn cpu_sort(&mut self, stream: StreamId, data: BufId, waits: &[OpId]) -> OpId {
         assert!(matches!(self.world.location(data), Location::Host { .. }));
         let n = self.world.buffer(data).len;
         let duration = self.cost.cpu_paradis(K::DATA_TYPE, n);
-        self.push_op(
-            stream,
-            waits,
-            OpKind::Fixed {
-                duration,
-                effect: Effect::HostSort { data },
-            },
-            Phase::Sort,
-        )
+        let sort = Effect::Sort {
+            data,
+            range: (0, n),
+            aux: None,
+        };
+        let kind = OpKind::Fixed(duration);
+        self.push_op(stream, waits, "cpu sort", kind, sort, Phase::Sort)
     }
 
     /// Enqueue a CPU multiway merge of `inputs` (buffer, offset, len) into
@@ -836,19 +762,22 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         let lens: Vec<u64> = inputs.iter().map(|&(_, _, l)| l).collect();
         let out_bytes: u64 = lens.iter().sum::<u64>() * K::DATA_TYPE.key_bytes();
         let imbalance = self.cost.merge_imbalance_factor(&lens);
+        let kind = OpKind::HostFlow {
+            socket,
+            // The merge reads + writes everything once.
+            bytes: 2 * out_bytes,
+            rate_cap: self.cost.cpu_merge_rate(k) * 2.0 / imbalance,
+        };
+        let merge = Effect::Merge {
+            inputs,
+            output: (output, out_off),
+        };
         self.push_op(
             stream,
             waits,
-            OpKind::HostFlow {
-                socket,
-                // The merge reads + writes everything once.
-                bytes: 2 * out_bytes,
-                rate_cap: self.cost.cpu_merge_rate(k) * 2.0 / imbalance,
-                effect: Effect::HostMultiwayMerge {
-                    inputs,
-                    output: (output, out_off),
-                },
-            },
+            "cpu multiway merge",
+            kind,
+            merge,
             Phase::Merge,
         )
     }
@@ -1057,13 +986,15 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         }
     }
 
-    fn push_op(&mut self, stream: StreamId, waits: &[OpId], kind: OpKind<K>, phase: Phase) -> OpId {
-        let name = match &kind {
-            OpKind::Transfer { .. } => "copy",
-            OpKind::LocalCopy { .. } => "local copy",
-            OpKind::Fixed { effect, .. } => effect.name(),
-            OpKind::HostFlow { effect, .. } => effect.name(),
-        };
+    fn push_op(
+        &mut self,
+        stream: StreamId,
+        waits: &[OpId],
+        name: &'static str,
+        kind: OpKind,
+        effect: Effect<K>,
+        phase: Phase,
+    ) -> OpId {
         let id = self.ops_base + self.ops.len();
         // Register the dependency edges now — the explicit waits plus the
         // previous op on the stream: each unfinished wait gets a subscriber
@@ -1085,13 +1016,13 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         self.ops.push_back(Op {
             stream,
             name,
-            kind: Some(kind),
+            kind,
+            effect: Some(effect),
             phase,
             started: None,
             finished: None,
             blockers,
             subs: Vec::new(),
-            staged: None,
             attempts: 0,
             pending_bytes: None,
         });
@@ -1117,24 +1048,22 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
 
     fn start_op(&mut self, idx: usize) {
         let now = self.flows.now();
-        self.op_mut(idx).started = Some(now);
-        // Copies stage their source bytes now (see `Op::staged`).
-        if let Some(OpKind::Transfer { src, len, .. } | OpKind::LocalCopy { src, len, .. }) =
-            &self.op(idx).kind
+        let op = &mut self.ops[idx - self.ops_base];
+        op.started = Some(now);
+        // Copies stage their source bytes now (see `Effect::Copy`).
+        if let Some(Effect::Copy {
+            src, len, staged, ..
+        }) = &mut op.effect
         {
-            let snapshot = self.world.slice(src.0, src.1, *len).to_vec();
-            self.op_mut(idx).staged = Some(snapshot);
+            *staged = self.world.slice(src.0, src.1, *len).to_vec();
         }
-        let wake = match self.op(idx).kind.as_ref().expect("op has a kind") {
+        let wake = match &self.op(idx).kind {
             OpKind::Transfer { .. } => self.launch_transfer(idx),
-            OpKind::LocalCopy { duration, .. } | OpKind::Fixed { duration, .. } => {
-                Wake::At(now + *duration)
-            }
+            OpKind::Fixed(duration) => Wake::At(now + *duration),
             OpKind::HostFlow {
                 socket,
                 bytes,
                 rate_cap,
-                ..
             } => {
                 // The flow's byte count is *total* memory traffic (reads +
                 // writes), so it loads the read and write caps with weight
@@ -1180,14 +1109,11 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     /// at the next scheduled fault event (a restore may re-open one).
     fn launch_transfer(&mut self, idx: usize) -> Wake {
         let now = self.flows.now();
-        let (route, len) = match self.op(idx).kind.as_ref().expect("op has a kind") {
-            OpKind::Transfer { route, len, .. } => (route.clone(), *len),
+        let (route, bytes) = match &self.op(idx).kind {
+            OpKind::Transfer { route, bytes } => (route.clone(), *bytes),
             _ => unreachable!("launch_transfer drives transfer ops only"),
         };
-        let bytes = self
-            .op(idx)
-            .pending_bytes
-            .unwrap_or(len * K::DATA_TYPE.key_bytes());
+        let bytes = self.op(idx).pending_bytes.unwrap_or(bytes);
         if bytes == 0 {
             return Wake::At(now);
         }
@@ -1195,7 +1121,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             route
         } else if let Some(r) = self.resolve_route(route.src, route.dst) {
             self.rerouted += 1;
-            if let Some(OpKind::Transfer { route: stored, .. }) = self.op_mut(idx).kind.as_mut() {
+            if let OpKind::Transfer { route: stored, .. } = &mut self.op_mut(idx).kind {
                 *stored = r.clone();
             }
             r
@@ -1249,25 +1175,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 t.0,
             );
         }
-        let kind = self.op_mut(idx).kind.take().expect("op completes once");
-        match kind {
-            OpKind::Transfer { dst, len, .. } | OpKind::LocalCopy { dst, len, .. } => {
-                let staged = self
-                    .op_mut(idx)
-                    .staged
-                    .take()
-                    .expect("copy staged its source");
-                let dst_off = self.world.physical(dst.1);
-                let l = self.world.physical(len);
-                par_copy(
-                    &mut self.world.data_mut(dst.0)[dst_off..dst_off + l],
-                    &staged,
-                );
-            }
-            OpKind::Fixed { effect, .. } | OpKind::HostFlow { effect, .. } => {
-                self.apply_effect(effect);
-            }
-        }
+        let effect = self.op_mut(idx).effect.take().expect("op completes once");
+        self.apply_effect(effect);
     }
 
     /// Apply a completed op's data effect, right here on the driver thread.
@@ -1277,34 +1186,36 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     fn apply_effect(&mut self, effect: Effect<K>) {
         match effect {
             Effect::None => {}
-            Effect::DeviceSort {
-                algo,
-                data,
-                range,
-                aux,
+            Effect::Copy {
+                dst, len, staged, ..
             } => {
+                let dst_off = self.world.physical(dst.1);
+                let l = self.world.physical(len);
+                par_copy(
+                    &mut self.world.data_mut(dst.0)[dst_off..dst_off + l],
+                    &staged,
+                );
+            }
+            Effect::Sort { data, range, aux } => {
                 let lo = self.world.physical(range.0);
                 let hi = self.world.physical(range.1);
-                let (d, a) = self.world.two_mut(data, aux);
-                primitives::device_sort(algo, &mut d[lo..hi], &mut a[..hi - lo]);
+                match aux {
+                    Some(aux) => {
+                        let (d, a) = self.world.two_mut(data, aux);
+                        primitives::device_sort(&mut d[lo..hi], &mut a[..hi - lo]);
+                    }
+                    None => {
+                        let d = &mut self.world.data_mut(data)[lo..hi];
+                        let mut a = d.to_vec();
+                        primitives::device_sort(d, &mut a);
+                    }
+                }
             }
-            Effect::DeviceMergeInto { src, mid, len, dst } => {
-                let m = self.world.physical(mid);
-                let l = self.world.physical(len);
-                let (s, d) = self.world.two_mut(src, dst);
-                primitives::device_merge_into(&s[..l], m, &mut d[..l]);
-            }
-            Effect::HostSort { data } => {
-                msort_cpu::parallel_sort(self.world.data_mut(data));
-            }
-            Effect::HostMultiwayMerge { inputs, output } => {
+            Effect::Merge { inputs, output } => {
                 let out_off = self.world.physical(output.1);
-                self.apply_multiway_merge(&inputs, output.0, out_off);
+                self.apply_merge(&inputs, output.0, out_off);
             }
-            Effect::DeviceMultiwayMerge { inputs, dst } => {
-                self.apply_multiway_merge(&inputs, dst, 0);
-            }
-            Effect::DevicePartition {
+            Effect::Partition {
                 data,
                 range,
                 aux,
@@ -1318,17 +1229,11 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         }
     }
 
-    /// Shared zero-copy path for host and device multiway merges: the
-    /// output payload leaves the world for the call, so every input window
-    /// in another buffer is a plain borrow of the world. A window living in
-    /// the output buffer itself is copied first — the merge would otherwise
-    /// overwrite unread input.
-    fn apply_multiway_merge(
-        &mut self,
-        inputs: &[(BufId, u64, u64)],
-        out_buf: BufId,
-        out_off: usize,
-    ) {
+    /// Zero-copy merge: the output payload leaves the world for the call,
+    /// so every input window in another buffer is a plain borrow of the
+    /// world. A window living in the output buffer itself is copied first —
+    /// the merge would otherwise overwrite unread input.
+    fn apply_merge(&mut self, inputs: &[(BufId, u64, u64)], out_buf: BufId, out_off: usize) {
         let mut out = std::mem::take(self.world.data_mut(out_buf));
         let world = &self.world;
         let owned: Vec<Option<Vec<K>>> = inputs
@@ -1349,7 +1254,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             })
             .collect();
         let total: usize = runs.iter().map(|r| r.len()).sum();
-        parallel_multiway_merge(&runs, &mut out[out_off..out_off + total]);
+        primitives::device_merge(&runs, &mut out[out_off..out_off + total]);
         *self.world.data_mut(out_buf) = out;
     }
 }
@@ -1660,7 +1565,7 @@ mod tests {
         sys.in_flight
             .iter()
             .filter(|&&(_, wake)| !matches!(wake, Wake::Retry(_)))
-            .filter_map(|&(idx, _)| match sys.op(idx).kind.as_ref()? {
+            .filter_map(|&(idx, _)| match &sys.op(idx).kind {
                 OpKind::Transfer { route, .. } => Some(route.clone()),
                 _ => None,
             })

@@ -157,7 +157,9 @@ fn random_effect_dags_replay_bit_identical() {
                         // Merge the halves of one buffer into its neighbor's
                         // aux (cross-buffer read/write edges).
                         let len = rng.u64_in(2..n);
-                        sys.gpu_merge_into(s, data[g], len / 2, len, aux[g], &waits)
+                        let mid = len / 2;
+                        let runs = vec![(data[g], 0, mid), (data[g], mid, len - mid)];
+                        sys.gpu_multiway_merge(s, runs, aux[g], &waits)
                     }
                     2 => {
                         // Device-to-device copy with ranges that overlap

@@ -31,6 +31,12 @@
 //! image on both sides of every bound, for every scalar key type and for
 //! `Pair` keys whose payload is the input position.
 //!
+//! A modeled kernel is its cost, not its code: every sort op of the GPU
+//! runtime — `gpu_sort` under each of the four `GpuSortAlgo` families and
+//! the CPU-only baseline's `cpu_sort` — must write exactly those stable
+//! bytes, and a two-run merge op on either device must keep run order
+//! among equal keys.
+//!
 //! Offline environment: deterministic seeded loops over the in-tree [`Rng`]
 //! stand in for `proptest`, as in `tests/properties.rs`.
 
@@ -205,11 +211,8 @@ fn ladder_sizes<K: SortKey>() -> Vec<(usize, usize)> {
 /// Every entry that reaches the device-sort ladder, on `input`, against a
 /// stable sort by radix image. `bytes` is what must match: the image for
 /// scalar keys (`NaN != NaN` and `-0.0 == 0.0`, so keys are not compared),
-/// the image and the payload for `Pair`s. The Thrust/CUB dispatch, whose
-/// rungs are all stable, must match `bytes`; every algorithm must match
-/// the images.
+/// the image and the payload for `Pair`s.
 fn check_ladder<K: SortKey>(input: &[K], what: &str, bytes: impl Fn(&K) -> (u64, u32)) {
-    let image = |keys: &[K]| -> Vec<u64> { keys.iter().map(|k| k.to_radix().to_u64()).collect() };
     let mut oracle = input.to_vec();
     oracle.sort_by_key(|k| k.to_radix());
     let expected: Vec<(u64, u32)> = oracle.iter().map(&bytes).collect();
@@ -225,16 +228,9 @@ fn check_ladder<K: SortKey>(input: &[K], what: &str, bytes: impl Fn(&K) -> (u64,
     assert_eq!(got_bytes(&got), expected, "parallel, {what}");
 
     for threads in [1, 2] {
-        for algo in GpuSortAlgo::all() {
-            let mut got = input.to_vec();
-            device_sort_with(algo, &mut got, &mut aux, threads);
-            let what = format!("{algo:?} width {threads}, {what}");
-            if matches!(algo, GpuSortAlgo::ThrustLike | GpuSortAlgo::CubLike) {
-                assert_eq!(got_bytes(&got), expected, "{what}");
-            } else {
-                assert_eq!(image(&got), image(&oracle), "{what}");
-            }
-        }
+        let mut got = input.to_vec();
+        device_sort_with(&mut got, &mut aux, threads);
+        assert_eq!(got_bytes(&got), expected, "device width {threads}, {what}");
     }
 }
 
@@ -264,9 +260,25 @@ fn check_scalar_ladder<K: SortKey>(specials: &[K]) {
     }
 }
 
-/// `Pair` keys across the ladder: duplicate-heavy keys (Zipf, and eight
-/// distinct keys), payload = input position, so an unstable rung shows as
+/// `n` keys with eight distinct values drawn from `K`'s uniform input.
+fn eight_keys<K: SortKey>(n: usize, seed: u64) -> Vec<K> {
+    generate::<K>(Distribution::Uniform, n, seed)
+        .into_iter()
+        .map(|k| K::from_radix(K::Radix::from_u64_trunc(k.to_radix().to_u64() % 8)))
+        .collect()
+}
+
+/// `keys` with payload = position, so an unstable sort or merge shows as
 /// payloads out of order among equal keys.
+fn with_positions<K: SortKey>(keys: Vec<K>) -> Vec<Pair<K>> {
+    keys.into_iter()
+        .zip(0u32..)
+        .map(|(k, v)| Pair::new(k, v))
+        .collect()
+}
+
+/// `Pair` keys across the ladder: duplicate-heavy keys (Zipf, and eight
+/// distinct keys), payload = input position.
 fn check_pair_ladder<K: SortKey>() {
     for (n, patterns) in ladder_sizes::<Pair<K>>() {
         let zipf: Vec<K> = generate(
@@ -276,16 +288,9 @@ fn check_pair_ladder<K: SortKey>() {
             n,
             43,
         );
-        let eight: Vec<K> = generate::<K>(Distribution::Uniform, n, 44)
-            .into_iter()
-            .map(|k| K::from_radix(K::Radix::from_u64_trunc(k.to_radix().to_u64() % 8)))
-            .collect();
+        let eight = eight_keys::<K>(n, 44);
         for (pattern, keys) in [zipf, eight].into_iter().enumerate().rev().take(patterns) {
-            let input: Vec<Pair<K>> = keys
-                .into_iter()
-                .zip(0u32..)
-                .map(|(k, v)| Pair::new(k, v))
-                .collect();
+            let input = with_positions(keys);
             let what = format!("{:?} n={n} pattern {pattern}", <Pair<K>>::DATA_TYPE);
             check_ladder(&input, &what, |p| (p.to_radix().to_u64(), p.value));
         }
@@ -330,6 +335,163 @@ fn device_sort_ladder_matches_a_stable_sort_for_every_key_type() {
 fn device_sort_ladder_is_stable_for_pairs() {
     check_pair_ladder::<u32>();
     check_pair_ladder::<u64>();
+}
+
+// ---- One data path: the family that times a sort never picks its bytes. ----
+
+/// Image and payload of a scalar key (payload 0).
+fn scalar_bytes<K: SortKey>(k: &K) -> (u64, u32) {
+    (k.to_radix().to_u64(), 0)
+}
+
+/// Image and payload of a `Pair`.
+fn pair_bytes<K: SortKey>(p: &Pair<K>) -> (u64, u32) {
+    (p.to_radix().to_u64(), p.value)
+}
+
+/// Panics at the first position where `got` and `expected` differ.
+fn assert_same_bytes(got: &[(u64, u32)], expected: &[(u64, u32)], what: &str) {
+    assert_eq!(got.len(), expected.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != expected[i]) {
+        panic!(
+            "{what}: position {i} holds {:?}, the stable sort {:?}",
+            got[i], expected[i]
+        );
+    }
+}
+
+/// `input` through every sort op of the runtime, `GpuSystem::gpu_sort`
+/// under each `GpuSortAlgo` and `GpuSystem::cpu_sort`; each must write
+/// exactly the bytes of a stable sort by radix image.
+fn check_sort_ops<K: SortKey>(input: &[K], what: &str, bytes: impl Fn(&K) -> (u64, u32)) {
+    let mut oracle = input.to_vec();
+    oracle.sort_by_key(|k| k.to_radix());
+    let expected: Vec<(u64, u32)> = oracle.iter().map(&bytes).collect();
+    let n = input.len() as u64;
+    let platform = Platform::dgx_a100();
+    let mut sys: GpuSystem<'_, K> = GpuSystem::new(&platform, Fidelity::Full);
+    let s = sys.stream();
+    let mut sorted = Vec::new();
+    for algo in GpuSortAlgo::all() {
+        let host = sys.world_mut().import_host(0, input.to_vec(), n);
+        let dev = sys.world_mut().alloc_gpu(0, n);
+        let aux = sys.world_mut().alloc_gpu(0, n);
+        sys.world_mut().copy_range(host, 0, dev, 0, n);
+        sys.gpu_sort(s, algo, dev, (0, n), aux, &[]);
+        sorted.push((format!("gpu_sort {algo:?}"), dev));
+    }
+    let host = sys.world_mut().import_host(0, input.to_vec(), n);
+    sys.cpu_sort(s, host, &[]);
+    sorted.push(("cpu_sort".to_string(), host));
+    sys.synchronize();
+    for (op, buf) in sorted {
+        let got: Vec<(u64, u32)> = sys.world().slice(buf, 0, n).iter().map(&bytes).collect();
+        assert_same_bytes(&got, &expected, &format!("{op}, {what}"));
+    }
+}
+
+/// Both sides of each ladder bound for `K`'s image width; the top one,
+/// 64 Ki + 1 keys, is also the smallest input the parallel kernels take.
+fn sort_op_sizes<K: SortKey>() -> [usize; 4] {
+    let comparison_max = if K::Radix::BITS == 32 {
+        COMPARISON_MAX_32
+    } else {
+        COMPARISON_MAX_64
+    };
+    [
+        comparison_max,
+        comparison_max + 1,
+        PARALLEL_FLOOR,
+        PARALLEL_FLOOR + 1,
+    ]
+}
+
+#[test]
+fn every_sort_op_writes_the_stable_bytes_whatever_the_family() {
+    for n in sort_op_sizes::<u32>() {
+        let input: Vec<u32> = generate(Distribution::ZipfDuplicates { skew_permille: 800 }, n, 51);
+        check_sort_ops(&input, &format!("u32 n={n}"), scalar_bytes);
+    }
+    for n in sort_op_sizes::<u64>() {
+        let input: Vec<u64> = generate(Distribution::Uniform, n, 52);
+        check_sort_ops(&input, &format!("u64 n={n}"), scalar_bytes);
+    }
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        -1.5,
+    ];
+    for n in sort_op_sizes::<f32>() {
+        let mut rng = Rng::seed_from_u64(n as u64);
+        let input: Vec<f32> = (0..n)
+            .map(|_| specials[rng.usize_in(0..specials.len())])
+            .collect();
+        check_sort_ops(&input, &format!("f32 n={n}"), scalar_bytes);
+    }
+    for n in sort_op_sizes::<Pair<u32>>() {
+        let input = with_positions(eight_keys::<u32>(n, 53));
+        check_sort_ops(&input, &format!("Pair<u32> n={n}"), pair_bytes);
+    }
+    for n in sort_op_sizes::<Pair<u64>>() {
+        let input = with_positions(eight_keys::<u64>(n, 54));
+        check_sort_ops(&input, &format!("Pair<u64> n={n}"), pair_bytes);
+    }
+}
+
+/// Two sorted runs of eight distinct keys, payload = position in the
+/// concatenation, merged by a two-run `gpu_multiway_merge` and a two-run
+/// `cpu_multiway_merge`: among equal keys the first run's must come first,
+/// each run in its own order.
+fn check_two_run_merges<K: SortKey>(lens: (usize, usize)) {
+    let mut first = eight_keys::<K>(lens.0, 55);
+    let mut second = eight_keys::<K>(lens.1, 56);
+    first.sort_by_key(|k| k.to_radix());
+    second.sort_by_key(|k| k.to_radix());
+    let input = with_positions([first, second].concat());
+    let mut oracle = input.clone();
+    oracle.sort_by_key(|p| p.to_radix());
+    let expected: Vec<(u64, u32)> = oracle.iter().map(pair_bytes).collect();
+    let (a, n) = (lens.0 as u64, input.len() as u64);
+    let runs = |buf| vec![(buf, 0, a), (buf, a, n - a)];
+
+    let platform = Platform::dgx_a100();
+    let mut sys: GpuSystem<'_, Pair<K>> = GpuSystem::new(&platform, Fidelity::Full);
+    let s = sys.stream();
+    let host_in = sys.world_mut().import_host(0, input.clone(), n);
+    let host_out = sys.world_mut().alloc_host(0, n);
+    let dev_in = sys.world_mut().alloc_gpu(0, n);
+    let dev_out = sys.world_mut().alloc_gpu(0, n);
+    sys.world_mut().copy_range(host_in, 0, dev_in, 0, n);
+    sys.gpu_multiway_merge(s, runs(dev_in), dev_out, &[]);
+    sys.cpu_multiway_merge(s, runs(host_in), host_out, 0, &[]);
+    sys.synchronize();
+    for (op, buf) in [
+        ("gpu_multiway_merge", dev_out),
+        ("cpu_multiway_merge", host_out),
+    ] {
+        let got: Vec<(u64, u32)> = sys
+            .world()
+            .slice(buf, 0, n)
+            .iter()
+            .map(pair_bytes)
+            .collect();
+        let what = format!("{op} of {lens:?} {:?}", <Pair<K>>::DATA_TYPE);
+        assert_same_bytes(&got, &expected, &what);
+    }
+}
+
+#[test]
+fn two_run_merge_ops_keep_run_order() {
+    for lens in [(0, 5), (300, 211), (40_000, 30_001)] {
+        check_two_run_merges::<u32>(lens);
+        check_two_run_merges::<u64>(lens);
+    }
 }
 
 #[test]
