@@ -80,8 +80,10 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Bound on the peak resident set after the million-job run, in MB of
-/// 1024 kB: half-way between the ~534 MB the run takes and the 861 MB it
-/// took while `GpuSystem` kept an op queue for every stream ever created.
+/// 1024 kB: set half-way between the 534 MB the run took while buffer and
+/// stream slots were never reused and the 861 MB it took while `GpuSystem`
+/// kept an op queue for every stream ever created. With slots recycled the
+/// run takes ~230 MB.
 const PEAK_RSS_MAX_MB: u64 = 700;
 
 fn main() {

@@ -169,9 +169,9 @@ impl<K: SortKey> MwmsDriver<K> {
             let src = self.st.alloc_gpu(sys, self.st.order[w.slot], total);
             // Winner's half moves device-locally; the loser's run crosses
             // the fabric point-to-point.
-            let s1 = sys.stream();
+            let s1 = self.st.stream(sys);
             wait.push(sys.memcpy(s1, w.buf, 0, src, 0, w.len, &[], Phase::Merge));
-            let s2 = sys.stream();
+            let s2 = self.st.stream(sys);
             wait.push(sys.memcpy(s2, l.buf, 0, src, w.len, l.len, &[], Phase::Merge));
             self.st.swapped_keys += l.len;
             self.to_free.extend([w.buf, l.buf]);

@@ -212,7 +212,7 @@ impl<K: SortKey> Middle<K> for P2pDriver<K> {
         for &(start, len) in groups {
             let plan = plan_group(sys, &self.bufs, start, len, self.st.chunk);
             self.st.swapped_keys += plan.transferred_keys() as u64 * self.st.scale;
-            let (st, bufs) = (&self.st, &mut self.bufs);
+            let (st, bufs) = (&mut self.st, &mut self.bufs);
             enqueue_group(sys, st, bufs, start, &plan, self.multi_hop, &mut wait);
         }
         self.level += 1;
@@ -313,14 +313,14 @@ fn plan_group<K: SortKey>(
 /// logical units (scaled back up).
 fn enqueue_group<K: SortKey>(
     sys: &mut GpuSystem<'_, K>,
-    st: &Staging<K>,
+    st: &mut Staging<K>,
     bufs: &mut [ChunkBufs],
     start: usize,
     plan: &SwapPlan,
     multi_hop: bool,
     out_ops: &mut Vec<OpId>,
 ) {
-    let (order, host_stream, compute, scale) = (&st.order, st.host_stream, &st.compute, st.scale);
+    let (host_stream, scale) = (st.host_stream, st.scale);
     let chunk = plan.chunk_len as u64 * scale;
     let group_len = 2 * plan.half;
 
@@ -361,7 +361,7 @@ fn enqueue_group<K: SortKey>(
             // B-side chunk its suffix. Both land at the front of aux so
             // aux always holds [kept | received].
             let src_off = if c < plan.half { 0 } else { chunk - kept };
-            let s = sys.stream();
+            let s = st.stream(sys);
             let op = sys.memcpy(
                 s,
                 bufs[gi].primary,
@@ -388,8 +388,9 @@ fn enqueue_group<K: SortKey>(
             (swap.b_chunk, swap.b_off, swap.a_chunk),
         ] {
             let (src, dst) = (start + from, start + to);
-            let s = sys.stream();
-            let (route, _) = best_p2p_route(sys.platform(), order[src], order[dst], multi_hop);
+            let s = st.stream(sys);
+            let (route, _) =
+                best_p2p_route(sys.platform(), st.order[src], st.order[dst], multi_hop);
             let op = sys.memcpy_route(
                 s,
                 route,
@@ -428,7 +429,7 @@ fn enqueue_group<K: SortKey>(
         let mid = kept as u64 * scale;
         let aux = bufs[gi].aux;
         let mo = sys.gpu_multiway_merge(
-            compute[gi],
+            st.compute[gi],
             vec![(aux, 0, mid), (aux, mid, chunk - mid)],
             bufs[gi].primary,
             &recv_deps[c],

@@ -202,7 +202,7 @@ impl<K: SortKey> Middle<K> for RpDriver<K> {
                 if len == 0 {
                     continue;
                 }
-                let s = sys.stream();
+                let s = self.st.stream(sys);
                 let op = sys.memcpy(
                     s,
                     self.bufs[j].primary,

@@ -369,7 +369,7 @@ pub(crate) fn splitter_exchange<'p, K: SortKey>(
             if len == 0 {
                 continue;
             }
-            let s = sys.stream();
+            let s = st.stream(sys);
             let (src, dst) = (chunks[j].0, (recv[i], recv_off[i]));
             let waits = &[part_ops[j]];
             let op = sys.memcpy(s, src, send_off, dst.0, dst.1, len, waits, Phase::Merge);

@@ -4,10 +4,10 @@
 //! input over the GPUs (usually sorting each chunk as it lands), an
 //! algorithm-specific *middle*, gather the result, validate — and is
 //! reported in the same four-phase breakdown. [`Staging`] owns that outer
-//! shape: the shape asserts, the host staging buffers, the per-GPU
-//! streams, tracked device allocations, the scatter and gather copies,
-//! the read-output-and-validate finish, idempotent release, phase
-//! timestamps, and [`SortReport`] assembly. A family implements
+//! shape: the shape asserts, the host staging buffers, tracked streams
+//! and device allocations, the scatter and gather copies, the
+//! read-output-and-validate finish, idempotent release, phase timestamps,
+//! and [`SortReport`] assembly. A family implements
 //! [`Middle`] — where its chunks land, its middle one host-synchronized
 //! step at a time, where the sorted pieces end up — and [`step`] walks it
 //! through the shared sequence; `staged_driver!` turns that into the
@@ -90,6 +90,9 @@ pub(crate) struct Staging<K: SortKey> {
     pub host_stream: StreamId,
     /// Every buffer allocated through the skeleton, for [`Self::release`].
     owned: Vec<BufId>,
+    /// Every stream opened through the skeleton (the lanes' and the
+    /// middle's one-shot ones), for [`Self::release`].
+    streams: Vec<StreamId>,
     stage: Stage,
     /// First step.
     pub t0: SimTime,
@@ -134,10 +137,9 @@ impl<K: SortKey> Staging<K> {
         let home = shape.home_socket;
         let host_in = sys.world_mut().import_host(home, data, logical_len);
         let host_out = sys.world_mut().alloc_host(home, logical_len);
-        let mut lane_streams = || (0..lanes).map(|_| sys.stream()).collect::<Vec<_>>();
-        let copy_in = lane_streams();
-        let copy_out = lane_streams();
-        let compute = lane_streams();
+        let streams: Vec<StreamId> = (0..3 * lanes + 1).map(|_| sys.stream()).collect();
+        let [copy_in, copy_out, compute] =
+            [0, 1, 2].map(|k| streams[k * lanes..][..lanes].to_vec());
         Self {
             label: shape.label,
             order: shape.order,
@@ -150,8 +152,9 @@ impl<K: SortKey> Staging<K> {
             copy_in,
             copy_out,
             compute,
-            host_stream: sys.stream(),
+            host_stream: streams[3 * lanes],
             owned: vec![host_in, host_out],
+            streams,
             stage: Stage::Start,
             t0: SimTime::ZERO,
             t_staged: SimTime::ZERO,
@@ -187,6 +190,13 @@ impl<K: SortKey> Staging<K> {
             Location::Gpu { index } => world.alloc_gpu(index, len),
             Location::Host { socket } => world.alloc_host(socket, len),
         })
+    }
+
+    /// Open a stream that [`Self::release`] will free.
+    pub fn stream(&mut self, sys: &mut GpuSystem<'_, K>) -> StreamId {
+        let stream = sys.stream();
+        self.streams.push(stream);
+        stream
     }
 
     /// Hand `buf` to the skeleton to free on release.
@@ -282,14 +292,22 @@ impl<K: SortKey> Staging<K> {
         self.validated
     }
 
-    /// Free every buffer the skeleton tracks. `World::free` is idempotent,
-    /// so buffers a middle already freed mid-run are safe to free again.
+    /// Free every buffer and stream the skeleton tracks, so that their
+    /// slots go to the next job. Freeing an already freed handle is a no-op
+    /// (the handle's generation is stale), so buffers a middle freed
+    /// mid-run are safe to free again; the slot's next tenant is untouched.
+    ///
+    /// # Panics
+    /// Panics if an op on one of the streams is still pending.
     pub fn release(&mut self, sys: &mut GpuSystem<'_, K>) {
         if std::mem::replace(&mut self.released, true) {
             return;
         }
         for &buf in &self.owned {
             sys.world_mut().free(buf);
+        }
+        for &stream in &self.streams {
+            sys.free_stream(stream);
         }
     }
 

@@ -120,12 +120,19 @@ fn normal_image<K: SortKey>(rng: &mut Rng) -> K::Radix {
     value_at_fraction::<K::Radix>(frac)
 }
 
-/// Sorted uniform sample: draw i.i.d. uniforms and sort the image values
-/// (a radix sort for 32-bit images, see [`sorted_images`]).
+/// Sorted uniform sample: draw i.i.d. uniforms and sort the image values.
+/// 32-bit images take [`sorted_images`]' radix sort and are mapped back;
+/// 64-bit ones, which it would only comparison-sort in a fresh vector, are
+/// sorted in place by image. Every key is `from_radix` of its image, so
+/// both give the same bytes.
 fn extend_uniform_sorted<K: SortKey>(n: usize, rng: &mut Rng, out: &mut Vec<K>) {
     let start = out.len();
     for _ in 0..n {
         out.push(K::from_radix(uniform_image::<K>(rng)));
+    }
+    if <K::Radix as RadixImage>::BITS != 32 {
+        out[start..].sort_unstable_by_key(|k| k.to_radix());
+        return;
     }
     let images = sorted_images(&out[start..]);
     for (key, img) in out[start..].iter_mut().zip(images) {

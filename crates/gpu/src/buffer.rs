@@ -19,9 +19,17 @@
 use msort_data::SortKey;
 use msort_topology::Topology;
 
-/// Handle to a buffer in a [`World`].
+/// Handle to a buffer in a [`World`]: a slot plus the generation the slot
+/// had when the buffer was allocated. [`World::free`] bumps the slot's
+/// generation and the next allocation reuses the slot, so a handle that
+/// outlives its buffer is *stale*, never an alias of the slot's next
+/// tenant: freeing it again is a no-op, and touching its data panics in
+/// debug builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufId(pub(crate) usize);
+pub struct BufId {
+    slot: u32,
+    generation: u32,
+}
 
 /// Where a buffer's memory lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,9 +93,17 @@ pub struct Buffer<K> {
 }
 
 /// All buffers of one simulation run plus GPU memory accounting.
+///
+/// Slots are recycled: a freed slot goes on a vacancy list and the next
+/// allocation takes it, so a long-running service holds as many slots as
+/// it ever had buffers live at once, not one per buffer it ever allocated.
 #[derive(Debug)]
 pub struct World<K> {
     buffers: Vec<Buffer<K>>,
+    /// Per slot, the generation a live handle to it carries.
+    generations: Vec<u32>,
+    /// Freed slots; the last one freed is reused first.
+    vacant: Vec<u32>,
     fidelity: Fidelity,
     /// Remaining device memory per GPU (logical bytes).
     gpu_free: Vec<u64>,
@@ -102,6 +118,8 @@ impl<K: SortKey> World<K> {
             .collect();
         Self {
             buffers: Vec::new(),
+            generations: Vec::new(),
+            vacant: Vec::new(),
             fidelity,
             gpu_free,
         }
@@ -156,15 +174,23 @@ impl<K: SortKey> World<K> {
         self.push(Location::Host { socket }, len)
     }
 
-    /// Free a device buffer, returning its bytes to the GPU's pool. The
-    /// handle becomes invalid (its slot is emptied, not reused).
+    /// Free a buffer: device bytes go back to the GPU's pool, the payload
+    /// is dropped and the slot is reused by the next allocation. Freeing a
+    /// stale handle (one already freed) does nothing, in every build, so a
+    /// buffer freed mid-run may be freed again at release.
     pub fn free(&mut self, id: BufId) {
-        let buf = &mut self.buffers[id.0];
+        let slot = id.slot as usize;
+        if self.generations[slot] != id.generation {
+            return;
+        }
+        self.generations[slot] = id.generation.wrapping_add(1);
+        let buf = &mut self.buffers[slot];
         if let Location::Gpu { index } = buf.location {
             self.gpu_free[index] += buf.len * K::DATA_TYPE.key_bytes();
         }
         buf.len = 0;
         buf.data = Vec::new();
+        self.vacant.push(id.slot);
     }
 
     /// Import host data as a buffer on `socket`. In sampled mode, `data`
@@ -178,13 +204,24 @@ impl<K: SortKey> World<K> {
             self.physical(logical_len),
             "physical payload must be logical_len / scale"
         );
-        let id = BufId(self.buffers.len());
-        self.buffers.push(Buffer {
+        self.insert(Buffer {
             location: Location::Host { socket },
             len: logical_len,
             data,
-        });
-        id
+        })
+    }
+
+    /// Buffers allocated and not yet freed.
+    #[must_use]
+    pub fn live_buffers(&self) -> usize {
+        self.buffers.len() - self.vacant.len()
+    }
+
+    /// Slots the world holds, live or vacant: the most buffers that were
+    /// ever live at once.
+    #[must_use]
+    pub fn buffer_slots(&self) -> usize {
+        self.buffers.len()
     }
 
     /// Remaining device memory on `gpu` in (logical) bytes.
@@ -196,20 +233,20 @@ impl<K: SortKey> World<K> {
     /// The buffer behind a handle.
     #[must_use]
     pub fn buffer(&self, id: BufId) -> &Buffer<K> {
-        &self.buffers[id.0]
+        &self.buffers[self.slot(id)]
     }
 
     /// Location of a buffer.
     #[must_use]
     pub fn location(&self, id: BufId) -> Location {
-        self.buffers[id.0].location
+        self.buffers[self.slot(id)].location
     }
 
     /// Physical view of a logical key range of a buffer.
     #[must_use]
     pub fn slice(&self, id: BufId, offset: u64, len: u64) -> &[K] {
         let (o, l) = (self.physical(offset), self.physical(len));
-        &self.buffers[id.0].data[o..o + l]
+        &self.buffers[self.slot(id)].data[o..o + l]
     }
 
     /// Copy a logical range between two buffers' physical payloads outside
@@ -224,34 +261,63 @@ impl<K: SortKey> World<K> {
         if l == 0 {
             return;
         }
+        let (src, dst) = (self.slot(src), self.slot(dst));
         if src == dst {
-            self.buffers[src.0].data.copy_within(so..so + l, do_);
+            self.buffers[src].data.copy_within(so..so + l, do_);
             return;
         }
-        let (a, b) = split_two(&mut self.buffers, src.0, dst.0);
+        let (a, b) = split_two(&mut self.buffers, src, dst);
         par_copy(&mut b.data[do_..do_ + l], &a.data[so..so + l]);
     }
 
     /// Mutable physical payload of a whole buffer.
     pub(crate) fn data_mut(&mut self, id: BufId) -> &mut Vec<K> {
-        &mut self.buffers[id.0].data
+        let slot = self.slot(id);
+        &mut self.buffers[slot].data
     }
 
     /// Mutable physical views of two distinct buffers.
     pub(crate) fn two_mut(&mut self, a: BufId, b: BufId) -> (&mut [K], &mut [K]) {
-        let (ba, bb) = split_two(&mut self.buffers, a.0, b.0);
+        let (a, b) = (self.slot(a), self.slot(b));
+        let (ba, bb) = split_two(&mut self.buffers, a, b);
         (&mut ba.data, &mut bb.data)
     }
 
     fn push(&mut self, location: Location, len: u64) -> BufId {
         let physical = self.physical(len);
-        let id = BufId(self.buffers.len());
-        self.buffers.push(Buffer {
+        self.insert(Buffer {
             location,
             len,
             data: vec![K::from_radix(<K as SortKey>::Radix::zero()); physical],
-        });
-        id
+        })
+    }
+
+    /// Store `buffer` in a vacant slot, or in a new one if none is vacant.
+    fn insert(&mut self, buffer: Buffer<K>) -> BufId {
+        if let Some(slot) = self.vacant.pop() {
+            self.buffers[slot as usize] = buffer;
+            let generation = self.generations[slot as usize];
+            return BufId { slot, generation };
+        }
+        let slot = u32::try_from(self.buffers.len()).expect("fewer than 2^32 buffer slots");
+        self.buffers.push(buffer);
+        self.generations.push(0);
+        BufId {
+            slot,
+            generation: 0,
+        }
+    }
+
+    /// The slot behind a live handle. The generation check costs a compare
+    /// on every data access, so release builds skip it; [`World::free`]
+    /// checks it in every build.
+    fn slot(&self, id: BufId) -> usize {
+        let slot = id.slot as usize;
+        debug_assert_eq!(
+            self.generations[slot], id.generation,
+            "stale {id:?}: its buffer was freed"
+        );
+        slot
     }
 }
 
@@ -383,6 +449,61 @@ mod tests {
         let mut dst = vec![0u32; src.len()];
         par_copy(&mut dst, &src);
         assert_eq!(dst, src);
+    }
+
+    /// A stale handle must not reach the slot's next tenant: with a plain
+    /// free list, the second `free(a)` would free `b`.
+    #[test]
+    fn freeing_a_stale_handle_leaves_the_slots_new_buffer_alone() {
+        let mut w = world(Fidelity::Full);
+        let free0 = w.gpu_free_bytes(0);
+        let a = w.alloc_gpu(0, 64);
+        w.free(a);
+        let b = w.import_host(0, vec![7u32; 8], 8);
+        let c = w.alloc_gpu(0, 32);
+        assert_eq!(w.buffer_slots(), 2, "b reused a's slot");
+        w.free(a);
+        assert_eq!(w.slice(b, 0, 8), &[7; 8]);
+        assert_eq!(w.gpu_free_bytes(0), free0 - 32 * 4);
+        assert_eq!(w.live_buffers(), 2);
+        w.free(b);
+        let d = w.alloc_gpu(0, 16);
+        w.free(a);
+        w.free(b);
+        assert_eq!(w.buffer(d).len, 16);
+        assert_eq!(w.gpu_free_bytes(0), free0 - (32 + 16) * 4);
+        w.free(c);
+        w.free(d);
+        assert_eq!(w.gpu_free_bytes(0), free0);
+        assert_eq!(w.live_buffers(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale")]
+    fn touching_a_stale_handle_panics_in_debug() {
+        let mut w = world(Fidelity::Full);
+        let a = w.alloc_gpu(0, 8);
+        w.free(a);
+        let _b = w.alloc_gpu(0, 8);
+        let _ = w.slice(a, 0, 8);
+    }
+
+    #[test]
+    fn alloc_free_cycles_reuse_slots() {
+        let mut w = world(Fidelity::Full);
+        let keep = w.alloc_host(0, 4);
+        for i in 0..10_000u64 {
+            let b = if i % 2 == 0 {
+                w.alloc_gpu((i % 4 / 2) as usize, 4)
+            } else {
+                w.import_host(0, vec![1, 2], 2)
+            };
+            w.free(b);
+        }
+        assert!(w.buffer_slots() <= 2, "{} slots", w.buffer_slots());
+        assert_eq!(w.live_buffers(), 1);
+        assert_eq!(w.buffer(keep).len, 4);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //!   *sampled* fidelity mode where a buffer of logical length `N` carries a
 //!   physical payload of `N / scale` keys so paper-scale workloads (up to
 //!   60 B keys) fit in a small container while control flow (pivots, merge
-//!   cascades) still runs on real data;
+//!   cascades) still runs on real data; a freed buffer's slot is reused,
+//!   and its old handle goes stale;
 //! * [`system`] — the executor: operations are enqueued on streams (FIFO,
 //!   like CUDA streams), may wait on other operations (events), and run
 //!   when ready; transfers become fluid flows contending for interconnect
 //!   bandwidth, kernels get durations from the calibrated cost models, and
 //!   each operation's *data effect* (the actual copy/sort/merge) applies at
-//!   its completion time;
+//!   its completion time; a drained stream can be freed for reuse;
 //! * [`primitives`] — the bytes every sort, merge and partition op writes:
 //!   one stable sort for all four modeled sort algorithms of the paper's
 //!   Table 2 (their cost models set only the duration), and one stable

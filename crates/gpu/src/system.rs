@@ -40,9 +40,29 @@ const RETRY_BACKOFF: SimDuration = SimDuration(10_000);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpId(usize);
 
-/// Handle to a stream (FIFO op queue).
+/// Handle to a stream (FIFO op queue): a slot plus the generation the slot
+/// had when the stream was opened. [`GpuSystem::free_stream`] bumps the
+/// generation and [`GpuSystem::stream`] reuses the slot, so a handle that
+/// outlives its stream is stale: enqueuing on it panics and freeing it again
+/// does nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamId(usize);
+pub struct StreamId {
+    slot: u32,
+    generation: u32,
+}
+
+/// One stream slot.
+struct Stream {
+    /// The last op enqueued on the stream (absolute index). The next op on
+    /// the stream waits on it, which is all FIFO order takes.
+    last: Option<usize>,
+    /// The generation a live handle to this slot carries.
+    generation: u32,
+    /// Opening order among every stream the system ever opened. Ready ops
+    /// start in this order, which is the order slot indices gave before
+    /// slots were recycled.
+    opened: u64,
+}
 
 /// Experiment phase an operation belongs to; used by the harness to build
 /// the paper's sort-duration breakdowns (Figures 12–14).
@@ -192,12 +212,18 @@ pub struct GpuSystem<'p, K: SortKey> {
     ops: VecDeque<Op<K>>,
     /// Absolute index of `ops[0]`; ops below it are reclaimed (and done).
     ops_base: usize,
-    /// Per stream: the last op enqueued on it (absolute index). The next op
-    /// on the stream waits on it, which is all FIFO order takes.
-    streams: Vec<Option<usize>>,
+    /// Stream slots, live and vacant.
+    streams: Vec<Stream>,
+    /// Freed stream slots; the last one freed is reused first.
+    vacant_streams: Vec<u32>,
+    /// Streams opened so far (the next stream's `opened`).
+    streams_opened: u64,
     /// Pending ops whose waits have all fired; started by the next
     /// [`GpuSystem::start_ready_ops`] pass.
     ready: Vec<usize>,
+    /// Fixed ops due at the current event, by (end, index); kept between
+    /// passes so that the event loop does not allocate.
+    due: Vec<(SimTime, usize)>,
     /// Every started, unfinished op with what it completes on. The hardware
     /// holds a handful of these (a few hundred on the largest cluster), so
     /// the event loop scans the list instead of keeping indexes over it.
@@ -223,7 +249,8 @@ pub struct GpuSystem<'p, K: SortKey> {
     /// on a per-stream track (`set_recorder` also forwards the handle to
     /// the flow engine for link/flow/fault events).
     recorder: Recorder,
-    /// Per-stream span tracks, created lazily (index = stream id).
+    /// Per-stream span tracks, created lazily (index = stream slot; a
+    /// recycled slot's streams share its track).
     rec_stream_tracks: Vec<TrackId>,
 }
 
@@ -238,7 +265,10 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             ops: VecDeque::new(),
             ops_base: 0,
             streams: Vec::new(),
+            vacant_streams: Vec::new(),
+            streams_opened: 0,
             ready: Vec::new(),
+            due: Vec::new(),
             in_flight: Vec::new(),
             reclaim_ops: false,
             route_cache: HashMap::new(),
@@ -315,11 +345,62 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         self.flows.now()
     }
 
-    /// Create a new stream.
+    /// Open a stream. It takes the slot of the last stream freed, if any,
+    /// and starts empty: its first op waits only on its own waits.
     pub fn stream(&mut self) -> StreamId {
-        let id = StreamId(self.streams.len());
-        self.streams.push(None);
-        id
+        let opened = self.streams_opened;
+        self.streams_opened += 1;
+        if let Some(slot) = self.vacant_streams.pop() {
+            let stream = &mut self.streams[slot as usize];
+            stream.last = None;
+            stream.opened = opened;
+            let generation = stream.generation;
+            return StreamId { slot, generation };
+        }
+        let slot = u32::try_from(self.streams.len()).expect("fewer than 2^32 stream slots");
+        self.streams.push(Stream {
+            last: None,
+            generation: 0,
+            opened,
+        });
+        StreamId {
+            slot,
+            generation: 0,
+        }
+    }
+
+    /// Free a stream so that [`GpuSystem::stream`] can reuse its slot.
+    /// Freeing a stale handle (one already freed) does nothing.
+    ///
+    /// # Panics
+    /// Panics if the stream's last op has not completed: a new stream in
+    /// the slot would otherwise start behind another owner's work.
+    pub fn free_stream(&mut self, id: StreamId) {
+        let stream = &self.streams[id.slot as usize];
+        if stream.generation != id.generation {
+            return;
+        }
+        if let Some(last) = stream.last {
+            assert!(
+                self.op_done_idx(last),
+                "{id:?} freed while its last op {last} is pending"
+            );
+        }
+        self.streams[id.slot as usize].generation = id.generation.wrapping_add(1);
+        self.vacant_streams.push(id.slot);
+    }
+
+    /// Streams opened and not yet freed.
+    #[must_use]
+    pub fn live_streams(&self) -> usize {
+        self.streams.len() - self.vacant_streams.len()
+    }
+
+    /// Stream slots the system holds, live or vacant: the most streams that
+    /// were ever open at once.
+    #[must_use]
+    pub fn stream_slots(&self) -> usize {
+        self.streams.len()
     }
 
     /// Reclaim completed ops from the front of the op ring as the
@@ -906,7 +987,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             }
             // Then the fixed ops due now, in (end, index) order: ops ending
             // together apply their effects in the order they were enqueued.
-            let mut due = Vec::new();
+            let mut due = std::mem::take(&mut self.due);
             self.in_flight.retain(|&(idx, wake)| match wake {
                 Wake::At(end) if end <= t => {
                     due.push((end, idx));
@@ -915,9 +996,11 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
                 _ => true,
             });
             due.sort_unstable();
-            for (_, idx) in due {
+            for &(_, idx) in &due {
                 self.complete_op(idx, t);
             }
+            due.clear();
+            self.due = due;
             // With reclamation on, drop the completed prefix of the op ring
             // (spans for those ops are gone — see `set_op_reclaim`).
             if self.reclaim_ops {
@@ -1003,7 +1086,12 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         // rescanning the wait list). A wait on this op itself or a
         // not-yet-enqueued op can never fire — count it as a permanent
         // blocker so `synchronize` reports the deadlock.
-        let prev = self.streams[stream.0].replace(id);
+        let slot = &mut self.streams[stream.slot as usize];
+        assert_eq!(
+            slot.generation, stream.generation,
+            "enqueue on stale {stream:?}: the stream was freed"
+        );
+        let prev = slot.last.replace(id);
         let mut blockers = 0u32;
         for w in waits.iter().map(|w| w.0).chain(prev) {
             if w >= id {
@@ -1036,9 +1124,12 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         // Starting an op never readies another within the same instant
         // (zero-duration completions go through the outer event loop), so
         // one pass suffices. A stream holds at most one ready op — its
-        // successors wait on it — so stream order is a total order here.
+        // successors wait on it — so the order streams were opened in is a
+        // total order here. (A ready op's stream is live: `free_stream`
+        // refuses a stream with a pending op.)
         let mut ready = std::mem::take(&mut self.ready);
-        ready.sort_unstable_by_key(|&idx| self.op(idx).stream.0);
+        let streams = &self.streams;
+        ready.sort_unstable_by_key(|&idx| streams[self.op(idx).stream.slot as usize].opened);
         for &idx in &ready {
             self.start_op(idx);
         }
@@ -1160,7 +1251,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             }
         }
         if self.recorder.is_enabled() {
-            let sid = self.op(idx).stream.0;
+            let sid = self.op(idx).stream.slot as usize;
             while self.rec_stream_tracks.len() <= sid {
                 let n = self.rec_stream_tracks.len();
                 self.rec_stream_tracks
@@ -1386,6 +1477,60 @@ mod tests {
         let (_, ea) = sys.op_span(a).unwrap();
         let (sb, _) = sys.op_span(b).unwrap();
         assert!(sb >= ea);
+    }
+
+    /// A freed stream's slot goes to the next `stream()`, which starts
+    /// empty: its first op waits only on its own waits. Freeing the old
+    /// handle again must not free the slot's new stream.
+    #[test]
+    fn recycled_stream_starts_fresh_and_stale_frees_are_ignored() {
+        let p = Platform::test_pcie(1);
+        let mut sys = system(&p);
+        let s0 = sys.stream();
+        sys.delay(s0, SimDuration(100), &[], Phase::Other);
+        sys.synchronize();
+        sys.free_stream(s0);
+        assert_eq!(sys.live_streams(), 0);
+
+        let s1 = sys.stream();
+        assert_eq!((s1.slot, sys.stream_slots()), (s0.slot, 1), "slot reused");
+        assert_ne!(s1, s0, "new generation");
+        let other = sys.stream();
+        let w = sys.delay(other, SimDuration(30), &[], Phase::Other);
+        let b = sys.delay(s1, SimDuration(10), &[w], Phase::Other);
+        sys.synchronize();
+        assert_eq!(sys.op_span(b), Some((SimTime(130), SimTime(140))));
+
+        sys.free_stream(s0);
+        let s2 = sys.stream();
+        assert_eq!(sys.live_streams(), 3);
+        assert_ne!(s2.slot, s1.slot, "a stale free left s1's slot alone");
+        let long = sys.delay(s1, SimDuration(50), &[], Phase::Other);
+        let short = sys.delay(s2, SimDuration(5), &[], Phase::Other);
+        sys.synchronize();
+        assert_eq!(sys.op_span(long), Some((SimTime(140), SimTime(190))));
+        assert_eq!(sys.op_span(short), Some((SimTime(140), SimTime(145))));
+    }
+
+    #[test]
+    #[should_panic(expected = "pending")]
+    fn freeing_a_stream_with_a_pending_op_panics() {
+        let p = Platform::test_pcie(1);
+        let mut sys = system(&p);
+        let s = sys.stream();
+        sys.delay(s, SimDuration(10), &[], Phase::Other);
+        sys.free_stream(s);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale")]
+    fn enqueuing_on_a_freed_stream_panics() {
+        let p = Platform::test_pcie(1);
+        let mut sys = system(&p);
+        let s = sys.stream();
+        sys.free_stream(s);
+        let _reuse = sys.stream();
+        sys.delay(s, SimDuration(10), &[], Phase::Other);
     }
 
     #[test]
@@ -1769,7 +1914,7 @@ mod tests {
                                 start_ns: start.0,
                                 end_ns: end.0,
                             }
-                        && data.track(s.track).name == format!("stream {}", sys.op_stream(op).0)
+                        && data.track(s.track).name == format!("stream {}", sys.op_stream(op).slot)
                 }),
                 "{name} op {op:?} ({phase:?}) missing from the recording"
             );

@@ -346,6 +346,8 @@ pub struct Service<'p, K: SortKey, B> {
     /// Jobs holding a gang lease, in dispatch order. Leases are exclusive,
     /// so the fleet size bounds the list.
     running: Vec<Running<K>>,
+    /// Reused buffer for the undone ops the loop advances the clock to.
+    frontier: Vec<OpId>,
     recorder: Recorder,
     policy: QueuePolicy,
     placement: PlacementPolicy,
@@ -439,6 +441,7 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
             book: B::new(config.policy, initial),
             sys,
             running: Vec::new(),
+            frontier: Vec::new(),
             recorder,
             policy: config.policy,
             placement: config.placement,
@@ -476,7 +479,14 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
     /// Unbounded generators must be bounded (a job budget or
     /// [`crate::OpenLoop::until`] horizon) or the run never terminates.
     #[must_use]
-    pub fn serve<W: Workload>(mut self, mut workload: W) -> ServiceReport {
+    pub fn serve<W: Workload>(mut self, workload: W) -> ServiceReport {
+        self.drive(workload);
+        self.into_report()
+    }
+
+    /// The serve loop: run `workload` to exhaustion, leaving the outcomes
+    /// in `self`.
+    fn drive<W: Workload>(&mut self, mut workload: W) {
         let mut next = workload.next_arrival();
         loop {
             let now = self.sys.now();
@@ -507,22 +517,24 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
             // exclusive), so collecting the undone frontier is O(fleet),
             // not O(offered jobs). Completed waits must be filtered here:
             // `run_until` returns immediately on an already-done op.
-            let frontier: Vec<OpId> = self
-                .running
-                .iter()
-                .flat_map(|r| r.wait.iter().copied())
-                .filter(|&o| !self.sys.op_done(o))
-                .collect();
+            let sys = &self.sys;
+            self.frontier.clear();
+            self.frontier.extend(
+                self.running
+                    .iter()
+                    .flat_map(|r| r.wait.iter().copied())
+                    .filter(|&o| !sys.op_done(o)),
+            );
             let mut deadline = next.as_ref().map(|&(t, _)| t);
             if let Some(release) = self.next_release_time() {
                 deadline = Some(deadline.map_or(release, |d| d.min(release)));
             }
             assert!(
-                !frontier.is_empty() || deadline.is_some(),
+                !self.frontier.is_empty() || deadline.is_some(),
                 "sort service stalled: {} queued jobs but nothing runnable",
                 self.book.queue_len()
             );
-            self.sys.run_until(&frontier, deadline);
+            self.sys.run_until(&self.frontier, deadline);
         }
         debug_assert!(
             {
@@ -536,13 +548,19 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
             SimDuration::ZERO,
             "backlog gang-ns left behind"
         );
-        self.into_report()
+        debug_assert_eq!(
+            (self.sys.world().live_buffers(), self.sys.live_streams()),
+            (0, 0),
+            "buffers or streams left behind (live buffers, live streams)"
+        );
     }
 
     /// Job and GPU conservation, checked at every fixpoint of the loop in
     /// debug builds: every offered job is in exactly one place, the
-    /// tallies agree with the lease flags and the running set, and every
-    /// unleased GPU has all its device memory back.
+    /// tallies agree with the lease flags and the running set, every
+    /// unleased GPU has all its device memory back, and with nothing
+    /// running no buffer or stream is live (every job's `Staging` handed
+    /// back what it opened).
     fn check_conservation(&self) {
         assert_eq!(
             self.next_seq as usize,
@@ -569,6 +587,10 @@ impl<'p, K: SortKey, B: Bookkeeping> Service<'p, K, B> {
                     "unleased GPU {gpu} still holds device memory"
                 );
             }
+        }
+        if self.running.is_empty() {
+            assert_eq!(world.live_buffers(), 0, "no job runs, yet buffers live");
+            assert_eq!(self.sys.live_streams(), 0, "no job runs, yet streams live");
         }
     }
 
@@ -1136,8 +1158,9 @@ impl Bookkeeping for Indexed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::TraceWorkload;
+    use crate::workload::{ArrivalProcess, JobMix, OpenLoop, TraceWorkload};
     use msort_data::Distribution;
+    use msort_sim::FaultPlan;
 
     fn job(tenant: u32, keys: u64) -> SortJob {
         SortJob::new(TenantId(tenant), keys)
@@ -1178,6 +1201,59 @@ mod tests {
             assert!(report.all_validated(), "{algo:?}");
             assert_eq!(report.outcomes[0].algorithm, algo.name());
         }
+    }
+
+    /// Buffer and stream slots are recycled: after thousands of jobs of
+    /// every family, with one of GPU 1's links down mid-run, the runtime
+    /// holds as many slots as were live at once, which the fleet bounds.
+    #[test]
+    fn a_long_run_holds_slots_for_the_fleet_not_for_the_jobs() {
+        let p = Platform::dgx_a100();
+        let mut mix = JobMix::of(job(0, 1 << 12).with_gpus(2));
+        for (i, algo) in JobAlgo::all().into_iter().enumerate() {
+            let gpus = if i % 2 == 0 { 1 } else { 4 };
+            mix = mix.and(
+                job(i as u32 + 1, 1 << 13).with_algo(algo).with_gpus(gpus),
+                1.0,
+            );
+        }
+        let mix = mix.and(
+            job(9, 3 << 11).with_algo(JobAlgo::SampleSort).with_gpus(3),
+            1.0,
+        );
+        let topo = &p.topology;
+        let (link, _) = topo.neighbors(topo.gpu(1))[0];
+        let mut config = ServeConfig::new()
+            .sampled(64)
+            .with_max_queue_depth(usize::MAX);
+        config.run.faults = FaultPlan::new()
+            .link_down(SimTime(200_000), link)
+            .link_restore(SimTime(900_000), link);
+        let jobs = 2_400;
+        let process = ArrivalProcess::Poisson { rate: 1_000_000.0 };
+        let mut svc = SortService::<u32>::new(&p, config);
+        svc.drive(OpenLoop::new(process, mix, jobs, 7));
+        assert_eq!(svc.outcomes.len() as u64, jobs);
+        assert!(svc.outcomes.iter().all(|o| o.validated));
+        for family in ["P2P", "RP", "Sample"] {
+            assert!(
+                svc.outcomes.iter().any(|o| o.algorithm.contains(family)),
+                "{family} ran"
+            );
+        }
+        let fleet = topo.gpu_count();
+        let world = svc.sys.world();
+        assert_eq!((world.live_buffers(), svc.sys.live_streams()), (0, 0));
+        assert!(
+            world.buffer_slots() <= 8 * fleet,
+            "{} buffer slots",
+            world.buffer_slots()
+        );
+        assert!(
+            svc.sys.stream_slots() <= 8 * fleet,
+            "{} stream slots",
+            svc.sys.stream_slots()
+        );
     }
 
     #[test]

@@ -110,6 +110,30 @@ fn serve_run_records_every_layer() {
     assert!(!gpu_spans.is_empty(), "no GPU op spans recorded");
     assert!(gpu_spans.iter().any(|e| e.name == "gpu sort"));
     assert!(gpu_spans.iter().any(|e| e.name.contains("copy")));
+    // A stream runs its ops one at a time, and a recycled stream slot opens
+    // only after its last owner's ops are done, so the spans on a "stream N"
+    // track never overlap, however many jobs' streams the slot served.
+    let mut by_stream: Vec<Vec<(u64, u64)>> = vec![Vec::new(); data.tracks.len()];
+    for e in &gpu_spans {
+        if let EventKind::Span { start_ns, end_ns } = e.kind {
+            if data.track(e.track).name.starts_with("stream ") {
+                by_stream[e.track.0 as usize].push((start_ns, end_ns));
+            }
+        }
+    }
+    assert!(by_stream.iter().any(|spans| !spans.is_empty()));
+    for (t, mut spans) in by_stream.into_iter().enumerate() {
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            assert!(
+                w[0].1 <= w[1].0,
+                "track '{}': spans {:?} and {:?} overlap",
+                data.tracks[t].name,
+                w[0],
+                w[1]
+            );
+        }
+    }
 
     // FlowSim layer: link-utilization counter samples, and at least one
     // link actually used.
