@@ -1,11 +1,13 @@
 //! One-off tuning probes (not shipped in CI) behind the size-dispatch
-//! constants: `primitives::PARALLEL_MIN_KEYS` (seq vs parallel onesweep, copy
-//! vs par_copy) and `onesweep`'s device-sort size ladder (comparison sort vs
-//! 8-bit LSD vs OneSweep passes, per key width), plus the cost of input
-//! generation per distribution (the Zipf sampler's guide table).
+//! constants: `primitives::PARALLEL_MIN_KEYS` (sequential vs parallel device
+//! sort, copy vs par_copy), the device-sort ladder of `msort_cpu::onesweep`
+//! (its comparison floors per key width, and `CACHE_BYTES`, the cache budget
+//! above which the MSD rung scatters before the in-cache LSD rung), plus
+//! the cost of input generation per distribution (the Zipf sampler's guide
+//! table).
 //!
-//! `cargo run --release --example tune [-- parallel|small|generate]` runs
-//! the named probe, or all three.
+//! `cargo run --release --example tune [-- parallel|small|budget|generate]`
+//! runs the named probe, or all four.
 use msort_data::{generate, Distribution, Pair, SortKey};
 use std::time::Instant;
 
@@ -37,6 +39,9 @@ fn main() {
     }
     if run("small") {
         small_sort_probe();
+    }
+    if run("budget") {
+        budget_probe();
     }
     if run("generate") {
         generate_probe();
@@ -160,6 +165,46 @@ fn ladder_rows<K: SortKey>() {
         println!(
             "n={n:8}: stable {stable:6.2}, unstable {unstable:6.2}, lsd8 {lsd8:6.2}, device {device:6.2}"
         );
+    }
+}
+
+/// The cache budget: the LSD rung over the whole slice (`lsd8`) against
+/// the whole ladder (`device`, which takes the MSD rung above
+/// `CACHE_BYTES` of keys and is the LSD rung below), in ns per key, for
+/// uniform and Zipf (800 permille) keys. The budget belongs where `lsd8`
+/// leaves cache and starts losing to an MSD scatter; to see the MSD rung
+/// below the budget, build once with a smaller `CACHE_BYTES`.
+fn budget_probe() {
+    budget_rows::<u32>();
+    budget_rows::<u64>();
+}
+
+fn budget_rows<K: SortKey>() {
+    println!(
+        "cache budget, {:?}, ns/key (CACHE_BYTES = {}):",
+        K::DATA_TYPE,
+        msort_cpu::onesweep::CACHE_BYTES
+    );
+    for shift in [12usize, 14, 15, 16, 17, 18, 19, 20, 22] {
+        let n = 1 << shift;
+        let row: Vec<String> = [
+            Distribution::Uniform,
+            Distribution::ZipfDuplicates { skew_permille: 800 },
+        ]
+        .iter()
+        .map(|&dist| {
+            let input: Vec<K> = generate(dist, n, 7);
+            let copy = on_fresh_copy(&input, |_, _| {});
+            let per_key = |t: f64| (t - copy) * 1e9 / n as f64;
+            let lsd8 = per_key(on_fresh_copy(
+                &input,
+                msort_cpu::lsb_radix::lsb_radix_sort_with_aux,
+            ));
+            let device = per_key(on_fresh_copy(&input, msort_cpu::onesweep_sort_with_aux));
+            format!("{}: lsd8 {lsd8:6.2}, device {device:6.2}", dist.label())
+        })
+        .collect();
+        println!("  n=2^{shift:2}: {}", row.join("; "));
     }
 }
 

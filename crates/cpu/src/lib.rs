@@ -6,11 +6,11 @@
 //! * [`lsb_radix`] — out-of-place least-significant-digit radix sort, the
 //!   algorithm family behind Thrust/CUB `sort` and the Polychroniou & Ross
 //!   CPU LSB radix sort used as one of the paper's CPU baselines.
-//! * [`onesweep`] — OneSweep-style single-pass radix sort (one global
-//!   histogram pass over all digit positions, chained-lookback scatter)
-//!   behind a size ladder of stable sorts; the bytes of every simulated
-//!   sort op, device or host, whatever family's cost timed it
-//!   (`msort_gpu::primitives::device_sort`).
+//! * [`onesweep`] — the device-sort ladder: a comparison sort for tiny
+//!   inputs, 8-bit LSD radix for inputs that fit in cache, and above that
+//!   an MSD scatter whose buckets go back down the ladder in cache; the
+//!   bytes of every simulated sort op, device or host, whatever family's
+//!   cost timed it (`msort_gpu::primitives::device_sort`).
 //! * [`msb_radix`] — recursive in-place most-significant-digit radix sort,
 //!   the family of Stehle & Jacobsen's GPU sort. No simulated op runs it;
 //!   it stays as a CPU kernel that the `kernels` benchmark times.

@@ -19,7 +19,10 @@ pub const DIGIT_BITS: u32 = 8;
 pub const BUCKETS: usize = 1 << DIGIT_BITS;
 
 /// Passes needed by the widest (64-bit) radix image.
-const MAX_PASSES: usize = 64 / DIGIT_BITS as usize;
+pub(crate) const MAX_PASSES: usize = 64 / DIGIT_BITS as usize;
+
+/// Per digit position, low digit first, the bucket counts of a slice.
+pub(crate) type Hists = [[u32; BUCKETS]; MAX_PASSES];
 
 /// Sort `data` in place using LSB radix sort with a caller-provided auxiliary
 /// buffer of the same length (mirrors `thrust::sort`'s pre-allocated
@@ -35,50 +38,107 @@ pub fn lsb_radix_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
         aux.len(),
         "auxiliary buffer must match input length"
     );
-    let n = u32::try_from(data.len()).expect("LSB radix sort counts keys in u32");
-    if n <= 1 {
-        return;
-    }
-
     let passes = (K::Radix::BITS / DIGIT_BITS) as usize;
     // One histogram per pass, all filled in a single scan over the input.
-    let mut hists = [[0u32; BUCKETS]; MAX_PASSES];
-    for key in data.iter() {
+    let mut hists: Hists = [[0; BUCKETS]; MAX_PASSES];
+    count_digits(data, &mut hists[..passes]);
+    // SAFETY: the counts are `data`'s, and `aux` is as long (asserted).
+    unsafe { lsd_passes(data, aux, &hists[..passes], false) };
+}
+
+/// Add the counts of `keys`' digits to `hists`, one table per digit
+/// position, low digit first, in a single scan.
+///
+/// # Panics
+/// Panics if `keys` holds more than `u32::MAX` keys.
+pub(crate) fn count_digits<K: SortKey>(keys: &[K], hists: &mut [[u32; BUCKETS]]) {
+    assert!(
+        u32::try_from(keys.len()).is_ok(),
+        "LSB radix sort counts keys in u32"
+    );
+    // Even and odd keys count into separate tables, summed at the end: a
+    // run of keys that share a digit (every key, for a constant digit)
+    // then increments two counters in turn instead of waiting on one.
+    let mut odd: Hists = [[0; BUCKETS]; MAX_PASSES];
+    let odd = &mut odd[..hists.len()];
+    let mut pairs = keys.chunks_exact(2);
+    for pair in &mut pairs {
+        let (even_img, odd_img) = (pair[0].to_radix(), pair[1].to_radix());
+        for (p, (hist, odd_hist)) in hists.iter_mut().zip(odd.iter_mut()).enumerate() {
+            let shift = p as u32 * DIGIT_BITS;
+            hist[even_img.digit(shift, DIGIT_BITS)] += 1;
+            odd_hist[odd_img.digit(shift, DIGIT_BITS)] += 1;
+        }
+    }
+    for key in pairs.remainder() {
         let img = key.to_radix();
-        for (p, hist) in hists[..passes].iter_mut().enumerate() {
+        for (p, hist) in hists.iter_mut().enumerate() {
             hist[img.digit(p as u32 * DIGIT_BITS, DIGIT_BITS)] += 1;
         }
     }
+    for (hist, odd_hist) in hists.iter_mut().zip(odd.iter()) {
+        for (c, &o) in hist.iter_mut().zip(odd_hist) {
+            *c += o;
+        }
+    }
+}
 
-    // Ping-pong between `data` and `aux`; track which buffer currently holds
-    // the keys so we can skip trivial passes without copying.
-    let first = data[0].to_radix();
-    let mut in_data = true;
-    for (p, hist) in hists[..passes].iter().enumerate() {
-        let shift = p as u32 * DIGIT_BITS;
-        // A pass is trivial when one bucket holds everything; if one does,
-        // it is the bucket of every key, the first included.
-        if hist[first.digit(shift, DIGIT_BITS)] == n {
+/// Stable LSD radix sort of `a` by the low `hists.len()` digits of each
+/// key's radix image, whose counts [`count_digits`] left in `hists`,
+/// landing in `b` when `into_b` and in `a` otherwise; the other slice is
+/// scratch (`b.len() == a.len()`). Keys must agree on every digit above
+/// those, so this is the full sort by image: the device-sort ladder
+/// ([`crate::onesweep`]) calls it on buckets whose top digits an MSD
+/// scatter already fixed. A digit that is constant across `a` costs no
+/// pass.
+///
+/// # Safety
+/// `hists` must be exactly what [`count_digits`] leaves for `a`, and `b`
+/// must be as long as `a`: the scatters write to the slots those counts
+/// assign without a bounds check.
+pub(crate) unsafe fn lsd_passes<K: SortKey>(
+    a: &mut [K],
+    b: &mut [K],
+    hists: &[[u32; BUCKETS]],
+    into_b: bool,
+) {
+    let n = a.len();
+    let mut in_a = true;
+    for (p, hist) in hists.iter().enumerate() {
+        if constant(hist, n) {
             continue;
         }
+        let shift = p as u32 * DIGIT_BITS;
         let mut offsets = [0u32; BUCKETS];
         let mut acc = 0u32;
         for (o, &c) in offsets.iter_mut().zip(hist.iter()) {
             *o = acc;
             acc += c;
         }
-        let (src, dst): (&mut [K], &mut [K]) = if in_data { (data, aux) } else { (aux, data) };
-        for &key in src.iter() {
+        let (src, dst): (&[K], &mut [K]) = if in_a { (&*a, &mut *b) } else { (&*b, &mut *a) };
+        for &key in src {
             let slot = &mut offsets[key.to_radix().digit(shift, DIGIT_BITS)];
-            dst[*slot as usize] = key;
+            // SAFETY: by the function contract `offsets` is the exclusive
+            // scan of this digit's counts over the keys (a permutation
+            // leaves them unchanged), so the keys take the slots
+            // `0..src.len()`, each once, and `dst` is as long as `src`.
+            unsafe { *dst.get_unchecked_mut(*slot as usize) = key };
             *slot += 1;
         }
-        in_data = !in_data;
+        in_a = !in_a;
     }
 
-    if !in_data {
-        data.copy_from_slice(aux);
+    match (in_a, into_b) {
+        (true, true) => b.copy_from_slice(a),
+        (false, false) => a.copy_from_slice(b),
+        _ => {}
     }
+}
+
+/// `true` when one bucket of `hist` holds all `n` keys: the digit is the
+/// same for every key, and a pass on it moves nothing.
+pub(crate) fn constant(hist: &[u32; BUCKETS], n: usize) -> bool {
+    hist.iter().any(|&c| c as usize == n)
 }
 
 /// Sort `data` in place using LSB radix sort, allocating the auxiliary

@@ -1,81 +1,101 @@
-//! OneSweep-style single-pass radix sort.
+//! The device-sort ladder: one stable sort by radix image, whose rung
+//! depends on the input alone.
 //!
-//! The classic parallel LSB radix sort sweeps the keys **twice per digit**:
-//! a histogram pass to size the per-thread output regions, then the scatter
-//! itself — `2d` full reads for `d` digit passes.
-//! OneSweep (Adinets & Merrill, "Onesweep: A Faster Least Significant Digit
-//! Radix Sort for GPUs", the kernel family behind the GPUSorting exemplar
-//! that beats CUB's `DeviceRadixSort`) removes the per-pass histogram sweep:
+//! Every simulated sort op writes its bytes with this ladder
+//! (`msort_gpu::primitives::device_sort`). Its top rung is a
+//! most-significant-digit radix sort whose buckets finish in cache, the
+//! shape of Stehle & Jacobsen's hybrid MSB radix sort and of GPU sample
+//! sort (Leischner et al.): split the keys into buckets that fit fast
+//! memory, then finish each bucket there. Every pass works on 8-bit digits
+//! of the key's radix image. A slice whose keys agree on every digit above
+//! the low `d` takes one of three rungs:
 //!
-//! * **one** global histogram pass up front computes the bucket totals of
-//!   *every* digit position in a single scan (totals are permutation
-//!   invariant, so they stay valid for all later passes);
-//! * each digit pass is then a **single scatter sweep**: the input is cut
-//!   into fixed-size tiles; a tile counts its own digits while its keys are
-//!   cache resident, resolves its global write offsets by *chained prefix
-//!   propagation* from its predecessor tile (the CPU analogue of decoupled
-//!   lookback: publish local counts, acquire the running prefix of tile
-//!   `t-1`, publish the inclusive prefix for tile `t+1`), and scatters
-//!   straight from cache.
+//! * **comparison:** up to a floor per image width (`COMPARISON_MAX_32`,
+//!   `COMPARISON_MAX_64`, whose docs hold the probe numbers), a stable
+//!   comparison sort on the image;
+//! * **LSD:** up to the cache budget ([`CACHE_BYTES`] of keys), the 8-bit
+//!   LSD radix sort over the low `d` digits ([`crate::lsb_radix`]): one
+//!   scan counts them all, and a digit that is constant across the slice
+//!   costs no pass. A slice of any size on which at most two digits vary
+//!   (a Zipf input's 1 024 values, keys of one repeated value) takes it
+//!   too: two passes cost no more than a scatter and a pass over its
+//!   buckets;
+//! * **MSD (the top rung):** above the budget, the same scan picks the
+//!   highest digit that is not constant, and one stable scatter by it moves
+//!   the keys into the scratch buffer. Each bucket then takes its own rung
+//!   over the digits below, with the two buffers' roles swapped, so that it
+//!   lands where the caller wants it. A bucket still over the budget
+//!   recurses one more MSD level.
 //!
-//! Keys therefore stream from memory `1 + d` times instead of `2d`. One
-//! further single-thread win over [`crate::lsb_radix`]: **wider digits**.
-//! 11-bit digits (2048 buckets) need 3 passes for 32-bit keys and 6 for
-//! 64-bit keys, vs 4 and 8 at the classic 8-bit width — 25% fewer key
-//! reads *and* writes end to end. The histogram working set (6 × 16 KiB)
-//! still sits in L2.
+//! An input above the budget thus streams through DRAM about twice, once
+//! for the count and once for the scatter, after which each bucket is
+//! read, sorted and written back while it is cache resident. The
+//! single-pass LSD kernel this replaced (OneSweep-style: one histogram
+//! scan, then three 2 048-bucket scatters of the whole array) streamed it
+//! four times: 24–34 ns per key at 2^19–2^22 u32 keys against 8 at 2^16.
 //!
-//! Determinism: tiles have a **fixed** size (never derived from the thread
-//! count), the scatter is stable (within a bucket, keys keep tile order and
-//! in-tile order), and stable LSD radix output is unique — so the sequential
-//! kernel, the parallel kernel, and [`crate::lsb_radix`] all produce
-//! bit-identical outputs for every `MSORT_POOL_THREADS` setting. That is the
-//! property `tests/golden.rs` pins at pool widths 1 and 2.
+//! [`parallel_onesweep_sort_with_aux`] splits the work over the pool from
+//! 64 Ki keys up: it always opens with the MSD scatter, each worker
+//! counting and scattering one stripe of the input (a stripe's offsets are
+//! the bucket's base plus the earlier stripes' counts), and then the
+//! workers take whole buckets, largest first, down the sequential ladder.
 //!
-//! Small-input path: [`onesweep_sort_with_aux`] runs a size ladder. Inputs
-//! too small to amortise any histogram — up to a floor per radix-image
-//! width (`COMPARISON_MAX_32`, `COMPARISON_MAX_64`, whose docs hold the
-//! probe numbers) — take a stable comparison sort on the radix image;
-//! mid-sized inputs, up to the parallel floor, take the 8-bit LSD kernel
-//! ([`crate::lsb_radix`]), whose 256 stack counters per pass cost less than
-//! OneSweep's 2 048; the rest take the passes above. Every rung is a stable
-//! sort by radix image, so the rung an input takes never shows in the
-//! output bytes, `Pair` payloads among equal keys included.
+//! Determinism: every rung is a stable sort by radix image, and a stable
+//! sort has one output, so neither the rung an input takes, nor the pool
+//! width, nor the stripe count ever shows in the bytes, `Pair` payloads
+//! among equal keys included. That is the property `tests/golden.rs` pins
+//! at pool widths 1 and 2. The entry points keep the `onesweep` names of
+//! the kernel this ladder replaced.
 
+use crate::lsb_radix::{
+    constant, count_digits, lsd_passes, Hists, BUCKETS, DIGIT_BITS, MAX_PASSES,
+};
 use msort_data::keys::{RadixImage, SortKey};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Digit width in bits. See the module docs for why 11 beats 8 here.
-pub const RADIX_BITS: u32 = 11;
+/// The cache budget in bytes: a slice of at most this many bytes of keys
+/// finishes with the in-cache LSD rung, and a longer one takes an MSD
+/// scatter first. 1 MiB of keys and 1 MiB of scratch fit the 2–4 MiB
+/// per-core L2 of the hosts measured; that is 256 Ki 32-bit keys and 128 Ki
+/// 64-bit keys or `Pair<u32>`s. Probe (`cargo run -p msort-bench --release
+/// --example tune -- budget`, 2-core host, uniform keys, ns per key; `lsd8`
+/// is the LSD rung over the whole slice, `device` the ladder with an MSD
+/// scatter from 64 Ki keys up):
+///
+/// ```text
+/// u32 n=2^16: lsd8  7.37, device  7.82
+/// u32 n=2^17: lsd8  8.06, device  8.95
+/// u32 n=2^18: lsd8 10.49, device 11.22
+/// u32 n=2^19: lsd8 11.88, device 11.91
+/// u32 n=2^20: lsd8 20.65, device 13.33
+/// u64 n=2^16: lsd8 17.02, device 17.04
+/// u64 n=2^17: lsd8 23.96, device 29.00
+/// u64 n=2^18: lsd8 30.68, device 27.05
+/// u64 n=2^20: lsd8 75.51, device 31.14
+/// ```
+///
+/// The LSD rung wins while the slice and its scratch stay in L2, up to
+/// 1 MiB of keys at either width, and the MSD rung wins past it.
+pub const CACHE_BYTES: usize = 1 << 20;
 
-/// Number of buckets per digit pass.
-pub const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+/// The cache budget in keys of `K`.
+fn cache_keys<K>() -> usize {
+    CACHE_BYTES / std::mem::size_of::<K>().max(1)
+}
 
-/// Tile size (in keys) of the chained-lookback scatter. Constant — never a
-/// function of the thread count — so the output-position assignment is
-/// identical for every pool width. 32 Ki keys keep a tile (plus its two
-/// 16 KiB count tables) L2 resident between
-/// the count and the scatter, and put two tiles — the minimum that can
-/// overlap — exactly at the device dispatch floor
-/// (`msort_gpu::primitives::PARALLEL_MIN_KEYS`, 64 Ki).
-const TILE: usize = 1 << 15;
-
-/// Below this many keys (= two tiles) the parallel entry point falls back
-/// to the sequential kernel: a single tile has no scatter overlap to win
-/// and would pay the lookback state setup for nothing.
-const PARALLEL_FLOOR: usize = 2 * TILE;
+/// Below this many keys the parallel entry point runs the sequential
+/// ladder: a smaller input has too little to split over the pool.
+const PARALLEL_FLOOR: usize = 1 << 16;
 
 /// At or below this many keys with a 32-bit image (`u32`, `i32`, `f32`,
-/// `Pair` of those), [`onesweep_sort_with_aux`] takes a stable comparison
-/// sort on the image; above it, up to [`PARALLEL_FLOOR`], the 8-bit LSD
-/// kernel ([`crate::lsb_radix::lsb_radix_sort_with_aux`]); above that, the
-/// OneSweep passes.
+/// `Pair` of those), the ladder takes a stable comparison sort on the
+/// image; above it the 8-bit LSD rung.
 ///
 /// Rule for the comparison floors: the largest power of two at which the
 /// comparison sort still wins, from `cargo run -p msort-bench --release
-/// --example tune` on the 2-core CI container, uniform keys, ns per key,
-/// median of 7, built with the ladder cut out so that `device` is the
-/// OneSweep passes:
+/// --example tune -- small` on the 2-core CI container, uniform keys, ns
+/// per key, median of 7 (`device` here is the single-pass LSD kernel the
+/// top rung replaced):
 ///
 /// ```text
 /// n=     128: stable  10.04, unstable   8.79, lsd8  13.52, device  67.42
@@ -85,8 +105,6 @@ const PARALLEL_FLOOR: usize = 2 * TILE;
 /// n=    2048: stable  16.02, unstable  14.28, lsd8   9.46, device  13.09
 /// n=    8192: stable  22.38, unstable  12.74, lsd8   7.88, device   9.75
 /// n=   65536: stable  26.97, unstable  20.45, lsd8   8.30, device  15.29
-/// n=  262144: stable  39.11, unstable  21.98, lsd8  11.58, device  15.18
-/// n=  524288: stable  27.60, unstable  31.23, lsd8  24.21, device  22.27
 /// ```
 ///
 /// Between 128 and 512 keys the two are within a few ns per key of each
@@ -95,10 +113,6 @@ const PARALLEL_FLOOR: usize = 2 * TILE;
 /// 2 048 keys), alternating eight pairs per comparison: a floor of 256
 /// beats 1 Ki by 4.0 % in median `wall_s` (7 of 8 pairs) and ties 128
 /// (−0.6 %, 4 of 8).
-/// LSD8 keeps beating the OneSweep passes up to 256 Ki keys on one core,
-/// but from [`PARALLEL_FLOOR`] (64 Ki) up a pool of two or more workers
-/// sorts with the parallel OneSweep kernel, so the top rung starts there at
-/// every pool width.
 const COMPARISON_MAX_32: usize = 1 << 8;
 
 /// [`COMPARISON_MAX_32`] for 64-bit images (`u64`, `i64`, `f64`, `Pair` of
@@ -122,14 +136,12 @@ const COMPARISON_MAX_32: usize = 1 << 8;
 /// 4 Ki.
 const COMPARISON_MAX_64: usize = 1 << 12;
 
-/// Number of digit passes needed to cover `R::BITS` at [`RADIX_BITS`] per
-/// pass (the last pass covers the remaining high bits).
-#[must_use]
-fn pass_count<R: RadixImage>() -> usize {
-    R::BITS.div_ceil(RADIX_BITS) as usize
+/// Digits of `K`'s radix image.
+fn digits<K: SortKey>() -> usize {
+    (K::Radix::BITS / DIGIT_BITS) as usize
 }
 
-/// Sort `data` in place with the sequential OneSweep kernel, allocating the
+/// Sort `data` in place with the device-sort ladder, allocating the
 /// auxiliary buffer internally.
 pub fn onesweep_sort<K: SortKey>(data: &mut [K]) {
     if data.len() <= 1 {
@@ -139,10 +151,9 @@ pub fn onesweep_sort<K: SortKey>(data: &mut [K]) {
     onesweep_sort_with_aux(data, &mut aux);
 }
 
-/// Sort `data` in place with the sequential OneSweep kernel using a
-/// caller-provided auxiliary buffer (`aux.len() >= data.len()`). Inputs of
-/// at most 64 Ki keys take the size ladder in the module docs instead; the
-/// bytes written are the same.
+/// Sort `data` in place, stably by radix image, with the sequential
+/// device-sort ladder (module docs) and a caller-provided auxiliary
+/// buffer (`aux.len() >= data.len()`).
 ///
 /// # Panics
 /// Panics if `aux.len() < data.len()`.
@@ -152,56 +163,11 @@ pub fn onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]) {
         aux.len() >= n,
         "auxiliary buffer must cover the input length"
     );
-    let aux = &mut aux[..n];
-    let comparison_max = if K::Radix::BITS == 32 {
-        COMPARISON_MAX_32
-    } else {
-        COMPARISON_MAX_64
-    };
-    if n <= comparison_max {
-        data.sort_by_key(|k| k.to_radix());
-        return;
-    }
-    if n <= PARALLEL_FLOOR {
-        crate::lsb_radix::lsb_radix_sort_with_aux(data, aux);
-        return;
-    }
-
-    // One global histogram pass: bucket totals of every digit position.
-    let passes = pass_count::<K::Radix>();
-    let mut hists = vec![vec![0usize; RADIX_BUCKETS]; passes];
-    scan_all_digits(data, &mut hists);
-
-    let mut offsets = vec![0usize; RADIX_BUCKETS];
-    let mut in_data = true;
-    for (p, hist) in hists.iter().enumerate() {
-        // A pass whose digit is constant across the input moves nothing.
-        if hist.contains(&n) {
-            continue;
-        }
-        let shift = p as u32 * RADIX_BITS;
-        exclusive_scan(hist, &mut offsets);
-        let (src, dst): (&[K], SendPtr<K>) = if in_data {
-            (&*data, SendPtr(aux.as_mut_ptr()))
-        } else {
-            (&*aux, SendPtr(data.as_mut_ptr()))
-        };
-        // SAFETY: `offsets` is the exclusive scan of the full bucket totals
-        // for this pass, so every key scatters to a unique in-bounds slot of
-        // the opposite ping-pong buffer.
-        unsafe { scatter(src, dst, shift, &mut offsets) };
-        in_data = !in_data;
-    }
-    if !in_data {
-        data.copy_from_slice(aux);
-    }
+    sort_rung(data, &mut aux[..n], digits::<K>(), false);
 }
 
-/// Sort `data` in place with the parallel OneSweep kernel: `threads` pool
-/// workers pull fixed-size tiles off a shared ticket and resolve their
-/// scatter offsets by chained prefix propagation. Falls back to
-/// [`onesweep_sort_with_aux`] below the parallel floor; the output is
-/// bit-identical either way.
+/// Sort `data` in place with the ladder, its top rung split over `threads`
+/// pool workers. The output is bit-identical at every width.
 pub fn parallel_onesweep_sort<K: SortKey>(data: &mut [K], threads: usize) {
     if data.len() <= 1 {
         return;
@@ -212,7 +178,8 @@ pub fn parallel_onesweep_sort<K: SortKey>(data: &mut [K], threads: usize) {
 
 /// [`parallel_onesweep_sort`] with a caller-provided auxiliary buffer
 /// (`aux.len() >= data.len()`), so the GPU runtime's device-style scratch
-/// allocations are reused instead of reallocated.
+/// allocations are reused instead of reallocated. Up to the parallel floor,
+/// or with one worker, this is [`onesweep_sort_with_aux`].
 ///
 /// # Panics
 /// Panics if `aux.len() < data.len()`.
@@ -222,157 +189,166 @@ pub fn parallel_onesweep_sort_with_aux<K: SortKey>(data: &mut [K], aux: &mut [K]
         aux.len() >= n,
         "auxiliary buffer must cover the input length"
     );
-    let threads = threads.max(1).min(n.max(1));
-    if n <= 1 {
-        return;
-    }
+    assert!(
+        u32::try_from(n).is_ok(),
+        "the device-sort ladder counts keys in u32"
+    );
     let aux = &mut aux[..n];
-    if threads == 1 || n < PARALLEL_FLOOR {
-        onesweep_sort_with_aux(data, aux);
+    let digits = digits::<K>();
+    if threads <= 1 || n <= PARALLEL_FLOOR {
+        sort_rung(data, aux, digits, false);
         return;
     }
 
-    // Global histogram pass, parallel over stripes. Totals are stripe-order
-    // independent, but the reduction still runs in fixed stripe order.
-    let passes = pass_count::<K::Radix>();
+    // Count every digit, one stripe per worker.
     let stripe = n.div_ceil(threads);
-    let mut stripe_hists: Vec<Vec<usize>> =
-        vec![vec![0usize; passes * RADIX_BUCKETS]; n.div_ceil(stripe)];
+    let mut stripe_hists: Vec<Hists> = vec![[[0; BUCKETS]; MAX_PASSES]; n.div_ceil(stripe)];
     crate::pool::scope(|scope| {
-        for (chunk, hist) in data.chunks(stripe).zip(stripe_hists.iter_mut()) {
-            scope.spawn(move || {
-                for key in chunk {
-                    let img = key.to_radix();
-                    for p in 0..passes {
-                        hist[p * RADIX_BUCKETS + img.digit(p as u32 * RADIX_BITS, RADIX_BITS)] += 1;
-                    }
-                }
-            });
+        for (chunk, hists) in data.chunks(stripe).zip(stripe_hists.iter_mut()) {
+            scope.spawn(move || count_digits(chunk, &mut hists[..digits]));
         }
     });
-    let mut hists = vec![vec![0usize; RADIX_BUCKETS]; passes];
-    for sh in &stripe_hists {
-        for (p, hist) in hists.iter_mut().enumerate() {
-            for (t, &c) in hist.iter_mut().zip(&sh[p * RADIX_BUCKETS..]) {
+    let mut totals: Hists = [[0; BUCKETS]; MAX_PASSES];
+    for hists in &stripe_hists {
+        for (total, hist) in totals.iter_mut().zip(hists) {
+            for (t, &c) in total.iter_mut().zip(hist) {
                 *t += c;
             }
         }
     }
+    let Some(p) = top_varying_digit(&totals[..digits], n) else {
+        return;
+    };
 
-    // Chained-lookback state, reused across passes. `counts[t * B + b]` is
-    // the *inclusive* prefix (tiles 0..=t) of bucket b once `done[t]` is
-    // set; tile counts fit u32 because TILE < 2^32.
-    let tiles = n.div_ceil(TILE);
-    let counts: Vec<AtomicU32> = (0..tiles * RADIX_BUCKETS)
-        .map(|_| AtomicU32::new(0))
-        .collect();
-    let done: Vec<AtomicU32> = (0..tiles).map(|_| AtomicU32::new(0)).collect();
-    let ticket = AtomicUsize::new(0);
-
-    let mut bases = vec![0usize; RADIX_BUCKETS];
-    let mut in_data = true;
-    for (p, hist) in hists.iter().enumerate() {
-        if hist.contains(&n) {
-            continue;
-        }
-        let shift = p as u32 * RADIX_BITS;
-        exclusive_scan(hist, &mut bases);
-        for d in &done {
-            d.store(0, Ordering::Relaxed);
-        }
-        ticket.store(0, Ordering::Relaxed);
-
-        let (src, dst): (&[K], SendPtr<K>) = if in_data {
-            // SAFETY: `data` and `aux` are distinct allocations of length n;
-            // the raw-derived views only erase the ping-pong borrow.
-            (
-                unsafe { std::slice::from_raw_parts(data.as_ptr(), n) },
-                SendPtr(aux.as_mut_ptr()),
-            )
-        } else {
-            (
-                unsafe { std::slice::from_raw_parts(aux.as_ptr(), n) },
-                SendPtr(data.as_mut_ptr()),
-            )
-        };
-
-        let workers = threads.min(tiles);
-        crate::pool::scope(|scope| {
-            for _ in 0..workers {
-                let (counts, done, ticket, bases) = (&counts, &done, &ticket, &bases);
-                scope.spawn(move || {
-                    let mut local = vec![0u32; RADIX_BUCKETS];
-                    let mut offsets = vec![0usize; RADIX_BUCKETS];
-                    loop {
-                        let t = ticket.fetch_add(1, Ordering::Relaxed);
-                        if t >= tiles {
-                            break;
-                        }
-                        let tile = &src[t * TILE..((t + 1) * TILE).min(n)];
-                        // Count this tile's digits (the tile is now cache
-                        // resident for the scatter below).
-                        local.iter_mut().for_each(|c| *c = 0);
-                        for key in tile {
-                            local[key.to_radix().digit(shift, RADIX_BITS)] += 1;
-                        }
-                        // Chained prefix resolution: acquire the inclusive
-                        // prefix of tile t-1, publish ours for tile t+1.
-                        // Progress is guaranteed because tickets are issued
-                        // in tile order: tile t-1 is always already running
-                        // on some worker when tile t waits for it.
-                        if t > 0 {
-                            let mut spins = 0u32;
-                            while done[t - 1].load(Ordering::Acquire) == 0 {
-                                spins += 1;
-                                if spins < 1 << 10 {
-                                    std::hint::spin_loop();
-                                } else {
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                        let prev =
-                            (t > 0).then(|| &counts[(t - 1) * RADIX_BUCKETS..t * RADIX_BUCKETS]);
-                        let own = &counts[t * RADIX_BUCKETS..(t + 1) * RADIX_BUCKETS];
-                        for (b, (own_c, &loc)) in own.iter().zip(&local).enumerate() {
-                            let excl = prev.map_or(0, |pc| pc[b].load(Ordering::Relaxed));
-                            own_c.store(excl + loc, Ordering::Relaxed);
-                            offsets[b] = bases[b] + excl as usize;
-                        }
-                        done[t].store(1, Ordering::Release);
-                        // SAFETY: [bases[b] + excl[b], bases[b] + incl[b])
-                        // ranges are pairwise disjoint across (tile, bucket)
-                        // pairs by the prefix construction and in bounds of
-                        // the length-n destination.
-                        unsafe { scatter(tile, dst, shift, &mut offsets) };
-                    }
-                });
+    // Stable scatter into `aux`: stripe s writes bucket b from the bucket's
+    // base plus the counts of stripes 0..s.
+    let shift = p as u32 * DIGIT_BITS;
+    let mut next = exclusive_scan(&totals[p]);
+    let offsets: Vec<[usize; BUCKETS]> = stripe_hists
+        .iter()
+        .map(|hists| {
+            let start = next;
+            for (o, &c) in next.iter_mut().zip(&hists[p]) {
+                *o += c as usize;
             }
-        });
-        in_data = !in_data;
-    }
-    if !in_data {
-        data.copy_from_slice(aux);
-    }
-}
-
-/// Fill one histogram per digit pass in a single scan over `data`.
-fn scan_all_digits<K: SortKey>(data: &[K], hists: &mut [Vec<usize>]) {
-    for key in data {
-        let img = key.to_radix();
-        for (p, hist) in hists.iter_mut().enumerate() {
-            hist[img.digit(p as u32 * RADIX_BITS, RADIX_BITS)] += 1;
+            start
+        })
+        .collect();
+    let dst = SendPtr(aux.as_mut_ptr());
+    crate::pool::scope(|scope| {
+        for (chunk, mut offsets) in data.chunks(stripe).zip(offsets) {
+            // SAFETY: stripe s owns [base[b] + earlier[b], base[b] +
+            // earlier[b] + own[b]) of every bucket b; these ranges are
+            // disjoint across stripes and in bounds of the length-n `aux`.
+            scope.spawn(move || unsafe { scatter(chunk, dst, shift, &mut offsets) });
         }
+    });
+
+    // Finish the buckets, largest first, each landing back in `data`.
+    let mut buckets = split_buckets(aux, data, &totals[p]);
+    buckets.sort_by_key(|(a, _)| a.len());
+    let queue = Mutex::new(buckets);
+    crate::pool::scope(|scope| {
+        for _ in 0..threads {
+            let queue = &queue;
+            scope.spawn(move || loop {
+                let next = queue
+                    .lock()
+                    .expect("no worker panics while holding the bucket queue")
+                    .pop();
+                let Some((bucket, out)) = next else {
+                    break;
+                };
+                sort_rung(bucket, out, p, true);
+            });
+        }
+    });
+}
+
+/// Sort `a` stably by the low `digits` digits of the radix image, landing
+/// in `b` when `into_b` and in `a` otherwise (`b.len() == a.len()`; the
+/// other slice is scratch). Every key of `a` must agree on the digits above
+/// the low `digits`. The rung follows the module docs.
+fn sort_rung<K: SortKey>(a: &mut [K], b: &mut [K], digits: usize, into_b: bool) {
+    let n = a.len();
+    assert_eq!(b.len(), n, "scratch must match the slice");
+    let comparison_max = if K::Radix::BITS == 32 {
+        COMPARISON_MAX_32
+    } else {
+        COMPARISON_MAX_64
+    };
+    if n <= comparison_max {
+        let out = if into_b {
+            b.copy_from_slice(a);
+            b
+        } else {
+            a
+        };
+        out.sort_by_key(|k| k.to_radix());
+        return;
+    }
+
+    let mut hists: Hists = [[0; BUCKETS]; MAX_PASSES];
+    count_digits(a, &mut hists[..digits]);
+    let hists = &hists[..digits];
+    // Two varying digits cost two LSD passes wherever the slice lives, no
+    // more than an MSD scatter and a pass over its buckets.
+    let varying = hists.iter().filter(|h| !constant(h, n)).count();
+    if n <= cache_keys::<K>() || varying <= 2 {
+        // SAFETY: the counts are `a`'s, and `b` is as long (asserted).
+        unsafe { lsd_passes(a, b, hists, into_b) };
+        return;
+    }
+    let p = top_varying_digit(hists, n).expect("more than two digits vary");
+    let mut offsets = exclusive_scan(&hists[p]);
+    // SAFETY: `offsets` is the exclusive scan of this digit's counts over
+    // `a`, so every key takes a distinct slot of `b`, which is as long.
+    unsafe {
+        scatter(
+            a,
+            SendPtr(b.as_mut_ptr()),
+            p as u32 * DIGIT_BITS,
+            &mut offsets,
+        )
+    };
+    // The buckets now sit in `b`: landing in `b` is landing in place.
+    for (bucket, other) in split_buckets(b, a, &hists[p]) {
+        sort_rung(bucket, other, p, !into_b);
     }
 }
 
-/// Exclusive prefix scan of `hist` into `out`.
-fn exclusive_scan(hist: &[usize], out: &mut [usize]) {
-    let mut acc = 0usize;
+/// The highest digit position whose histogram spreads the `n` keys over
+/// more than one bucket; `None` when every key has the same image.
+fn top_varying_digit(hists: &[[u32; BUCKETS]], n: usize) -> Option<usize> {
+    hists.iter().rposition(|hist| !constant(hist, n))
+}
+
+/// Exclusive prefix scan of a histogram: each bucket's first slot.
+fn exclusive_scan(hist: &[u32; BUCKETS]) -> [usize; BUCKETS] {
+    let mut out = [0; BUCKETS];
+    let mut acc = 0;
     for (o, &c) in out.iter_mut().zip(hist) {
         *o = acc;
-        acc += c;
+        acc += c as usize;
     }
+    out
+}
+
+/// Cut `a` and `b` alike into the non-empty buckets that `hist` counts.
+fn split_buckets<'a, K>(
+    mut a: &'a mut [K],
+    mut b: &'a mut [K],
+    hist: &[u32; BUCKETS],
+) -> Vec<(&'a mut [K], &'a mut [K])> {
+    let mut buckets = Vec::new();
+    for &count in hist.iter().filter(|&&c| c > 0) {
+        let (head_a, tail_a) = std::mem::take(&mut a).split_at_mut(count as usize);
+        let (head_b, tail_b) = std::mem::take(&mut b).split_at_mut(count as usize);
+        buckets.push((head_a, head_b));
+        a = tail_a;
+        b = tail_b;
+    }
+    buckets
 }
 
 /// Stable one-key-at-a-time scatter of `src` into `dst`. `offsets[d]` must
@@ -384,7 +360,7 @@ fn exclusive_scan(hist: &[usize], out: &mut [usize]) {
 /// scatter) must be in bounds of `dst` and not written by anyone else.
 unsafe fn scatter<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &mut [usize]) {
     for &key in src {
-        let d = key.to_radix().digit(shift, RADIX_BITS);
+        let d = key.to_radix().digit(shift, DIGIT_BITS);
         // SAFETY: per the function contract the slot is in bounds and
         // exclusively ours.
         unsafe { dst.write(offsets[d], key) };
@@ -392,12 +368,12 @@ unsafe fn scatter<K: SortKey>(src: &[K], dst: SendPtr<K>, shift: u32, offsets: &
     }
 }
 
-/// `Send` raw-pointer wrapper for disjoint-region scatters. Accessed only
-/// through [`SendPtr::write`] / explicit `copy_nonoverlapping` so closures
-/// capture the wrapper, not the raw pointer (edition-2021 closures capture
-/// individual fields).
+/// `Send` raw-pointer wrapper for the stripes' disjoint-region scatters.
+/// Accessed only through [`SendPtr::write`], so closures capture the
+/// wrapper, not the raw pointer (edition-2021 closures capture individual
+/// fields).
 #[derive(Clone, Copy)]
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+struct SendPtr<T>(*mut T);
 
 // SAFETY: dereferences are guarded by region disjointness at the use site.
 unsafe impl<T: Send> Send for SendPtr<T> {}
@@ -406,7 +382,7 @@ impl<T: Copy> SendPtr<T> {
     /// # Safety
     /// `i` must be in bounds and no other thread may write slot `i`.
     #[inline]
-    pub(crate) unsafe fn write(self, i: usize, v: T) {
+    unsafe fn write(self, i: usize, v: T) {
         unsafe { self.0.add(i).write(v) }
     }
 }
@@ -429,7 +405,7 @@ mod tests {
         }
     }
 
-    /// Above the size ladder, so the OneSweep passes themselves run.
+    /// Above the cache budget, so the MSD rung runs.
     const PASSES_N: usize = PARALLEL_FLOOR + 20_000;
 
     #[test]
@@ -468,16 +444,33 @@ mod tests {
     }
 
     #[test]
-    fn tile_boundaries_exercised() {
-        // Straddle one and two tile boundaries so the lookback chain runs.
-        check::<u32>(Distribution::Uniform, TILE + 123, 8);
-        check::<u64>(Distribution::Uniform, 2 * TILE + 45, 9);
+    fn msd_recursion_exercised() {
+        // Keys below 2^16 leave the top digits constant, so the top rung
+        // scatters on a lower digit; 2^24 keys of one top byte make a bucket
+        // over the budget, so the MSD level recurses.
+        check::<u32>(Distribution::Uniform, cache_keys::<u32>() + 123, 8);
+        let input: Vec<u64> = generate(Distribution::Uniform, 2 * cache_keys::<u64>() + 45, 9);
+        let narrow: Vec<u64> = input.iter().map(|k| k >> 48).collect();
+        let mut one_top: Vec<u64> = input.iter().map(|k| k >> 8).collect();
+        let mut expected = one_top.clone();
+        expected.sort_unstable();
+        onesweep_sort(&mut one_top);
+        assert_eq!(one_top, expected);
+        let mut a = narrow.clone();
+        let mut b = narrow.clone();
+        let mut c = narrow;
+        onesweep_sort(&mut a);
+        parallel_onesweep_sort(&mut b, 3);
+        crate::lsb_radix::lsb_radix_sort(&mut c);
+        assert_eq!(a, c);
+        assert_eq!(b, c);
+        assert!(is_sorted(&a));
     }
 
     #[test]
     fn matches_lsb_radix_exactly() {
-        // Stable LSD radix output is unique: OneSweep must agree with the
-        // 8-bit LSB kernel bit for bit despite the different digit width.
+        // A stable sort by radix image has one output: the ladder must agree
+        // with the 8-bit LSB kernel bit for bit.
         for dist in [
             Distribution::Uniform,
             Distribution::ZipfDuplicates {
@@ -528,7 +521,16 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_tiles() {
+    fn more_threads_than_buckets() {
+        // Three distinct keys: three buckets for four workers.
+        let input: Vec<u32> = (0..PARALLEL_FLOOR as u32 + 17)
+            .map(|i| (i % 3) << 30)
+            .collect();
+        let mut a = input.clone();
+        parallel_onesweep_sort(&mut a, 4);
+        let mut b = input;
+        b.sort_unstable();
+        assert_eq!(a, b);
         check::<u32>(Distribution::Uniform, PARALLEL_FLOOR + 17, 14);
     }
 }

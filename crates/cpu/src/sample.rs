@@ -35,8 +35,8 @@
 use msort_data::keys::RadixImage;
 use msort_data::SortKey;
 
-/// Scatter tile size in keys. Constant (like the OneSweep tile) so the
-/// (tile, bucket) offset assignment never depends on the thread count.
+/// Scatter tile size in keys: a constant, so the (tile, bucket) offset
+/// assignment never depends on the thread count.
 const TILE: usize = 1 << 15;
 
 /// A splitter: a sampled key plus the chunk-local position it was drawn
@@ -182,7 +182,7 @@ fn partition_tile<K: SortKey>(
     src: &[K],
     base: usize,
     dst: &mut [K],
-    decoded: &[(K::Radix, u64)],
+    decoded: &[u128],
     ids: &mut [u32],
     counts: &mut [usize],
 ) {
@@ -205,21 +205,35 @@ fn partition_tile<K: SortKey>(
     }
 }
 
-/// Pre-decoded splitters: `(radix image, position)`.
-fn decode<K: SortKey>(splitters: &[Splitter<K>]) -> Vec<(K::Radix, u64)> {
-    splitters.iter().map(|&(k, p)| (k.to_radix(), p)).collect()
+/// A `(radix image, position)` pair as one word, image in the high half:
+/// word order is the lexicographic splitter order.
+#[inline]
+fn word<R: RadixImage>(radix: R, pos: u64) -> u128 {
+    (u128::from(radix.to_u64()) << 64) | u128::from(pos)
 }
 
+/// Pre-decoded splitters, one [`word`] each.
+fn decode<K: SortKey>(splitters: &[Splitter<K>]) -> Vec<u128> {
+    splitters
+        .iter()
+        .map(|&(k, p)| word(k.to_radix(), p))
+        .collect()
+}
+
+/// [`bucket_of`] over decoded splitters: the number of splitters that are
+/// `<=` the probe, counted over all of them with no branch on the data.
+/// Sample sort has `g − 1` splitters, seven on an 8-GPU gang, where this
+/// count takes under half the time of a binary search (DESIGN §4.9).
 #[inline]
-fn bucket_of_decoded<R: RadixImage>(radix: R, pos: u64, decoded: &[(R, u64)]) -> usize {
-    let probe = (radix, pos);
-    decoded.partition_point(|&s| s <= probe)
+fn bucket_of_decoded<R: RadixImage>(radix: R, pos: u64, decoded: &[u128]) -> usize {
+    let probe = word(radix, pos);
+    decoded.iter().map(|&s| usize::from(s <= probe)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msort_data::{generate, same_multiset, Distribution};
+    use msort_data::{generate, same_multiset, Distribution, Pair};
 
     fn check_partition<K: SortKey + PartialEq>(dist: Distribution, n: usize, g: usize, seed: u64) {
         let input: Vec<K> = generate(dist, n, seed);
@@ -323,6 +337,65 @@ mod tests {
         assert_eq!(bucket_of(10u32, 9, &splitters), 2);
         assert_eq!(bucket_of(15u32, 0, &splitters), 2);
         assert_eq!(bucket_of(25u32, 0, &splitters), 3);
+    }
+
+    /// The branchless search against `bucket_of` (a `partition_point`) on
+    /// every key of `input` at its own position and at the positions of
+    /// every splitter, for 0 to 63 splitters.
+    fn check_search_oracle<K: SortKey>(input: &[K]) {
+        for count in 0..64usize {
+            let views: Vec<&[K]> = input.chunks(input.len().div_ceil(4)).collect();
+            let mut splitters = select_splitters(&views, count + 1, 4);
+            splitters.truncate(count);
+            assert_eq!(splitters.len(), count);
+            let decoded = decode(&splitters);
+            let probe = |key: K, pos: u64| {
+                assert_eq!(
+                    bucket_of_decoded(key.to_radix(), pos, &decoded),
+                    bucket_of(key, pos, &splitters),
+                    "{:?}, {count} splitters, pos {pos}",
+                    K::DATA_TYPE
+                );
+            };
+            for (i, &key) in input.iter().enumerate() {
+                probe(key, i as u64);
+            }
+            // Ties on the image: the position decides.
+            for &(key, pos) in &splitters {
+                for p in [0, pos.saturating_sub(1), pos, pos + 1, u64::MAX] {
+                    probe(key, p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branchless_search_matches_bucket_of() {
+        let dists = [
+            Distribution::Uniform,
+            Distribution::ZipfDuplicates { skew_permille: 800 },
+            Distribution::Constant,
+        ];
+        for (seed, dist) in dists.into_iter().enumerate() {
+            let seed = seed as u64;
+            check_search_oracle::<u32>(&generate(dist, 600, seed));
+            check_search_oracle::<u64>(&generate(dist, 600, seed));
+            check_search_oracle::<f32>(&generate(dist, 600, seed));
+            let pairs: Vec<Pair<u32>> = generate::<u32>(dist, 600, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| Pair::new(k, i as u32))
+                .collect();
+            check_search_oracle(&pairs);
+        }
+        // A partition's buckets are the oracle's buckets.
+        let input: Vec<u32> = generate(dists[1], 5_000, 3);
+        let splitters = select_splitters(&[&input[..]], 64, 4);
+        let mut expected = vec![0u64; splitters.len() + 1];
+        for (i, &k) in input.iter().enumerate() {
+            expected[bucket_of(k, i as u64, &splitters)] += 1;
+        }
+        assert_eq!(bucket_counts(&input, &splitters), expected);
     }
 
     #[test]

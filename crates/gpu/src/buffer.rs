@@ -31,6 +31,13 @@ pub struct BufId {
     generation: u32,
 }
 
+impl BufId {
+    /// The buffer's slot: unique among live buffers, reused after a free.
+    pub(crate) fn index(self) -> usize {
+        self.slot as usize
+    }
+}
+
 /// Where a buffer's memory lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {

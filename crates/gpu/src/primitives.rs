@@ -14,14 +14,22 @@
 //! | ModernGPU (merge sort) | `CostModel::gpu_sort`, 200 ms | [`device_sort`] |
 //! | PARADIS (CPU) | `CostModel::cpu_paradis` | [`device_sort`] |
 //!
-//! [`device_sort`] is a size ladder whose every rung is a stable sort by
-//! radix image ([`msort_cpu::onesweep`]): a comparison sort up to 256 keys
-//! for 32-bit images and 4 Ki for 64-bit ones, then 8-bit LSD radix up to
-//! 64 Ki, then the OneSweep passes, parallel above [`PARALLEL_MIN_KEYS`].
+//! [`device_sort`] is a ladder whose every rung is a stable sort by radix
+//! image ([`msort_cpu::onesweep`]):
+//!
+//! | Input (keys that agree above the low `d` digits) | Rung |
+//! |---|---|
+//! | up to 256 keys (32-bit images), 4 Ki (64-bit) | stable comparison sort |
+//! | up to 1 MiB of keys, or at most two varying digits | 8-bit LSD radix over the low `d` digits, constant digits skipped |
+//! | above 1 MiB of keys with three or more varying digits | MSD scatter on the top varying digit into `aux`, each bucket back down the ladder (in cache) |
+//!
+//! From [`PARALLEL_MIN_KEYS`] up, with two or more workers, every sort
+//! opens with the MSD scatter, its count and scatter split by stripes, and
+//! the workers take whole buckets.
 //! Any correct sort writes the same bytes for scalar keys, because the
 //! radix image is a bijection; stability fixes the order of `Pair`
 //! payloads among equal keys too, so a sort's output never depends on the
-//! family that timed it or on the pool width.
+//! family that timed it, on the rung or on the pool width.
 
 use msort_cpu::{mergesort, parallel_multiway_merge};
 use msort_data::SortKey;
@@ -31,12 +39,11 @@ use msort_data::SortKey;
 /// overhead. The dispatch depends only on the input *size* (never on the
 /// thread count), so a given buffer always takes the same code path.
 ///
-/// Re-tuned for the OneSweep kernel: 64 Ki keys is exactly two OneSweep
-/// scatter tiles (`msort_cpu::onesweep`, 32 Ki-key tiles) — the smallest
-/// input where the chained-lookback scatter has any overlap to exploit,
-/// so the floor is structural rather than a taste constant. Probe numbers
-/// from `cargo run -p msort-bench --release --example tune` on the 1-core
-/// CI container: sequential OneSweep runs 64 Ki u32 keys in ~480 µs and
+/// The device sort's own parallel floor is the same 64 Ki keys
+/// (`msort_cpu::onesweep`): below it a sort runs on the calling thread.
+/// Probe numbers from `cargo run -p msort-bench --release --example tune`
+/// on the 1-core CI container, taken with the single-pass LSD kernel the
+/// device sort's top rung replaced: it ran 64 Ki u32 keys in ~480 µs, and
 /// the parallel entry's overhead at pool width 1 is within noise (≤2%) at
 /// every size from 16 Ki to 1 Mi, while a 2-wide pool on one hardware
 /// thread is pure oversubscription (~1.4x slower) — i.e. on this box the
@@ -51,10 +58,9 @@ pub fn device_sort<K: SortKey>(data: &mut [K], aux: &mut [K]) {
 }
 
 /// [`device_sort`] with an explicit worker budget. From
-/// [`PARALLEL_MIN_KEYS`] up, a budget of two or more runs the parallel
-/// OneSweep kernel (a real GPU runs it on thousands of threads; this
-/// runtime runs it on the shared worker pool). The bytes are the same at
-/// every budget.
+/// [`PARALLEL_MIN_KEYS`] up, a budget of two or more splits the top rung
+/// over the shared worker pool (a real GPU runs its sort on thousands of
+/// threads). The bytes are the same at every budget.
 pub fn device_sort_with<K: SortKey>(data: &mut [K], aux: &mut [K], threads: usize) {
     msort_cpu::parallel_onesweep_sort_with_aux(data, aux, threads);
 }

@@ -124,16 +124,20 @@ enum OpKind {
 /// never an output.
 enum Effect<K> {
     None,
-    /// Copy `len` keys. The source is read into `staged` when the op
-    /// starts and written at completion: real DMA streams the data through
-    /// the transfer window, so a source overwritten mid-transfer (the
-    /// 3n-approach's in-place data-transfer swap, Figure 10) must not
-    /// corrupt the outgoing bytes.
+    /// Copy `len` keys, with the source bytes as they were when the op
+    /// started: real DMA streams the data through the transfer window, so
+    /// a source overwritten mid-transfer (the 3n-approach's in-place
+    /// data-transfer swap, Figure 10) must not corrupt the outgoing bytes.
+    /// The bytes move once, source to destination, at completion. Only
+    /// when something is about to change the source while the copy is in
+    /// flight (another op's effect writing it, or any
+    /// [`GpuSystem::world_mut`] access) is the source read into `staged`
+    /// first, and the completion writes from there.
     Copy {
         src: (BufId, u64),
         dst: (BufId, u64),
         len: u64,
-        staged: Vec<K>,
+        staged: Option<Vec<K>>,
     },
     /// Stable sort of `data[range]` by radix image
     /// ([`primitives::device_sort`]); without `aux` it allocates its own
@@ -228,6 +232,14 @@ pub struct GpuSystem<'p, K: SortKey> {
     /// holds a handful of these (a few hundred on the largest cluster), so
     /// the event loop scans the list instead of keeping indexes over it.
     in_flight: Vec<(usize, Wake)>,
+    /// Per buffer slot, the started, unfinished copies reading it whose
+    /// source is not staged yet (absolute indices): the ones an effect
+    /// about to write that buffer must stage first. An effect checks the
+    /// lists of the buffers it writes, never `in_flight`.
+    unstaged: Vec<Vec<usize>>,
+    /// The slots whose `unstaged` list is not empty, each once, so that
+    /// [`GpuSystem::world_mut`] visits those alone.
+    unstaged_slots: Vec<usize>,
     reclaim_ops: bool,
     /// Routes resolved over a faulted fabric, keyed by endpoint pair;
     /// empty until the first fault fires (pristine routes are the
@@ -270,6 +282,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             ready: Vec::new(),
             due: Vec::new(),
             in_flight: Vec::new(),
+            unstaged: Vec::new(),
+            unstaged_slots: Vec::new(),
             reclaim_ops: false,
             route_cache: HashMap::new(),
             route_cache_gen: 0,
@@ -335,7 +349,16 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
     }
 
     /// Mutable access to the buffer world (allocation between phases).
+    /// Whatever the caller does may free or overwrite a buffer, so every
+    /// copy in flight stages its source first (see `Effect::Copy`).
     pub fn world_mut(&mut self) -> &mut World<K> {
+        while let Some(slot) = self.unstaged_slots.pop() {
+            let mut readers = std::mem::take(&mut self.unstaged[slot]);
+            for idx in readers.drain(..) {
+                self.stage_copy(idx);
+            }
+            self.unstaged[slot] = readers;
+        }
         &mut self.world
     }
 
@@ -508,7 +531,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             src: (src, src_off),
             dst: (dst, dst_off),
             len,
-            staged: Vec::new(),
+            staged: None,
         };
         let bytes = len * K::DATA_TYPE.key_bytes();
         if src_loc == dst_loc {
@@ -650,7 +673,7 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             src: (src, src_off),
             dst: (dst, dst_off),
             len,
-            staged: Vec::new(),
+            staged: None,
         };
         self.push_op(stream, waits, "copy", kind, copy, phase)
     }
@@ -1141,12 +1164,17 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         let now = self.flows.now();
         let op = &mut self.ops[idx - self.ops_base];
         op.started = Some(now);
-        // Copies stage their source bytes now (see `Effect::Copy`).
-        if let Some(Effect::Copy {
-            src, len, staged, ..
-        }) = &mut op.effect
-        {
-            *staged = self.world.slice(src.0, src.1, *len).to_vec();
+        // A copy reads its source at completion unless an overwrite comes
+        // first (see `Effect::Copy`).
+        if let Some(Effect::Copy { src, .. }) = &op.effect {
+            let slot = src.0.index();
+            if self.unstaged.len() <= slot {
+                self.unstaged.resize_with(slot + 1, Vec::new);
+            }
+            if self.unstaged[slot].is_empty() {
+                self.unstaged_slots.push(slot);
+            }
+            self.unstaged[slot].push(idx);
         }
         let wake = match &self.op(idx).kind {
             OpKind::Transfer { .. } => self.launch_transfer(idx),
@@ -1267,7 +1295,60 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             );
         }
         let effect = self.op_mut(idx).effect.take().expect("op completes once");
+        if let Effect::Copy { src, .. } = &effect {
+            let slot = src.0.index();
+            if let Some(pos) = self.unstaged[slot].iter().position(|&i| i == idx) {
+                self.unstaged[slot].swap_remove(pos);
+                self.forget_if_unread(slot);
+            }
+        }
         self.apply_effect(effect);
+    }
+
+    /// Read the source of the in-flight copy `idx` into its `staged`.
+    fn stage_copy(&mut self, idx: usize) {
+        let op = &mut self.ops[idx - self.ops_base];
+        if let Some(Effect::Copy {
+            src, len, staged, ..
+        }) = &mut op.effect
+        {
+            *staged = Some(self.world.slice(src.0, src.1, *len).to_vec());
+        }
+    }
+
+    /// Stage every unstaged copy in flight whose source overlaps the
+    /// physical keys `range` of `buf`, which an effect is about to write.
+    fn stage_readers(&mut self, buf: BufId, range: std::ops::Range<usize>) {
+        let Some(readers) = self.unstaged.get_mut(buf.index()) else {
+            return;
+        };
+        if readers.is_empty() {
+            return;
+        }
+        let mut readers = std::mem::take(readers);
+        readers.retain(|&idx| {
+            let Some(Effect::Copy { src, len, .. }) = &self.ops[idx - self.ops_base].effect else {
+                unreachable!("only copies are unstaged");
+            };
+            let lo = self.world.physical(src.1);
+            let hi = lo + self.world.physical(*len);
+            let overlaps = lo.max(range.start) < hi.min(range.end);
+            if overlaps {
+                self.stage_copy(idx);
+            }
+            !overlaps
+        });
+        self.unstaged[buf.index()] = readers;
+        self.forget_if_unread(buf.index());
+    }
+
+    /// Drop `slot` from `unstaged_slots` once its list is empty.
+    fn forget_if_unread(&mut self, slot: usize) {
+        if self.unstaged[slot].is_empty() {
+            let pos = self.unstaged_slots.iter().position(|&s| s == slot);
+            self.unstaged_slots
+                .swap_remove(pos.expect("a slot with readers is listed"));
+        }
     }
 
     /// Apply a completed op's data effect, right here on the driver thread.
@@ -1278,20 +1359,29 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
         match effect {
             Effect::None => {}
             Effect::Copy {
-                dst, len, staged, ..
+                src,
+                dst,
+                len,
+                staged,
             } => {
                 let dst_off = self.world.physical(dst.1);
                 let l = self.world.physical(len);
-                par_copy(
-                    &mut self.world.data_mut(dst.0)[dst_off..dst_off + l],
-                    &staged,
-                );
+                self.stage_readers(dst.0, dst_off..dst_off + l);
+                match staged {
+                    Some(staged) => par_copy(
+                        &mut self.world.data_mut(dst.0)[dst_off..dst_off + l],
+                        &staged,
+                    ),
+                    None => self.world.copy_range(src.0, src.1, dst.0, dst.1, len),
+                }
             }
             Effect::Sort { data, range, aux } => {
                 let lo = self.world.physical(range.0);
                 let hi = self.world.physical(range.1);
+                self.stage_readers(data, lo..hi);
                 match aux {
                     Some(aux) => {
+                        self.stage_readers(aux, 0..hi - lo);
                         let (d, a) = self.world.two_mut(data, aux);
                         primitives::device_sort(&mut d[lo..hi], &mut a[..hi - lo]);
                     }
@@ -1304,6 +1394,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             }
             Effect::Merge { inputs, output } => {
                 let out_off = self.world.physical(output.1);
+                let total: usize = inputs.iter().map(|&(_, _, l)| self.world.physical(l)).sum();
+                self.stage_readers(output.0, out_off..out_off + total);
                 self.apply_merge(&inputs, output.0, out_off);
             }
             Effect::Partition {
@@ -1314,6 +1406,8 @@ impl<'p, K: SortKey> GpuSystem<'p, K> {
             } => {
                 let lo = self.world.physical(range.0);
                 let hi = self.world.physical(range.1);
+                self.stage_readers(data, lo..hi);
+                self.stage_readers(aux, 0..hi - lo);
                 let (d, a) = self.world.two_mut(data, aux);
                 primitives::device_partition(&mut d[lo..hi], &mut a[..hi - lo], &splitters);
             }
@@ -1548,6 +1642,133 @@ mod tests {
         sys.memcpy(s, d0, 0, d5, 0, 1024, &[up], Phase::Merge);
         sys.synchronize();
         assert_eq!(sys.world().slice(d5, 0, 3), &[1023, 1022, 1021]);
+    }
+
+    impl GpuSystem<'_, u32> {
+        /// In-flight copies whose source is not staged.
+        fn unstaged_copies(&self) -> usize {
+            self.unstaged.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// A P2P copy of `n` keys from GPU 0 to GPU 1 on its own stream, in
+    /// flight for far longer than a device-local copy of the same size.
+    fn slow_p2p(sys: &mut GpuSystem<'_, u32>, src: BufId, n: u64) -> (OpId, BufId) {
+        let dst = sys.world_mut().alloc_gpu(1, n);
+        let s = sys.stream();
+        (sys.memcpy(s, src, 0, dst, 0, n, &[], Phase::Merge), dst)
+    }
+
+    #[test]
+    fn copy_sends_its_source_as_it_was_at_start() {
+        let p = Platform::test_pcie(2);
+        let mut sys = system(&p);
+        let n: u64 = 1 << 16;
+        let old: Vec<u32> = (0..n as u32).collect();
+        let src = sys.world_mut().alloc_gpu(0, n);
+        let new = sys.world_mut().alloc_gpu(0, n);
+        sys.world.data_mut(src).copy_from_slice(&old);
+        sys.world.data_mut(new).fill(7);
+        let (p2p, dst) = slow_p2p(&mut sys, src, n);
+        // A device-local copy overwrites the middle of the source while the
+        // P2P copy is in flight, and completes first.
+        let s = sys.stream();
+        let overwrite = sys.memcpy(s, new, 0, src, n / 4, n / 2, &[], Phase::Merge);
+        sys.run_until(&[overwrite], None);
+        assert!(!sys.op_done(p2p), "the overwrite must land mid-transfer");
+        assert_eq!(sys.unstaged_copies(), 0, "the overwrite stages the copy");
+        sys.synchronize();
+        assert_eq!(sys.world().slice(dst, 0, n), old.as_slice());
+        assert!(sys.world().slice(src, n / 4, n / 2).iter().all(|&k| k == 7));
+    }
+
+    #[test]
+    fn copy_only_stages_a_source_that_is_about_to_change() {
+        let p = Platform::test_pcie(2);
+        let mut sys = system(&p);
+        let n: u64 = 1 << 16;
+        let src = sys.world_mut().alloc_gpu(0, n);
+        let other = sys.world_mut().alloc_gpu(0, n);
+        let (p2p, dst) = slow_p2p(&mut sys, src, n);
+        // Writing the half of `src` after a half-length copy's source, and
+        // a different buffer, leaves the copies unstaged.
+        let (half, half_dst) = slow_p2p(&mut sys, src, n / 2);
+        let s = sys.stream();
+        let disjoint = sys.memcpy(s, other, 0, src, n / 2, n / 2, &[], Phase::Merge);
+        sys.run_until(&[disjoint], None);
+        assert!(!sys.op_done(half));
+        assert_eq!(
+            sys.unstaged_copies(),
+            1,
+            "only the full-length copy is staged"
+        );
+        sys.synchronize();
+        assert_eq!(sys.unstaged_copies(), 0);
+        assert!(sys.world().slice(dst, 0, n).iter().all(|&k| k == 0));
+        assert!(sys
+            .world()
+            .slice(half_dst, 0, n / 2)
+            .iter()
+            .all(|&k| k == 0));
+        assert!(sys.op_done(p2p));
+    }
+
+    #[test]
+    fn freeing_a_copys_source_mid_transfer_keeps_its_bytes() {
+        let p = Platform::test_pcie(2);
+        let mut sys = system(&p);
+        let n: u64 = 1 << 16;
+        let old: Vec<u32> = (0..n as u32).rev().collect();
+        let src = sys.world_mut().alloc_gpu(0, n);
+        sys.world.data_mut(src).copy_from_slice(&old);
+        let (p2p, dst) = slow_p2p(&mut sys, src, n);
+        sys.run_until(&[], Some(SimTime(1_000)));
+        assert!(!sys.op_done(p2p));
+        // The slot is freed and its next tenant holds other bytes.
+        sys.world_mut().free(src);
+        let tenant = sys.world_mut().import_host(0, vec![9; n as usize], n);
+        assert_eq!(sys.world().buffer(tenant).len, n);
+        sys.synchronize();
+        assert_eq!(sys.world().slice(dst, 0, n), old.as_slice());
+    }
+
+    /// The 3n-approach's in-place swap (Figure 10): two P2P copies exchange
+    /// the same region of two buffers, each overwriting the other's source.
+    fn check_in_place_swap(fidelity: Fidelity) {
+        let p = Platform::dgx_a100();
+        let mut sys: GpuSystem<'_, u32> = GpuSystem::new(&p, fidelity);
+        let n: u64 = 1 << 20;
+        let a = sys.world_mut().alloc_gpu(0, n);
+        let b = sys.world_mut().alloc_gpu(1, n);
+        sys.world
+            .data_mut(a)
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, k)| *k = i as u32);
+        sys.world
+            .data_mut(b)
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, k)| *k = !(i as u32));
+        let before_a = sys.world().slice(a, 0, n).to_vec();
+        let before_b = sys.world().slice(b, 0, n).to_vec();
+        let (lo, len) = (n / 4, n / 2);
+        let (s0, s1) = (sys.stream(), sys.stream());
+        sys.memcpy(s0, a, lo, b, lo, len, &[], Phase::Merge);
+        sys.memcpy(s1, b, lo, a, lo, len, &[], Phase::Merge);
+        sys.synchronize();
+        let (plo, phi) = (sys.world.physical(lo), sys.world.physical(lo + len));
+        let (got_a, got_b) = (sys.world().slice(a, 0, n), sys.world().slice(b, 0, n));
+        assert_eq!(got_a[plo..phi], before_b[plo..phi], "{fidelity:?}");
+        assert_eq!(got_b[plo..phi], before_a[plo..phi], "{fidelity:?}");
+        assert_eq!(got_a[..plo], before_a[..plo]);
+        assert_eq!(got_b[phi..], before_b[phi..]);
+    }
+
+    #[test]
+    fn in_place_swap_exchanges_the_old_bytes() {
+        check_in_place_swap(Fidelity::Full);
+        check_in_place_swap(Fidelity::Sampled { scale: 16 });
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Property tests for the PR 6 kernels: the OneSweep single-pass radix
-//! sort (sequential, chained-lookback parallel, and the write-combining
-//! scatter variant) and the branchless merge-path merge.
+//! Property tests for the host kernels behind every simulated op: the
+//! device-sort ladder (`onesweep_*`, sequential and parallel) and the
+//! branchless merge-path merge.
 //!
 //! Three invariant families:
 //!
 //! * **Equivalence** — every kernel produces exactly `sort_unstable`'s
 //!   output (radix order equals numeric order for unsigned keys) across
 //!   random, adversarial, and paper-distribution inputs, for u32 and u64.
-//! * **Bit-identity across thread counts** — the parallel OneSweep chunks
-//!   by fixed-size tiles, never by the worker count, so its output at 1, 2
-//!   and 4 threads is byte-for-byte the sequential kernel's output. This is
-//!   the property the effect executor's determinism contract rests on.
+//! * **Bit-identity across thread counts** — the parallel ladder is a
+//!   stable sort by radix image like the sequential one, and a stable sort
+//!   has one output, so its output at 1, 2 and 4 threads is byte-for-byte
+//!   the sequential kernel's. This is the property the effect executor's
+//!   determinism contract rests on.
 //! * **Edge cases** — empty, singleton, all-duplicate, already-sorted,
-//!   reverse-sorted, and tile-boundary-straddling lengths.
+//!   reverse-sorted, and lengths either side of the ladder's bounds.
 //!
 //! PR 7 adds the sample-sort host kernels to the same contract: the
 //! splitter partition must be a stable permutation with boundaries that
@@ -26,10 +27,12 @@
 //! runs, `Pair` payloads that expose any unstable tie, and inputs of
 //! exactly two tiles and one key more with 64 buckets.
 //!
-//! The device-sort size ladder (comparison sort, 8-bit LSD, OneSweep
-//! passes, with bounds per key width) is held to a stable sort by radix
-//! image on both sides of every bound, for every scalar key type and for
-//! `Pair` keys whose payload is the input position.
+//! The device-sort ladder (comparison sort, 8-bit LSD, MSD scatter with
+//! buckets finished in cache, with bounds per key width) is held to a
+//! stable sort by radix image on both sides of every bound, for every
+//! scalar key type and for `Pair` keys whose payload is the input position;
+//! its top rung is held to `lsb_radix_sort` on inputs built to reach each
+//! of its cases, at pool widths 1, 2 and 4.
 //!
 //! A modeled kernel is its cost, not its code: every sort op of the GPU
 //! runtime — `gpu_sort` under each of the four `GpuSortAlgo` families and
@@ -41,8 +44,9 @@
 //! stand in for `proptest`, as in `tests/properties.rs`.
 
 use multi_gpu_sort::cpu::multiway::{parallel_multiway_merge_with, ParallelMergeConfig};
+use multi_gpu_sort::cpu::onesweep::CACHE_BYTES;
 use multi_gpu_sort::cpu::{
-    bucket_counts, bucket_of, merge_path_sort, multiway_merge, onesweep_sort,
+    bucket_counts, bucket_of, lsb_radix_sort, merge_path_sort, multiway_merge, onesweep_sort,
     onesweep_sort_with_aux, parallel_onesweep_sort, parallel_onesweep_sort_with_aux,
     partition_by_splitters, select_splitters, LoserTree,
 };
@@ -54,15 +58,20 @@ use multi_gpu_sort::prelude::*;
 const CASES: u64 = 32;
 
 /// `msort_cpu::onesweep`'s private size-ladder bounds, mirrored: the
-/// comparison-sort floor per radix-image width, and the parallel floor, the
-/// top of the 8-bit LSD rung for both widths. Longer inputs run the
-/// OneSweep passes.
+/// comparison-sort floor per radix-image width, and the parallel floor,
+/// from which a pool of two or more workers splits the sort. The top of
+/// the 8-bit LSD rung is the public cache budget (`cache_keys`).
 const COMPARISON_MAX_32: usize = 1 << 8;
 const COMPARISON_MAX_64: usize = 1 << 12;
 const PARALLEL_FLOOR: usize = 1 << 16;
 
-/// A random length just above the device-sort ladder, so that
-/// `onesweep_sort` runs its passes.
+/// The device-sort ladder's cache budget in keys of `K`: longer inputs on
+/// which more than two digits vary take the MSD rung.
+fn cache_keys<K>() -> usize {
+    CACHE_BYTES / std::mem::size_of::<K>()
+}
+
+/// A random length just above the parallel floor.
 fn passes_len(rng: &mut Rng) -> usize {
     PARALLEL_FLOOR + 1 + rng.usize_in(0..3000)
 }
@@ -119,8 +128,7 @@ fn onesweep_matches_std_across_distributions() {
 fn onesweep_edge_cases() {
     // Lengths around the kernel's internal boundaries: empty, singleton,
     // one short of / exactly at / one past small powers of two, and
-    // lengths that straddle 32 Ki-key scatter tiles, below the ladder's
-    // top (8-bit LSD) and above it (the OneSweep passes).
+    // lengths either side of 32 Ki and 64 Ki keys (the parallel floor).
     for len in [
         0usize,
         1,
@@ -160,8 +168,7 @@ fn onesweep_edge_cases() {
 
 #[test]
 fn parallel_onesweep_bit_identical_across_thread_counts() {
-    // Long enough to span multiple scatter tiles so the lookback chain
-    // actually runs at width > 1.
+    // Above the parallel floor, so widths above 1 split the top rung.
     for dist in [
         Distribution::Uniform,
         Distribution::ZipfDuplicates { skew_permille: 800 },
@@ -205,6 +212,7 @@ fn ladder_sizes<K: SortKey>() -> Vec<(usize, usize)> {
         .map(|n| (n, usize::MAX))
         .to_vec();
     sizes.extend([(PARALLEL_FLOOR, 1), (PARALLEL_FLOOR + 1, 1)]);
+    sizes.extend([(cache_keys::<K>(), 1), (cache_keys::<K>() + 1, 1)]);
     sizes
 }
 
@@ -335,6 +343,137 @@ fn device_sort_ladder_matches_a_stable_sort_for_every_key_type() {
 fn device_sort_ladder_is_stable_for_pairs() {
     check_pair_ladder::<u32>();
     check_pair_ladder::<u64>();
+}
+
+// ---- The top rung: MSD scatter, buckets finished in cache. ----
+
+/// A key of `K` with radix image `image` (truncated to `K`'s width).
+fn key_of<K: SortKey>(image: u64) -> K {
+    K::from_radix(K::Radix::from_u64_trunc(image))
+}
+
+/// The top 8 bits of `K`'s radix image.
+fn top_byte<K: SortKey>(k: &K) -> u64 {
+    k.to_radix().to_u64() >> (K::Radix::BITS - 8)
+}
+
+/// `input` sorted by the ladder at pool widths 1 (the sequential ladder),
+/// 2 and 4, each byte-equal to `lsb_radix_sort`.
+fn check_top_rung<K: SortKey>(input: &[K], what: &str, bytes: impl Fn(&K) -> (u64, u32)) {
+    let mut oracle = input.to_vec();
+    lsb_radix_sort(&mut oracle);
+    let expected: Vec<(u64, u32)> = oracle.iter().map(&bytes).collect();
+    let got_bytes = |keys: &[K]| -> Vec<(u64, u32)> { keys.iter().map(&bytes).collect() };
+    let mut aux = input.to_vec();
+    for threads in [1, 2, 4] {
+        let mut got = input.to_vec();
+        parallel_onesweep_sort_with_aux(&mut got, &mut aux, threads);
+        assert_same_bytes(
+            &got_bytes(&got),
+            &expected,
+            &format!("{threads} workers, {what}"),
+        );
+    }
+}
+
+/// Top-rung inputs for `K`, each longer than the cache budget, with
+/// what each one exercises:
+/// * every key shares one top byte (the scatter takes a lower digit);
+/// * top-byte buckets of sizes on both sides of the comparison floor and of
+///   the cache budget (one bucket recurses another MSD level);
+/// * with `zipf`, Zipf keys (800 and 1500 permille) with their low 16 bits
+///   randomised, so that more than two digits vary and the heaviest
+///   top-byte bucket recurses.
+fn top_rung_inputs<K: SortKey>(zipf: bool) -> Vec<(String, Vec<K>)> {
+    let bits = K::Radix::BITS;
+    let budget = cache_keys::<K>();
+    let comparison_max = if bits == 32 {
+        COMPARISON_MAX_32
+    } else {
+        COMPARISON_MAX_64
+    };
+    let mut rng = Rng::seed_from_u64(u64::from(bits) + budget as u64);
+    let low = |rng: &mut Rng| rng.u64() >> (72 - bits);
+    let one_top: Vec<K> = (0..budget + 999)
+        .map(|_| key_of::<K>((0x5a << (bits - 8)) | low(&mut rng)))
+        .collect();
+    let mut straddle = Vec::new();
+    let sizes = [1, 2, comparison_max, comparison_max + 1, budget, budget + 1];
+    for (bucket, &size) in sizes.iter().enumerate() {
+        for _ in 0..size {
+            straddle.push(key_of::<K>(
+                ((bucket as u64 * 37) << (bits - 8)) | low(&mut rng),
+            ));
+        }
+    }
+    // Interleave the buckets: shuffle by a seeded swap walk.
+    for i in (1..straddle.len()).rev() {
+        straddle.swap(i, rng.usize_in(0..i + 1));
+    }
+    let mut inputs = vec![
+        ("one top byte".to_string(), one_top),
+        ("straddling buckets".to_string(), straddle),
+    ];
+    let skews: &[(u32, usize)] = if zipf { &[(800, 7), (1500, 3)] } else { &[] };
+    for &(skew_permille, budgets) in skews {
+        let n = budgets * budget;
+        let zipf: Vec<K> = generate(Distribution::ZipfDuplicates { skew_permille }, n, 5)
+            .into_iter()
+            .map(|k: K| key_of::<K>(k.to_radix().to_u64() ^ (rng.u64() & 0xffff)))
+            .collect();
+        let mut per_top = [0usize; 256];
+        for k in &zipf {
+            per_top[top_byte(k) as usize] += 1;
+        }
+        let heaviest = per_top.iter().copied().max().unwrap_or(0);
+        assert!(
+            heaviest > budget,
+            "Zipf {skew_permille}: no bucket over the budget"
+        );
+        inputs.push((format!("Zipf {skew_permille} + noise"), zipf));
+    }
+    inputs
+}
+
+fn check_top_rung_scalar<K: SortKey>(zipf: bool) {
+    for (what, input) in top_rung_inputs::<K>(zipf) {
+        check_top_rung(&input, &format!("{:?} {what}", K::DATA_TYPE), scalar_bytes);
+    }
+}
+
+fn check_top_rung_pairs<K: SortKey>() {
+    for (what, keys) in top_rung_inputs::<Pair<K>>(true) {
+        // Equal images in runs of eight, so payload order shows.
+        let keys = keys.into_iter().map(|p| p.key).collect::<Vec<K>>();
+        let input = with_positions(
+            keys.iter()
+                .map(|k| key_of::<K>(k.to_radix().to_u64() & !7))
+                .collect(),
+        );
+        check_top_rung(
+            &input,
+            &format!("{:?} {what}", <Pair<K>>::DATA_TYPE),
+            pair_bytes,
+        );
+    }
+}
+
+#[test]
+fn top_rung_matches_lsb_radix_for_every_key_type() {
+    // The Zipf inputs are the largest; one key type per image width runs
+    // them.
+    check_top_rung_scalar::<u32>(true);
+    check_top_rung_scalar::<i64>(true);
+    check_top_rung_scalar::<u64>(false);
+    check_top_rung_scalar::<i32>(false);
+    check_top_rung_scalar::<f32>(false);
+    check_top_rung_scalar::<f64>(false);
+}
+
+#[test]
+fn top_rung_keeps_pair_payloads_in_input_order() {
+    check_top_rung_pairs::<u32>();
+    check_top_rung_pairs::<u64>();
 }
 
 // ---- One data path: the family that times a sort never picks its bytes. ----
